@@ -15,10 +15,8 @@ standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +27,7 @@ from .flow import StepOptions
 from .geometry import (SampledCurve, frenet, integrate_along,
                        resample_arclength, total_length)
 from .storage import (CSF_COLUMNS, VFE_COLUMNS, RunManifest, append_run_manifest,
-                      artifact_records, prepare_out_dir, read_curve,
+                      artifact_records, dump_json, prepare_out_dir, read_curve,
                       read_filament, read_trajectory, write_curve,
                       write_diagnostics, write_filament, write_frenet,
                       write_table, write_trajectory)
@@ -56,12 +54,6 @@ def parse_floats(text: str) -> list[float]:
         raise ConfigError("invalid-range", f"bad list {text!r}: {exc}") from exc
 
 
-def _write_json(path, payload) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    return path
-
-
 def _table_name(stem: str, output_format: str) -> str:
     return f"{stem}.csv" if output_format == "csv" else f"{stem}.txt"
 
@@ -75,18 +67,25 @@ def _step_options(args) -> StepOptions:
                        record_every=args.record_every)
 
 
+def _run_summary(traj) -> dict:
+    return {"stop_reason": traj.stop_reason, "steps": traj.steps_taken,
+            "final_time": traj.final_time}
+
+
+def _frenet_residual_table(traj, out: Path, output_format: str) -> Path:
+    res = vfe.frenet_evolution_residuals(traj)
+    rows = np.column_stack([res.times, res.res_kappa, res.res_tau,
+                            res.res_normal, res.res_binormal])
+    return write_table(out / _table_name("frenet_residuals", output_format),
+                       ("time", "res_kappa", "res_tau", "res_normal", "res_binormal"),
+                       rows, output_format)
+
+
 def _load_input_curve(args) -> SampledCurve:
     curve = read_curve(args.input)
     if args.n and curve.n != args.n:
         curve = resample_arclength(curve, args.n)
     return curve
-
-
-def _map_members(fn, members, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, members))
-    return [fn(member) for member in members]
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +95,7 @@ def _map_members(fn, members, threads: int):
 def cmd_csf_evolve(args, out: Path) -> list[Path]:
     curve = _load_input_curve(args)
     traj = csf.evolve(curve, _step_options(args))
-    summary = {"stop_reason": traj.stop_reason, "steps": traj.steps_taken,
-               "final_time": traj.final_time}
+    summary = _run_summary(traj)
     if traj.final.closed:
         x0 = csf.estimate_shrink_point(traj)
         t_sing = csf.estimate_singular_time(traj)
@@ -108,7 +106,7 @@ def cmd_csf_evolve(args, out: Path) -> list[Path]:
     paths = write_trajectory(out, traj)
     paths.append(write_diagnostics(out / _table_name("diagnostics", args.format),
                                    traj.records, CSF_COLUMNS, args.format))
-    paths.append(_write_json(out / "summary.json", summary))
+    paths.append(dump_json(out / "summary.json", summary))
     if args.rescale:
         if not traj.final.closed:
             raise ConfigError("invalid-parameter", "--rescale needs a closed curve")
@@ -152,8 +150,8 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
             raise ConfigError("invalid-parameter",
                               "--abresch-langer needs --B and --r-min")
         partner = csf_solitons.abresch_langer_partner(args.B, args.r_min)
-        return [_write_json(out / "abresch_langer.json",
-                            {"B": args.B, "r_min": args.r_min, "r_max": partner})]
+        return [dump_json(out / "abresch_langer.json",
+                          {"B": args.B, "r_min": args.r_min, "r_max": partner})]
 
     if args.A is None or args.B is None:
         raise ConfigError("invalid-parameter", "--A and --B are required")
@@ -167,7 +165,7 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
         y_vals = parse_range(args.y0_range) if args.y0_range else [args.y0]
         members = [(float(a), float(b), float(x), float(y), s_range, n)
                    for a in a_vals for b in b_vals for x in x_vals for y in y_vals]
-        results = _map_members(_soliton_member, members, args.threads)
+        results = [_soliton_member(member) for member in members]
         paths, atlas = [], []
         for k, (record, curve) in enumerate(results):
             if curve is not None:
@@ -175,7 +173,7 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
                 paths.append(write_curve(out / name, curve))
                 record["file"] = name
             atlas.append(record)
-        paths.append(_write_json(out / "atlas.json", atlas))
+        paths.append(dump_json(out / "atlas.json", atlas))
         return paths
 
     record, curve = _soliton_member(
@@ -187,7 +185,7 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
         csf_solitons.soliton_residual(curve, args.A, args.B).max())
     print(record["class"])
     return [write_curve(out / "soliton.curve", curve),
-            _write_json(out / "soliton.json", record)]
+            dump_json(out / "soliton.json", record)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +198,9 @@ def cmd_vfe_evolve(args, out: Path) -> list[Path]:
     paths = write_trajectory(out, traj)
     paths.append(write_diagnostics(out / _table_name("diagnostics", args.format),
                                    traj.records, VFE_COLUMNS, args.format))
-    paths.append(_write_json(out / "summary.json",
-                             {"stop_reason": traj.stop_reason,
-                              "steps": traj.steps_taken,
-                              "final_time": traj.final_time}))
+    paths.append(dump_json(out / "summary.json", _run_summary(traj)))
     if args.residuals:
-        res = vfe.frenet_evolution_residuals(traj)
-        rows = np.column_stack([res.times, res.res_kappa, res.res_tau,
-                                res.res_normal, res.res_binormal])
-        paths.append(write_table(
-            out / _table_name("frenet_residuals", args.format),
-            ("time", "res_kappa", "res_tau", "res_normal", "res_binormal"),
-            rows, args.format))
+        paths.append(_frenet_residual_table(traj, out, args.format))
     return paths
 
 
@@ -258,7 +247,7 @@ def cmd_vfe_soliton(args, out: Path) -> list[Path]:
         vfe_solitons.rotation_residual(curve, omega).max())
     record["file"] = "profile.curve"
     return [write_curve(out / "profile.curve", curve),
-            _write_json(out / "profile.json", record)]
+            dump_json(out / "profile.json", record)]
 
 
 def cmd_vfe_biot_savart(args, out: Path) -> list[Path]:
@@ -283,7 +272,7 @@ def cmd_vfe_biot_savart(args, out: Path) -> list[Path]:
               "index": args.index, "slope": float(slope),
               "intercept": float(intercept), "r_squared": r_squared}
     print(f"slope {float(slope):.6g} r_squared {r_squared:.6g}")
-    return [_write_json(out / "biot_savart.json", report)]
+    return [dump_json(out / "biot_savart.json", report)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +323,9 @@ def cmd_hasimoto_dilating(args, out: Path) -> list[Path]:
         residual = hasimoto.nlcse_residual(older, fil, newer)
         value = float(np.nanmax(residual))
         print(f"nlcse_residual_max {value!r}")
-        paths.append(_write_json(out / "residual.json",
-                                 {"a": args.a, "t": args.t, "n": grid.size,
-                                  "nlcse_residual_max": value}))
+        paths.append(dump_json(out / "residual.json",
+                               {"a": args.a, "t": args.t, "n": grid.size,
+                                "nlcse_residual_max": value}))
     return paths
 
 
@@ -359,7 +348,7 @@ def cmd_diagnose_distance_ratio(args, out: Path) -> list[Path]:
     if args.input:
         value = csf.distance_ratio(read_curve(args.input))
         print(repr(value))
-        return [_write_json(out / "distance_ratio.json", {"distance_ratio": value})]
+        return [dump_json(out / "distance_ratio.json", {"distance_ratio": value})]
     if not args.trajectory:
         raise ConfigError("invalid-parameter", "need --input or --trajectory")
     series = csf.distance_ratio_series(read_trajectory(args.trajectory))
@@ -384,13 +373,7 @@ def cmd_diagnose_residuals(args, out: Path) -> list[Path]:
         paths.append(write_table(out / _table_name("curvature_residual", args.format),
                                  ("time", "residual"), rows, args.format))
     else:
-        res = vfe.frenet_evolution_residuals(traj)
-        rows = np.column_stack([res.times, res.res_kappa, res.res_tau,
-                                res.res_normal, res.res_binormal])
-        paths.append(write_table(
-            out / _table_name("frenet_residuals", args.format),
-            ("time", "res_kappa", "res_tau", "res_normal", "res_binormal"),
-            rows, args.format))
+        paths.append(_frenet_residual_table(traj, out, args.format))
         comm = vfe.commutator_residual(traj)
         rows = np.column_stack([comm.times, comm.values])
         paths.append(write_table(out / _table_name("commutator_residual", args.format),
@@ -419,9 +402,6 @@ def _add_global_flags(parser, top: bool = False):
     parser.add_argument("--force", action="store_true",
                         default=False if top else argparse.SUPPRESS,
                         help="allow writing into a non-empty output directory")
-    parser.add_argument("--threads", type=int,
-                        default=1 if top else argparse.SUPPRESS,
-                        help="worker threads for sweeps")
     parser.add_argument("--format", choices=("csv", "structured-text"),
                         default="csv" if top else argparse.SUPPRESS,
                         help="diagnostics table format")

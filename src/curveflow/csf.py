@@ -2,9 +2,8 @@
 
 The flow moves each point by the discrete curvature vector (the second
 arclength derivative).  Stepping is explicit Euler under the parabolic
-bound dt <= cfl * ds^2 / 2, with periodic resampling to hold the
-arclength gauge.  Frames are recorded immediately before resampling so
-stored geometry is raw evolved state.
+bound dt <= cfl * ds^2 / 2 on the shared driver in ``flow``, with
+periodic resampling to hold the arclength gauge.
 
 Diagnostics cover the arclength decay law dL/dt = -int kappa^2 ds, the
 curvature evolution law kappa_t = kappa_ss + kappa^3, the backwards-heat
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import flow
 from .errors import CurveFlowError
 from .flow import DiagnosticRecord, FlowTrajectory, ScalarSeries, StepOptions
 from .geometry import (
@@ -29,7 +29,6 @@ from .geometry import (
     integrate_along,
     isoperimetric_ratio,
     resample_arclength,
-    segment_lengths,
     total_length,
 )
 
@@ -39,109 +38,33 @@ def _signed_curvature(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
 
 
+def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
+    d1, d2 = _lagrange_d1_d2(pts, h, closed)
+    kappa = _signed_curvature(d1, d2)
+    if not closed:
+        d2[[0, -1]] = 0.0
+    return d2, kappa
+
+
+def _record(frame: SampledCurve, kappa: np.ndarray) -> dict:
+    return {"max_curvature": float(np.abs(kappa).max()),
+            "bending": integrate_along(frame, kappa**2)}
+
+
+def _spec() -> flow.FlowSpec:
+    # built per call, so a rebinding of _velocity or _record takes effect
+    return flow.FlowSpec(dimension=2, step_factor=0.5, fixed_limit=1.0,
+                         velocity=_velocity, advance=flow.euler, record=_record)
+
+
 def csf_step(curve: SampledCurve, dt: float) -> SampledCurve:
     """One explicit Euler step p <- p + dt * gamma_ss (ends pinned if open)."""
-    if curve.dimension != 2:
-        raise ValueError("curve shortening flow is planar")
-    _, _, d2 = arclength_derivatives(curve)
-    if not curve.closed:
-        d2 = d2.copy()
-        d2[0] = 0.0
-        d2[-1] = 0.0
-    new_pts = curve.points + dt * d2
-    if not np.all(np.isfinite(new_pts)):
-        raise CurveFlowError("blow-up-detected", "non-finite point after step")
-    return curve.with_points(new_pts)
+    return flow.step(curve, dt, _spec())
 
 
 def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:
-    """Run the flow until stop_time or an earlier stopping condition.
-
-    Stop reasons: "stop-time", "stop-length", "approaching-singularity"
-    (max|kappa|*ds > 1 or length below the singular fraction of the
-    initial length), "blow-up-detected", "max-steps".
-    """
-    if curve.dimension != 2:
-        raise ValueError("curve shortening flow is planar")
-    n = opts.n_points if opts.n_points else curve.n
-    # Keep the caller's sampling for the first frame; maintenance resampling
-    # kicks in after step 0 anyway.
-    cur = curve if n == curve.n else resample_arclength(curve, n)
-    length0 = total_length(cur)
-    traj = FlowTrajectory()
-    t = 0.0
-    steps = 0
-    last_recorded = -1
-    dt_base = 0.0
-    eps = 1e-12 * max(1.0, opts.stop_time)
-
-    def refresh_dt():
-        nonlocal dt_base
-        min_h = segment_lengths(cur).min()
-        bound = min_h**2 / 2.0
-        if opts.dt is not None:
-            if opts.dt > bound:
-                raise CurveFlowError(
-                    "cfl-violation",
-                    f"dt={opts.dt:g} exceeds stability bound {bound:g}",
-                )
-            dt_base = opts.dt
-        else:
-            dt_base = opts.cfl * bound
-
-    refresh_dt()
-    while True:
-        h = segment_lengths(cur)
-        _, d1, d2 = arclength_derivatives(cur)
-        kappa = _signed_curvature(d1, d2)
-        length = float(h.sum())
-        record = DiagnosticRecord(
-            time=t,
-            length=length,
-            max_curvature=float(np.abs(kappa).max()),
-            bending=integrate_along(cur, kappa**2),
-        )
-
-        stop = ""
-        if record.max_curvature * h.max() > 1.0:
-            stop = "approaching-singularity"
-        elif length < opts.singular_length_fraction * length0:
-            stop = "approaching-singularity"
-        elif opts.stop_length is not None and length <= opts.stop_length:
-            stop = "stop-length"
-        elif t >= opts.stop_time - eps:
-            stop = "stop-time"
-        elif steps >= opts.max_steps:
-            stop = "max-steps"
-
-        if stop or steps % opts.record_every == 0:
-            if steps != last_recorded:
-                traj.append(t, cur, record)
-                last_recorded = steps
-        if stop:
-            traj.stop_reason = stop
-            traj.steps_taken = steps
-            return traj
-
-        if steps > 0 and steps % opts.resample_every == 0:
-            cur = resample_arclength(cur, n)
-            refresh_dt()
-            _, d1, d2 = arclength_derivatives(cur)
-
-        if not cur.closed:
-            d2[0] = 0.0
-            d2[-1] = 0.0
-        dt = min(dt_base, opts.stop_time - t)
-        new_pts = cur.points + dt * d2
-        if not np.all(np.isfinite(new_pts)):
-            if steps != last_recorded:
-                traj.append(t, cur, record)
-            traj.stop_reason = "blow-up-detected"
-            traj.steps_taken = steps
-            return traj
-        cur = cur.with_points(new_pts)
-        t += dt
-        steps += 1
+    """Run the flow until stop_time or an earlier stop; see ``flow.evolve``."""
+    return flow.evolve(curve, opts, _spec())
 
 
 # ---------------------------------------------------------------------------

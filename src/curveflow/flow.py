@@ -1,19 +1,41 @@
-"""Shared containers for time-stepped curve evolution.
+"""The one time-stepping driver for both flow engines.
 
-Both flow engines (curve shortening and binormal) produce a
-FlowTrajectory: recorded frames plus per-record scalar diagnostics and
-a stop reason.  Frames are recorded immediately before each resampling
-pass so the stored geometry is the raw evolved state, not the smoothed
-restart data.
+``evolve`` runs explicit, CFL-guarded stepping with a singularity guard and
+periodic arclength resampling; ``step`` takes one step.  An engine
+describes itself with a ``FlowSpec``: its dimension, its step-size
+constants, its velocity, its time integrator (``euler`` or ``rk4``) and the
+diagnostics it records per frame.  Everything else is shared.
+
+The driver works on the raw ``(n, d)`` point array and builds a validated
+``SampledCurve`` only for the frames it records and the curves it
+resamples.  Each step measures the chord lengths and the velocity once;
+the first RK4 stage reuses that velocity.
+
+Stop reasons, checked in this order before every step:
+
+* ``approaching-singularity``: max|kappa| times the longest segment exceeds
+  1, or the length falls below ``singular_length_fraction`` of the initial
+  length;
+* ``stop-length``: the length reaches ``stop_length``;
+* ``stop-time``: the time reaches ``stop_time``;
+* ``max-steps``: ``max_steps`` steps have been taken;
+* ``blow-up-detected``: a step produced a non-finite point.  The last
+  finite state is recorded as a frame before the run stops.
+
+Frames are recorded every ``record_every`` steps and at the stop.  A frame
+due on a resampling step is recorded before the resampling pass, so stored
+geometry is the raw evolved state, not the smoothed restart data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .geometry import SampledCurve
+from .errors import CurveFlowError
+from .geometry import SampledCurve, chord_lengths, resample_arclength
 
 
 @dataclass
@@ -41,12 +63,19 @@ class StepOptions:
     def __post_init__(self):
         if (self.dt is None) == (self.cfl is None):
             raise ValueError("set exactly one of dt and cfl")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # written as range checks so that NaN fails them too
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.cfl is not None and not 0 < self.cfl <= 1:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.stop_time <= 0:
-            raise ValueError("stop_time must be positive")
+        if not 0 < self.stop_time < np.inf:
+            raise ValueError("stop_time must be positive and finite")
+        if self.stop_length is not None and not 0 <= self.stop_length < np.inf:
+            raise ValueError("stop_length must be non-negative and finite")
+        if not 0 <= self.singular_length_fraction < 1:
+            raise ValueError("singular_length_fraction must lie in [0, 1)")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         if self.resample_every < 1 or self.record_every < 1:
             raise ValueError("resample_every and record_every must be >= 1")
 
@@ -102,3 +131,132 @@ class ScalarSeries:
 
     def __len__(self) -> int:
         return len(self.times)
+
+
+@dataclass(frozen=True)
+class FlowSpec:
+    """What one flow engine supplies to the driver.
+
+    The step is ``cfl * step_factor * min_h**2`` under a CFL number; a
+    fixed ``dt`` may be at most ``fixed_limit * step_factor * min_h**2``.
+    ``velocity(pts, h, closed)`` returns the velocity (zero at pinned open
+    ends) and the curvature the singularity guard reads.
+    ``advance(velocity, pts, closed, dt, k1)`` integrates one step from
+    the velocity ``k1`` at ``pts``.  ``record(frame, kappa)`` returns the
+    ``DiagnosticRecord`` fields besides time and length.
+    """
+
+    dimension: int
+    step_factor: float
+    fixed_limit: float
+    velocity: Callable
+    advance: Callable
+    record: Callable
+
+
+def euler(velocity, pts, closed, dt, k1):
+    return pts + dt * k1
+
+
+def rk4(velocity, pts, closed, dt, k1):
+    def f(p):
+        return velocity(p, chord_lengths(p, closed), closed)[0]
+
+    k2 = f(pts + 0.5 * dt * k1)
+    k3 = f(pts + 0.5 * dt * k2)
+    k4 = f(pts + dt * k3)
+    return pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_dimension(curve: SampledCurve, spec: FlowSpec) -> None:
+    if curve.dimension != spec.dimension:
+        raise ValueError(f"this flow needs a curve in R^{spec.dimension}")
+
+
+def step(curve: SampledCurve, dt: float, spec: FlowSpec) -> SampledCurve:
+    """One step of size ``dt`` (ends pinned if open)."""
+    _check_dimension(curve, spec)
+    pts, closed = curve.points, curve.closed
+    k1, _ = spec.velocity(pts, chord_lengths(pts, closed), closed)
+    new_pts = spec.advance(spec.velocity, pts, closed, dt, k1)
+    if not np.all(np.isfinite(new_pts)):
+        raise CurveFlowError("blow-up-detected", "non-finite point after step")
+    return curve.with_points(new_pts)
+
+
+def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajectory:
+    """Run the flow until ``opts.stop_time`` or an earlier stop (see module doc)."""
+    _check_dimension(curve, spec)
+    closed = curve.closed
+    n = opts.n_points if opts.n_points else curve.n
+    # Keep the caller's sampling for the first frame; maintenance resampling
+    # kicks in after step 0 anyway.
+    pts = curve.points if n == curve.n else resample_arclength(curve, n).points
+    traj = FlowTrajectory()
+    t = 0.0
+    steps = 0
+    last_recorded = -1
+    eps = 1e-12 * max(1.0, opts.stop_time)
+
+    def base_dt(h):
+        bound = spec.step_factor * h.min() ** 2
+        if opts.dt is None:
+            return opts.cfl * bound
+        if opts.dt > spec.fixed_limit * bound:
+            raise CurveFlowError(
+                "cfl-violation",
+                f"dt={opts.dt:g} exceeds stability bound {spec.fixed_limit * bound:g}",
+            )
+        return opts.dt
+
+    def record():
+        nonlocal last_recorded
+        if steps != last_recorded:
+            frame = curve.with_points(pts)
+            traj.append(t, frame, DiagnosticRecord(
+                time=t, length=float(h.sum()), **spec.record(frame, kappa)))
+            last_recorded = steps
+
+    h = chord_lengths(pts, closed)
+    dt_base = base_dt(h)
+    vel, kappa = spec.velocity(pts, h, closed)
+    length0 = float(h.sum())
+    while True:
+        length = float(h.sum())
+        stop = ""
+        if (float(np.abs(kappa).max()) * h.max() > 1.0
+                or length < opts.singular_length_fraction * length0):
+            stop = "approaching-singularity"
+        elif opts.stop_length is not None and length <= opts.stop_length:
+            stop = "stop-length"
+        elif t >= opts.stop_time - eps:
+            stop = "stop-time"
+        elif steps >= opts.max_steps:
+            stop = "max-steps"
+
+        if stop or steps % opts.record_every == 0:
+            record()
+        if stop:
+            break
+
+        if steps > 0 and steps % opts.resample_every == 0:
+            pts = resample_arclength(curve.with_points(pts), n).points
+            h = chord_lengths(pts, closed)
+            dt_base = base_dt(h)
+            vel, kappa = spec.velocity(pts, h, closed)
+
+        dt = min(dt_base, opts.stop_time - t)
+        new_pts = spec.advance(spec.velocity, pts, closed, dt, vel)
+        if not np.all(np.isfinite(new_pts)):
+            record()
+            stop = "blow-up-detected"
+            break
+        pts = new_pts
+        t += dt
+        steps += 1
+        h = chord_lengths(pts, closed)
+        vel, kappa = spec.velocity(pts, h, closed)
+
+    traj.stop_reason = stop
+    traj.steps_taken = steps
+    return traj

@@ -47,10 +47,7 @@ class SampledCurve:
             raise ValueError("a sampled curve needs at least 4 points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("curve coordinates must be finite")
-        seg = np.diff(pts, axis=0)
-        if self.closed:
-            seg = np.vstack([seg, pts[0] - pts[-1]])
-        if np.any(np.linalg.norm(seg, axis=1) == 0.0):
+        if np.any(chord_lengths(pts, self.closed) == 0.0):
             raise ValueError("consecutive points must be distinct")
         pts = pts.copy()
         pts.flags.writeable = False
@@ -85,12 +82,17 @@ class FrenetData:
     torsion_defined: np.ndarray | None = None
 
 
+def chord_lengths(points: np.ndarray, closed: bool) -> np.ndarray:
+    """Chord lengths of a point array, including the wrap segment if closed."""
+    seg = np.diff(points, axis=0)
+    if closed:
+        seg = np.vstack([seg, points[0] - points[-1]])
+    return np.linalg.norm(seg, axis=1)
+
+
 def segment_lengths(curve: SampledCurve) -> np.ndarray:
     """Chord lengths, including the wrap segment for closed curves."""
-    seg = np.diff(curve.points, axis=0)
-    if curve.closed:
-        seg = np.vstack([seg, curve.points[0] - curve.points[-1]])
-    return np.linalg.norm(seg, axis=1)
+    return chord_lengths(curve.points, curve.closed)
 
 
 def total_length(curve: SampledCurve) -> float:

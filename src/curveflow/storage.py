@@ -29,7 +29,7 @@ CSF_COLUMNS = ("time", "length", "bending", "huisken",
 VFE_COLUMNS = ("time", "length", "max_curvature", "max_torsion")
 
 
-def _dump_json(path, payload) -> Path:
+def dump_json(path, payload) -> Path:
     path = Path(path)
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
     return path
@@ -47,7 +47,7 @@ def _load_json(path, kind: str):
 
 
 def write_curve(path, curve: SampledCurve) -> Path:
-    return _dump_json(path, {
+    return dump_json(path, {
         "dimension": curve.dimension,
         "closed": curve.closed,
         "label": curve.label,
@@ -68,7 +68,7 @@ def read_curve(path) -> SampledCurve:
 
 def write_filament(path, fil: FilamentFunction) -> Path:
     # the periodic flag is a property of a run, not of the samples
-    return _dump_json(path, {
+    return dump_json(path, {
         "grid_start": float(fil.grid_start),
         "grid_step": float(fil.grid_step),
         "gauge_A": float(fil.gauge_A),
@@ -105,7 +105,7 @@ def write_frenet(path, fr: FrenetData) -> Path:
     if fr.torsion is not None:
         payload["torsion"] = fr.torsion.tolist()
         payload["torsion_defined"] = fr.torsion_defined.tolist()
-    return _dump_json(path, payload)
+    return dump_json(path, payload)
 
 
 def _cell(value) -> str:
@@ -149,7 +149,7 @@ def write_trajectory(out_dir, traj: FlowTrajectory, stem: str = "frame") -> list
         name = f"{stem}_{k:05d}.curve"
         write_curve(out / name, frame)
         files.append(name)
-    index = _dump_json(out / f"{stem}_index.json", {
+    index = dump_json(out / f"{stem}_index.json", {
         "times": [float(t) for t in traj.times],
         "files": files,
         "stop_reason": traj.stop_reason,

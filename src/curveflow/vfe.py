@@ -3,7 +3,7 @@
 The velocity is gamma_s x gamma_ss = kappa B, which preserves arclength
 pointwise; samples therefore track material points and resampling is a
 near-identity cleanup.  Time stepping is classical RK4 under the
-dispersive bound dt <= cfl * ds^2.
+dispersive bound dt <= cfl * ds^2 on the shared driver in ``flow``.
 
 Also here: residual checks for the curvature/torsion/frame evolution
 laws, the tangent/time commutator, a rigid-motion fitter for detecting
@@ -17,16 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import flow
 from .errors import CurveFlowError
-from .flow import DiagnosticRecord, FlowTrajectory, ScalarSeries, StepOptions
+from .flow import FlowTrajectory, ScalarSeries, StepOptions
 from .geometry import (
     SampledCurve,
     _lagrange_d1_d2,
     frenet,
     integrate_along,
-    resample_arclength,
     segment_lengths,
-    total_length,
 )
 
 # RK4 covers the imaginary axis up to |z| = 2*sqrt(2); with the discrete
@@ -34,135 +33,43 @@ from .geometry import (
 STABILITY_FACTOR = 0.7
 
 
-def _segment_h(pts: np.ndarray, closed: bool) -> np.ndarray:
-    seg = np.diff(pts, axis=0)
-    if closed:
-        seg = np.vstack([seg, pts[0] - pts[-1]])
-    return np.linalg.norm(seg, axis=1)
-
-
-def _velocity(pts: np.ndarray, closed: bool) -> np.ndarray:
-    h = _segment_h(pts, closed)
+def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
     d1, d2 = _lagrange_d1_d2(pts, h, closed)
     vel = np.cross(d1, d2)
     if not closed:
-        vel[0] = 0.0
-        vel[-1] = 0.0
-    return vel
+        vel[[0, -1]] = 0.0
+    return vel, np.linalg.norm(vel, axis=1) / np.linalg.norm(d1, axis=1) ** 3
 
 
 def binormal_velocity(curve: SampledCurve) -> np.ndarray:
     """Discrete gamma_s x gamma_ss per sample (zero at pinned open ends)."""
     if curve.dimension != 3:
         raise ValueError("binormal flow needs a space curve")
-    return _velocity(curve.points, curve.closed)
+    return _velocity(curve.points, segment_lengths(curve), curve.closed)[0]
 
 
-def _rk4(pts: np.ndarray, closed: bool, dt: float) -> np.ndarray:
-    k1 = _velocity(pts, closed)
-    k2 = _velocity(pts + 0.5 * dt * k1, closed)
-    k3 = _velocity(pts + 0.5 * dt * k2, closed)
-    k4 = _velocity(pts + dt * k3, closed)
-    return pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _record(frame: SampledCurve, kappa: np.ndarray) -> dict:
+    fr = frenet(frame)
+    tau = np.abs(fr.torsion[fr.torsion_defined])
+    return {"max_curvature": float(np.abs(fr.curvature).max()),
+            "bending": integrate_along(frame, fr.curvature**2),
+            "max_torsion": float(np.nanmax(tau)) if tau.size else float("nan")}
+
+
+def _spec() -> flow.FlowSpec:
+    # built per call, so a rebinding of _velocity or _record takes effect
+    return flow.FlowSpec(dimension=3, step_factor=1.0, fixed_limit=STABILITY_FACTOR,
+                         velocity=_velocity, advance=flow.rk4, record=_record)
 
 
 def vfe_step(curve: SampledCurve, dt: float) -> SampledCurve:
     """One RK4 step of the binormal flow."""
-    if curve.dimension != 3:
-        raise ValueError("binormal flow needs a space curve")
-    new_pts = _rk4(curve.points, curve.closed, dt)
-    if not np.all(np.isfinite(new_pts)):
-        raise CurveFlowError("blow-up-detected", "non-finite point after step")
-    return curve.with_points(new_pts)
+    return flow.step(curve, dt, _spec())
 
 
 def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:
-    """Run the binormal flow; stop reasons as in the shortening engine."""
-    if curve.dimension != 3:
-        raise ValueError("binormal flow needs a space curve")
-    n = opts.n_points if opts.n_points else curve.n
-    # Keep the caller's sampling for the first frame; maintenance resampling
-    # kicks in after step 0 anyway.
-    cur = curve if n == curve.n else resample_arclength(curve, n)
-    length0 = total_length(cur)
-    traj = FlowTrajectory()
-    t = 0.0
-    steps = 0
-    last_recorded = -1
-    dt_base = 0.0
-    eps = 1e-12 * max(1.0, opts.stop_time)
-
-    def refresh_dt():
-        nonlocal dt_base
-        min_h = segment_lengths(cur).min()
-        if opts.dt is not None:
-            if opts.dt > STABILITY_FACTOR * min_h**2:
-                raise CurveFlowError(
-                    "cfl-violation",
-                    f"dt={opts.dt:g} exceeds dispersive bound {STABILITY_FACTOR * min_h**2:g}",
-                )
-            dt_base = opts.dt
-        else:
-            dt_base = opts.cfl * min_h**2
-
-    refresh_dt()
-    while True:
-        h = segment_lengths(cur)
-        vel = _velocity(cur.points, cur.closed)
-        d1, _ = _lagrange_d1_d2(cur.points, h, cur.closed)
-        speed = np.linalg.norm(d1, axis=1)
-        kappa = np.linalg.norm(vel, axis=1) / speed**3
-        length = float(h.sum())
-
-        stop = ""
-        if float(kappa.max()) * h.max() > 1.0:
-            stop = "approaching-singularity"
-        elif length < opts.singular_length_fraction * length0:
-            stop = "approaching-singularity"
-        elif opts.stop_length is not None and length <= opts.stop_length:
-            stop = "stop-length"
-        elif t >= opts.stop_time - eps:
-            stop = "stop-time"
-        elif steps >= opts.max_steps:
-            stop = "max-steps"
-
-        if stop or steps % opts.record_every == 0:
-            if steps != last_recorded:
-                fr = frenet(cur)
-                if fr.torsion_defined is not None and np.any(fr.torsion_defined):
-                    max_tau = float(np.nanmax(np.abs(fr.torsion[fr.torsion_defined])))
-                else:
-                    max_tau = float("nan")
-                traj.append(
-                    t,
-                    cur,
-                    DiagnosticRecord(
-                        time=t,
-                        length=length,
-                        max_curvature=float(np.abs(fr.curvature).max()),
-                        bending=integrate_along(cur, fr.curvature**2),
-                        max_torsion=max_tau,
-                    ),
-                )
-                last_recorded = steps
-        if stop:
-            traj.stop_reason = stop
-            traj.steps_taken = steps
-            return traj
-
-        if steps > 0 and steps % opts.resample_every == 0:
-            cur = resample_arclength(cur, n)
-            refresh_dt()
-
-        dt = min(dt_base, opts.stop_time - t)
-        new_pts = _rk4(cur.points, cur.closed, dt)
-        if not np.all(np.isfinite(new_pts)):
-            traj.stop_reason = "blow-up-detected"
-            traj.steps_taken = steps
-            return traj
-        cur = cur.with_points(new_pts)
-        t += dt
-        steps += 1
+    """Run the binormal flow; stop reasons as in ``flow.evolve``."""
+    return flow.evolve(curve, opts, _spec())
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +179,9 @@ def commutator_residual(traj: FlowTrajectory, trim: float = 0.1) -> ScalarSeries
     for k in range(1, len(frames) - 1):
         dt2 = times[k + 1] - times[k - 1]
         lhs = (d1s[k + 1] - d1s[k - 1]) / dt2
-        vel = _velocity(frames[k].points, closed)
-        rhs = _lagrange_d1_d2(vel, segment_lengths(frames[k]), closed)[0]
+        h = segment_lengths(frames[k])
+        vel = _velocity(frames[k].points, h, closed)[0]
+        rhs = _lagrange_d1_d2(vel, h, closed)[0]
         vals[k - 1] = np.linalg.norm((lhs - rhs)[lo:hi], axis=1).max()
     return ScalarSeries(times[1:-1], vals, "commutator_residual")
 

@@ -102,6 +102,12 @@ def test_missing_input_exits_two(tmp_path, capsys):
     assert last_stderr_token(capsys) == "input-not-found"
 
 
+def test_non_finite_stop_time_exits_two(tmp_path, circle_file, capsys):
+    assert run("csf", "evolve", "--input", circle_file, "--stop-time", "nan",
+               "--out", tmp_path / "o") == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
+
+
 def test_runtime_failure_exits_three(tmp_path, capsys):
     assert run("hasimoto", "dilating", "--a", "1.0", "--t", "0",
                "--out", tmp_path / "o") == 3
@@ -134,11 +140,11 @@ def test_csf_soliton_single_member(tmp_path, capsys):
     assert read_curve(out / "soliton.curve").n == 512
 
 
-def test_csf_soliton_sweep_with_threads(tmp_path):
+def test_csf_soliton_sweep(tmp_path):
     out = tmp_path / "sweep"
     assert run("csf", "soliton", "--sweep", "--A", "0", "--B", "-1",
                "--A-range", "0:0.4:2", "--B-range=-1:-0.6:2",
-               "--s=-6:6:256", "--threads", "2", "--out", out) == 0
+               "--s=-6:6:256", "--out", out) == 0
     atlas = json.loads((out / "atlas.json").read_text())
     assert isinstance(atlas, list) and len(atlas) == 4
     for entry in atlas:

@@ -7,11 +7,13 @@ recording or resampling order moves these numbers.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import circle2, ellipse2, helix3
-from curveflow import csf, vfe
+from conftest import circle2, circle3, ellipse2, helix3
+from curveflow import csf, flow, vfe
 from curveflow.flow import StepOptions
 from curveflow.geometry import SampledCurve
 
@@ -161,3 +163,47 @@ def test_golden_runs(name):
     assert len(got["frames"]) == len(want["frames"])
     for row, expect in zip(got["frames"], want["frames"]):
         assert row == pytest.approx(expect, rel=1e-12, abs=1e-12, nan_ok=True)
+
+
+NaN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(stop_time=NaN, cfl=0.25),
+    dict(stop_time=INF, cfl=0.25),
+    dict(stop_time=1.0, dt=NaN),
+    dict(stop_time=1.0, dt=INF),
+    dict(stop_time=1.0, cfl=NaN),
+    dict(stop_time=1.0, cfl=0.25, stop_length=NaN),
+    dict(stop_time=1.0, cfl=0.25, stop_length=-1.0),
+    dict(stop_time=1.0, cfl=0.25, singular_length_fraction=NaN),
+    dict(stop_time=1.0, cfl=0.25, singular_length_fraction=1.0),
+    dict(stop_time=1.0, cfl=0.25, max_steps=-1),
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_step_options_reject_non_finite_and_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        StepOptions(**kwargs)
+
+
+@pytest.mark.parametrize("engine, curve", [(csf, circle2(16)), (vfe, circle3(16))],
+                         ids=["csf", "vfe"])
+def test_blow_up_records_the_last_finite_frame(engine, curve):
+    # translate along x at unit speed; the velocity turns non-finite once
+    # the curve has moved past 4.75 steps
+    dt, start = 0.01, curve.points[0, 0]
+
+    def velocity(pts, h, closed):
+        vel = np.zeros_like(pts)
+        vel[:, 0] = np.nan if pts[0, 0] - start > 4.75 * dt else 1.0
+        return vel, np.zeros(len(pts))
+
+    spec = dataclasses.replace(engine._spec(), velocity=velocity)
+    traj = flow.evolve(curve, StepOptions(stop_time=1.0, dt=dt, record_every=3), spec)
+    assert traj.stop_reason == "blow-up-detected"
+    # the blow-up step is off the record cadence, so this frame exists only
+    # because the driver records the last finite state before stopping
+    assert traj.steps_taken % 3 != 0
+    assert traj.final_time == pytest.approx(traj.steps_taken * dt, rel=1e-12)
+    shift = np.zeros(curve.dimension)
+    shift[0] = traj.final_time
+    assert np.allclose(traj.final.points, curve.points + shift, rtol=0, atol=1e-12)
