@@ -225,23 +225,24 @@ def cmd_vfe_soliton(args, out: Path) -> list[Path]:
         record["admissible_band"] = {"x_squared_below": half_width}
         record["sign_schedule"] = _sign_schedule(curve.points[:, 0], curve.points[:, 1])
     else:
-        z0 = args.f0 if (args.case == "planar" and args.f0 is not None) else args.z0
-        if z0 is None:
-            raise ConfigError("invalid-parameter", "--z0 (or --f0) is required")
+        if args.z0 is None:
+            raise ConfigError("invalid-parameter", "--z0 is required")
         lam = 0.0 if args.case == "planar" else args.lam
         lo, hi = vfe_solitons.z_bounds(lam, args.C1)
         if args.case == "planar":
             curve, omega = vfe_solitons.planar_rotation_profile(
-                args.C1, z0, x_range, n, sign=args.sign)
+                args.C1, args.z0, x_range, n, sign=args.sign)
         else:
             spec = vfe_solitons.VfeRotatingSpec(
                 case="x-axis", C1=args.C1, lam=args.lam, sign=args.sign,
-                z0=z0, x_range=x_range, n=n)
+                z0=args.z0, x_range=x_range, n=n)
             curve = vfe_solitons.xaxis_rotation_profile(spec)
             omega = vfe_solitons.xaxis_rotation_law(spec)
-        record["z0"] = z0
+        record["z0"] = args.z0
         record["admissible_band"] = {"z_squared_low": lo, "z_squared_high": hi}
-        record["sign_schedule"] = _sign_schedule(curve.points[:, 0], curve.points[:, 2])
+        # the planar profile is (x, f(x), 0), the x-axis one (x, y(x), z(x))
+        profile = curve.points[:, 1 if args.case == "planar" else 2]
+        record["sign_schedule"] = _sign_schedule(curve.points[:, 0], profile)
     record["omega"] = [float(c) for c in omega]
     record["rotation_residual_max"] = float(
         vfe_solitons.rotation_residual(curve, omega).max())
@@ -467,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C2", type=float, default=0.0)
     p.add_argument("--lam", type=float, default=0.0)
     p.add_argument("--z0", type=float, default=None)
-    p.add_argument("--f0", type=float, default=None, help="alias of --z0 for the planar case")
     p.add_argument("--sign", type=int, choices=(-1, 1), default=1)
     p.add_argument("--x", default="0:5:1024", help="profile parameter grid")
     p.set_defaults(handler=cmd_vfe_soliton, command_path="vfe soliton")

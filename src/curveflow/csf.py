@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from . import flow
 from .errors import CurveFlowError
@@ -175,22 +176,15 @@ def distance_ratio(curve: SampledCurve) -> float:
     """sup over sample pairs of L/(pi d) * sin(pi l / L), l the shorter arc."""
     if not curve.closed or curve.dimension != 2:
         raise ValueError("distance ratio needs a closed planar curve")
-    pts = curve.points
-    n = curve.n
     s = cumulative_arclength(curve)
     L = total_length(curve)
-    best = 0.0
-    chunk = max(1, 2_000_000 // n)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        d = np.linalg.norm(pts[i0:i1, None, :] - pts[None, :, :], axis=2)
-        l = np.abs(s[i0:i1, None] - s[None, :])
-        l = np.minimum(l, L - l)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (L / (np.pi * d)) * np.sin(np.pi * l / L)
-        ratio[~np.isfinite(ratio)] = 0.0
-        best = max(best, float(ratio.max()))
-    return best
+    d = pdist(curve.points)
+    l = pdist(s[:, None], "cityblock")
+    l = np.minimum(l, L - l)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (L / (np.pi * d)) * np.sin(np.pi * l / L)
+    ratio[~np.isfinite(ratio)] = 0.0
+    return float(ratio.max())
 
 
 def distance_ratio_series(traj: FlowTrajectory) -> ScalarSeries:

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial.distance import pdist
 
 from .errors import CurveFlowError
 
@@ -163,7 +165,7 @@ def _vertex_circumcenters(pts: np.ndarray, step: np.ndarray, sq: np.ndarray,
     scale = uu * vv
     det = scale - turn * turn
     safe_scale = np.maximum(scale, 1e-300)
-    valid = (det > 1e-24 * safe_scale) & (turn / np.sqrt(safe_scale) > _COS_MAX_TURN)
+    valid = (det > 1e-12 * safe_scale) & (turn / np.sqrt(safe_scale) > _COS_MAX_TURN)
     det_safe = np.where(valid, det, 1.0)
     # the center is P_i + alpha u + beta v
     alpha = 0.5 * (scale + vv * turn) / det_safe
@@ -429,12 +431,7 @@ def _point_set(obj) -> np.ndarray:
 def directed_hausdorff(a, b) -> float:
     """max over a of the distance to the point set b; accepts curves or arrays."""
     a, b = _point_set(a), _point_set(b)
-    best = np.full(a.shape[0], np.inf)
-    chunk = max(1, int(4_000_000 // max(b.shape[0], 1)))
-    for i in range(0, a.shape[0], chunk):
-        d = np.linalg.norm(a[i : i + chunk, None, :] - b[None, :, :], axis=2)
-        best[i : i + chunk] = d.min(axis=1)
-    return float(best.max())
+    return float(cKDTree(b).query(a)[0].max())
 
 
 def hausdorff_distance(a, b) -> float:
@@ -442,13 +439,14 @@ def hausdorff_distance(a, b) -> float:
 
 
 def curve_diameter(points) -> float:
-    """Max pairwise distance of a point set."""
+    """Max pairwise distance of a point set.
+
+    The farthest pair lies on the convex hull; qhull rejects flat sets
+    (collinear in 2-D, coplanar in 3-D), which then take all pairs.
+    """
     points = _point_set(points)
-    d = 0.0
-    chunk = max(1, int(4_000_000 // max(points.shape[0], 1)))
-    for i in range(0, points.shape[0], chunk):
-        block = np.linalg.norm(
-            points[i : i + chunk, None, :] - points[None, :, :], axis=2
-        )
-        d = max(d, float(block.max()))
-    return d
+    try:
+        points = points[ConvexHull(points).vertices]
+    except QhullError:
+        pass
+    return float(pdist(points).max())

@@ -15,6 +15,7 @@ dilating filament family.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,6 +43,9 @@ class FilamentFunction:
             raise ValueError("values must be a 1-D array of at least 4 samples")
         if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
             raise ValueError("filament values must be finite")
+        if not all(map(math.isfinite, (self.grid_start, self.grid_step,
+                                       self.gauge_A, self.time))):
+            raise ValueError("grid_start, grid_step, gauge_A and time must be finite")
         if self.grid_step <= 0:
             raise ValueError("grid_step must be positive")
         self.values = vals
@@ -125,6 +129,8 @@ def nlcse_step(psi: FilamentFunction, dt: float) -> FilamentFunction:
 
 
 def nlcse_evolve(psi: FilamentFunction, dt: float, n_steps: int) -> FilamentFunction:
+    if n_steps < 0:
+        raise ValueError("n_steps must be non-negative")
     for _ in range(n_steps):
         psi = nlcse_step(psi, dt)
     return psi

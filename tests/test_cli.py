@@ -185,6 +185,27 @@ def test_vfe_soliton_profile_report(tmp_path):
     assert read_curve(out / "profile.curve").n == 1024
 
 
+def test_vfe_soliton_planar_profile(tmp_path, capsys):
+    out = tmp_path / "planar"
+    assert run("vfe", "soliton", "--case", "planar", "--C1", "0.5", "--z0", "0.5",
+               "--x", "0:4:512", "--out", out) == 0
+    record = json.loads((out / "profile.json").read_text())
+    assert record["z0"] == 0.5
+    assert record["omega"] == [-1.0, 0.0, 0.0]
+    assert record["rotation_residual_max"] < 1e-3
+    curve = read_curve(out / "profile.curve")
+    assert curve.n == 512 and curve.points[0, 1] == 0.5
+    assert np.all(curve.points[:, 2] == 0.0)
+    # the schedule follows f(x), which rises from f0 and then turns down
+    assert [step["sign"] for step in record["sign_schedule"]][:2] == [1, -1]
+    # --z0 serves every case; the planar-only alias is gone
+    with pytest.raises(SystemExit) as exc:
+        run("vfe", "soliton", "--case", "planar", "--C1", "0.5", "--f0", "0.5",
+            "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    assert last_stderr_token(capsys) == "invalid-arguments"
+
+
 def test_vfe_soliton_outside_band_exits_three(tmp_path, capsys):
     assert run("vfe", "soliton", "--case", "x-axis", "--C1", "0.25",
                "--lam", "1.0", "--z0", "5.0", "--out", tmp_path / "o") == 3
@@ -232,6 +253,26 @@ def test_hasimoto_pipeline_round_trip(tmp_path, circle3_file):
                "--out", r_out) == 0
     rebuilt = read_curve(r_out / "reconstructed.curve")
     assert rebuilt.dimension == 3 and rebuilt.n == 256
+
+
+@pytest.mark.parametrize("field, flags, token", [
+    ("time", [], "invalid-input"),
+    ("grid_start", [], "invalid-input"),
+    ("grid_step", [], "invalid-input"),
+    ("gauge_A", [], "invalid-input"),
+    (None, ["--steps", "-5"], "invalid-parameter"),
+], ids=["nan-time", "nan-grid-start", "nan-grid-step", "nan-gauge-A", "negative-steps"])
+def test_hasimoto_evolve_rejects_bad_input(tmp_path, capsys, field, flags, token):
+    th = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    payload = {"grid_start": 0.0, "grid_step": 0.1, "gauge_A": 0.0, "time": 0.0,
+               "values": np.column_stack([np.cos(th), np.sin(th)]).tolist()}
+    if field is not None:
+        payload[field] = float("nan")
+    path = tmp_path / "filament.json"
+    path.write_text(json.dumps(payload))
+    argv = ["--input", path, "--dt", "1e-3", "--steps", "3", *flags]
+    assert run("hasimoto", "evolve", *argv, "--out", tmp_path / "o") == 2
+    assert last_stderr_token(capsys) == token
 
 
 def test_hasimoto_soliton_artifacts(tmp_path):

@@ -114,6 +114,28 @@ def test_resample_corner_guard_falls_back_to_chords():
     assert d.max() < 1e-9
 
 
+def test_resample_is_continuous_in_its_input():
+    # collinear triples (random walks, chords left by the first pass) must
+    # not flip between arc and chord under a rounding-level shift
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(200):
+        d, closed = int(rng.integers(2, 4)), bool(rng.integers(2))
+        n = int(rng.integers(4, 120))
+        if rng.integers(2):
+            pts = np.cumsum(rng.normal(size=(n, d)), axis=0)
+        else:
+            th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+            pts = np.zeros((n, d))
+            pts[:, 0], pts[:, 1] = np.cos(th), np.sin(th)
+            pts += 0.05 * rng.normal(size=(n, d))
+        m = int(rng.integers(4, 4 * n))
+        a = resample_arclength(SampledCurve(d, closed, pts), m).points
+        b = resample_arclength(SampledCurve(d, closed, pts + 1e-15), m).points
+        worst = max(worst, float(np.abs(b - a).max()))
+    assert worst < 1e-9
+
+
 def test_frenet_circle():
     fr = frenet(circle2(1024, radius=2.0))
     assert np.abs(fr.curvature - 0.5).max() < 1e-4

@@ -31,6 +31,22 @@ def test_filament_validation():
     assert np.allclose(f.grid, [-1.0, -0.5, 0.0, 0.5])
 
 
+@pytest.mark.parametrize("field", ["grid_start", "grid_step", "gauge_A", "time"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_filament_rejects_non_finite_scalars(field, bad):
+    kwargs = {"grid_start": 0.0, "grid_step": 0.1, "gauge_A": 0.0, "time": 0.0}
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        FilamentFunction(values=np.ones(8, dtype=complex), **kwargs)
+
+
+def test_evolve_rejects_negative_step_count():
+    psi = FilamentFunction(0.0, 0.1, np.ones(8, dtype=complex), periodic=True)
+    with pytest.raises(ValueError):
+        nlcse_evolve(psi, 1e-3, -1)
+    assert nlcse_evolve(psi, 1e-3, 0) is psi
+
+
 def test_transform_of_planar_circle_is_signed_curvature():
     fil = hasimoto_transform(frenet(circle2(512, radius=2.0)))
     assert np.abs(fil.values.imag).max() == 0.0
