@@ -63,22 +63,13 @@ def _step_options(args) -> StepOptions:
     if dt is None and cfl is None:
         cfl = 0.25
     return StepOptions(stop_time=args.stop_time, dt=dt, cfl=cfl,
-                       n_points=args.n, resample_every=args.resample_every,
+                       resample_every=args.resample_every,
                        record_every=args.record_every)
 
 
 def _run_summary(traj) -> dict:
     return {"stop_reason": traj.stop_reason, "steps": traj.steps_taken,
             "final_time": traj.final_time}
-
-
-def _frenet_residual_table(traj, out: Path, output_format: str) -> Path:
-    res = vfe.frenet_evolution_residuals(traj)
-    rows = np.column_stack([res.times, res.res_kappa, res.res_tau,
-                            res.res_normal, res.res_binormal])
-    return write_table(out / _table_name("frenet_residuals", output_format),
-                       ("time", "res_kappa", "res_tau", "res_normal", "res_binormal"),
-                       rows, output_format)
 
 
 def _load_input_curve(args) -> SampledCurve:
@@ -158,7 +149,7 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
     s_grid = parse_range(args.s)
     s_range, n = (float(s_grid[0]), float(s_grid[-1])), s_grid.size
 
-    if args.sweep:
+    if args.A_range or args.B_range or args.x0_range or args.y0_range:
         a_vals = parse_range(args.A_range) if args.A_range else [args.A]
         b_vals = parse_range(args.B_range) if args.B_range else [args.B]
         x_vals = parse_range(args.x0_range) if args.x0_range else [args.x0]
@@ -199,8 +190,6 @@ def cmd_vfe_evolve(args, out: Path) -> list[Path]:
     paths.append(write_diagnostics(out / _table_name("diagnostics", args.format),
                                    traj.records, VFE_COLUMNS, args.format))
     paths.append(dump_json(out / "summary.json", _run_summary(traj)))
-    if args.residuals:
-        paths.append(_frenet_residual_table(traj, out, args.format))
     return paths
 
 
@@ -254,8 +243,9 @@ def cmd_vfe_soliton(args, out: Path) -> list[Path]:
 def cmd_vfe_biot_savart(args, out: Path) -> list[Path]:
     curve = read_curve(args.input)
     eps_values = parse_floats(args.eps)
-    if not eps_values:
-        raise ConfigError("invalid-parameter", "--eps list is empty")
+    if len(set(eps_values)) < 2:
+        raise ConfigError("invalid-parameter",
+                          "--eps needs at least 2 distinct values to fit the log law")
     outer = args.outer if args.outer is not None else total_length(curve) / 4.0
     speeds = []
     for eps in eps_values:
@@ -336,8 +326,12 @@ def cmd_hasimoto_dilating(args, out: Path) -> list[Path]:
 
 def cmd_diagnose_huisken(args, out: Path) -> list[Path]:
     traj = read_trajectory(args.trajectory)
-    x0 = (np.asarray(parse_floats(args.x0)) if args.x0
-          else csf.estimate_shrink_point(traj))
+    if args.x0 is None:
+        x0 = csf.estimate_shrink_point(traj)
+    else:
+        x0 = np.asarray(parse_floats(args.x0))
+        if x0.size != 2:
+            raise ConfigError("invalid-parameter", "--x0 needs two values x,y")
     t0 = args.t0 if args.t0 is not None else csf.estimate_singular_time(traj)
     series = csf.huisken_series(traj, x0, t0)
     rows = np.column_stack([series.times, series.values])
@@ -350,8 +344,6 @@ def cmd_diagnose_distance_ratio(args, out: Path) -> list[Path]:
         value = csf.distance_ratio(read_curve(args.input))
         print(repr(value))
         return [dump_json(out / "distance_ratio.json", {"distance_ratio": value})]
-    if not args.trajectory:
-        raise ConfigError("invalid-parameter", "need --input or --trajectory")
     series = csf.distance_ratio_series(read_trajectory(args.trajectory))
     rows = np.column_stack([series.times, series.values])
     return [write_table(out / _table_name("distance_ratio", args.format),
@@ -374,7 +366,12 @@ def cmd_diagnose_residuals(args, out: Path) -> list[Path]:
         paths.append(write_table(out / _table_name("curvature_residual", args.format),
                                  ("time", "residual"), rows, args.format))
     else:
-        paths.append(_frenet_residual_table(traj, out, args.format))
+        res = vfe.frenet_evolution_residuals(traj)
+        rows = np.column_stack([res.times, res.res_kappa, res.res_tau,
+                                res.res_normal, res.res_binormal])
+        paths.append(write_table(out / _table_name("frenet_residuals", args.format),
+                                 ("time", "res_kappa", "res_tau", "res_normal",
+                                  "res_binormal"), rows, args.format))
         comm = vfe.commutator_residual(traj)
         rows = np.column_stack([comm.times, comm.values])
         paths.append(write_table(out / _table_name("commutator_residual", args.format),
@@ -442,15 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--y0", type=float, default=0.0)
     p.add_argument("--s", default="-10:10:1024", help="arclength grid start:end:count")
-    p.add_argument("--sweep", action="store_true")
+    # any range turns the run into a sweep over the grid of all ranges
     p.add_argument("--A-range", dest="A_range", default=None)
     p.add_argument("--B-range", dest="B_range", default=None)
     p.add_argument("--x0-range", dest="x0_range", default=None)
     p.add_argument("--y0-range", dest="y0_range", default=None)
-    p.add_argument("--grim-reaper", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--grim-reaper", action="store_true")
+    mode.add_argument("--abresch-langer", action="store_true")
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--x", default="-1.5:1.5:512", help="spatial grid for the grim reaper")
-    p.add_argument("--abresch-langer", action="store_true")
     p.add_argument("--r-min", dest="r_min", type=float, default=None)
     p.set_defaults(handler=cmd_csf_soliton, command_path="csf soliton")
 
@@ -458,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", metavar="{evolve,soliton,biot-savart}")
     p = vfe_group.add_parser("evolve", parents=[common])
     _add_evolve_flags(p)
-    p.add_argument("--residuals", action="store_true",
-                   help="also write the Frenet evolution residual table")
     p.set_defaults(handler=cmd_vfe_evolve, command_path="vfe evolve")
     p = vfe_group.add_parser("soliton", parents=[common])
     p.add_argument("--case", required=True,
@@ -516,8 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=None)
     p.set_defaults(handler=cmd_diagnose_huisken, command_path="diagnose huisken")
     p = diag_group.add_parser("distance-ratio", parents=[common])
-    p.add_argument("--input", default=None)
-    p.add_argument("--trajectory", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", default=None)
+    source.add_argument("--trajectory", default=None)
     p.set_defaults(handler=cmd_diagnose_distance_ratio,
                    command_path="diagnose distance-ratio")
     p = diag_group.add_parser("residuals", parents=[common])

@@ -20,7 +20,8 @@ from scipy.spatial.distance import pdist
 
 from . import flow
 from .errors import CurveFlowError
-from .flow import DiagnosticRecord, FlowTrajectory, ScalarSeries, StepOptions
+from .flow import (DiagnosticRecord, FlowTrajectory, ScalarSeries, StepOptions,
+                   interior_frames)
 from .geometry import (
     SampledCurve,
     _lagrange_d1_d2,
@@ -76,25 +77,22 @@ def arclength_rate_residual(traj: FlowTrajectory) -> ScalarSeries:
     length = np.array([r.length for r in traj.records])
     bending = np.array([r.bending for r in traj.records])
     rate = (length[2:] - length[:-2]) / (t[2:] - t[:-2])
-    return ScalarSeries(t[1:-1], np.abs(rate + bending[1:-1]), "arclength_rate_residual")
+    return ScalarSeries(t[1:-1], np.abs(rate + bending[1:-1]))
 
 
-def curvature_evolution_residual(traj: FlowTrajectory, trim: float = 0.1) -> ScalarSeries:
+def curvature_evolution_residual(traj: FlowTrajectory) -> ScalarSeries:
     """Max per-frame defect of kappa_t = kappa_ss + kappa^3.
 
     Frames are aligned by arclength fraction (resampled from their
     shared anchor sample), and the time difference at fixed fraction is
     converted to the material rate by subtracting the advection term
     kappa_s * w, where w is the relative arclength drift of a
-    fixed-fraction observer against a material point.  Open curves drop
-    a ``trim`` fraction of samples at each pinned end.
+    fixed-fraction observer against a material point.  The defect is read
+    on the samples ``flow.interior_frames`` keeps.
     """
+    times, keep = interior_frames(traj)
     frames = traj.frames
     n = frames[0].n
-    if any(f.n != n for f in frames):
-        raise CurveFlowError("unaligned-trajectory", "frames have mixed sample counts")
-    if len(frames) < 3:
-        raise ValueError("need at least 3 frames")
     closed = frames[0].closed
 
     kappas = []
@@ -105,10 +103,7 @@ def curvature_evolution_residual(traj: FlowTrajectory, trim: float = 0.1) -> Sca
         kappas.append(_signed_curvature(d1, d2))
         lengths.append(total_length(rf))
 
-    times = np.array(traj.times)
     out = np.empty(len(frames) - 2)
-    lo = int(n * trim) if not closed else 0
-    hi = n - lo if not closed else n
     for k in range(1, len(frames) - 1):
         kap = kappas[k]
         L = lengths[k]
@@ -130,8 +125,8 @@ def curvature_evolution_residual(traj: FlowTrajectory, trim: float = 0.1) -> Sca
 
         d1k, d2k = _lagrange_d1_d2(kap[:, None], h, closed)
         res = khat_t - d1k[:, 0] * w - (d2k[:, 0] + kap**3)
-        out[k - 1] = float(np.abs(res[lo:hi]).max())
-    return ScalarSeries(times[1:-1], out, "curvature_evolution_residual")
+        out[k - 1] = float(np.abs(res[keep]).max())
+    return ScalarSeries(times[1:-1], out)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +160,7 @@ def huisken_series(traj: FlowTrajectory, x0: np.ndarray, t0: float) -> ScalarSer
     for k, (t, frame) in enumerate(zip(traj.times, traj.frames)):
         vals[k] = huisken_functional(frame, t, x0, t0)
         traj.records[k].huisken = float(vals[k])
-    return ScalarSeries(np.array(traj.times), vals, "huisken")
+    return ScalarSeries(np.array(traj.times), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +187,14 @@ def distance_ratio_series(traj: FlowTrajectory) -> ScalarSeries:
     for k, frame in enumerate(traj.frames):
         vals[k] = distance_ratio(frame)
         traj.records[k].distance_ratio = float(vals[k])
-    return ScalarSeries(np.array(traj.times), vals, "distance_ratio")
+    return ScalarSeries(np.array(traj.times), vals)
 
 
 # ---------------------------------------------------------------------------
 # parabolic rescaling about the shrink point
+
+# earliest rescaled time lam^2 (t - T) that a rescaled trajectory keeps
+RESCALE_WINDOW = -4.0
 
 
 def estimate_shrink_point(traj: FlowTrajectory) -> np.ndarray:
@@ -221,16 +219,11 @@ class RescaledTrajectory:
     skipped: bool = False
 
 
-def parabolic_rescale(
-    traj: FlowTrajectory,
-    x0: np.ndarray,
-    T: float,
-    lambdas,
-    window_start: float = -4.0,
-) -> list[RescaledTrajectory]:
+def parabolic_rescale(traj: FlowTrajectory, x0: np.ndarray, T: float,
+                      lambdas) -> list[RescaledTrajectory]:
     """Rescale the trajectory about (x0, T) for each magnification lam.
 
-    Keeps frames with rescaled time in [window_start, 0).  A lam whose
+    Keeps frames with rescaled time in [RESCALE_WINDOW, 0).  A lam whose
     window misses rescaled time -1/2 entirely is skipped.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -238,7 +231,7 @@ def parabolic_rescale(
     out = []
     for lam in lambdas:
         tau = lam**2 * (times - T)
-        keep = (tau >= window_start) & (tau < 0.0)
+        keep = (tau >= RESCALE_WINDOW) & (tau < 0.0)
         if not np.any(keep) or tau[keep].min() > -0.5 or tau[keep].max() < -0.5:
             out.append(RescaledTrajectory(lam, None, skipped=True))
             continue

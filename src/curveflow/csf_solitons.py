@@ -27,6 +27,9 @@ from .geometry import SampledCurve, frenet
 # |x| or |y| beyond this truncates the profile with the escaped flag set.
 ESCAPE_LIMIT = 1e8
 
+# arclength over which detect_closure looks for two radius minima
+CLOSURE_MAX_S = 400.0
+
 SOLITON_CLASSES = (
     "rotating",
     "rotating-expanding",
@@ -54,7 +57,6 @@ class CsfSolitonSpec:
     B: float
     x0: float
     y0: float = 0.0
-    theta0: float = 0.0
     s_range: tuple[float, float] = (-10.0, 10.0)
     n: int = 1024
 
@@ -91,7 +93,7 @@ def _solve_from_origin(spec: CsfSolitonSpec, s_end: float):
     return solve_ivp(
         rhs,
         (0.0, s_end),
-        [spec.x0, spec.y0, spec.theta0],
+        [spec.x0, spec.y0, 0.0],
         method="RK45",
         rtol=1e-10,
         atol=1e-10,
@@ -214,8 +216,7 @@ class ClosureData:
     period: float
 
 
-def detect_closure(A: float, B: float, x0: float, y0: float = 0.0,
-                   max_s: float = 400.0) -> ClosureData:
+def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureData:
     """Angle advance of X between consecutive radius minima.
 
     The radius |X| has d|X|^2/ds proportional to A x - B y, so minima are
@@ -230,7 +231,7 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0,
     minimum.direction = 1.0
     sol = solve_ivp(
         rhs,
-        (0.0, max_s),
+        (0.0, CLOSURE_MAX_S),
         [x0, y0, 0.0],
         method="RK45",
         rtol=1e-10,

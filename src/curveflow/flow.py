@@ -25,6 +25,9 @@ Stop reasons, checked in this order before every step:
 Frames are recorded every ``record_every`` steps and at the stop.  A frame
 due on a resampling step is recorded before the resampling pass, so stored
 geometry is the raw evolved state, not the smoothed restart data.
+
+``interior_frames`` validates a trajectory for the evolution-law residuals
+of both engines and gives the samples they read.
 """
 
 from __future__ import annotations
@@ -43,17 +46,15 @@ class StepOptions:
     """Time-stepping controls shared by the flow engines.
 
     Exactly one of ``dt`` (fixed step) or ``cfl`` (step chosen each
-    resampling cycle from the current spacing) must be set.  ``n_points``
-    fixes the sample count maintained by resampling; 0 keeps the input
-    count.  The run stops at ``stop_time``, or earlier when the length
-    drops below ``stop_length``, when the singularity proxies fire, or
-    after ``max_steps``.
+    resampling cycle from the current spacing) must be set.  Resampling
+    keeps the input's sample count.  The run stops at ``stop_time``, or
+    earlier when the length drops below ``stop_length``, when the
+    singularity proxies fire, or after ``max_steps``.
     """
 
     stop_time: float
     dt: float | None = None
     cfl: float | None = None
-    n_points: int = 0
     resample_every: int = 10
     record_every: int = 10
     stop_length: float | None = None
@@ -116,21 +117,35 @@ class FlowTrajectory:
     def final_time(self) -> float:
         return self.times[-1]
 
-    def series(self, name: str) -> "ScalarSeries":
-        vals = np.array([getattr(r, name) for r in self.records])
-        return ScalarSeries(np.array(self.times), vals, name)
-
 
 @dataclass
 class ScalarSeries:
-    """A named scalar sampled at the recorded times."""
+    """A scalar sampled at the recorded times."""
 
     times: np.ndarray
     values: np.ndarray
-    name: str = ""
 
-    def __len__(self) -> int:
-        return len(self.times)
+
+# fraction of an open curve's samples that the evolution-law checks skip at
+# each pinned end, where the one-sided stencils are least accurate
+END_TRIM = 0.1
+
+
+def interior_frames(traj: FlowTrajectory) -> tuple[np.ndarray, slice]:
+    """Recorded times and the sample slice the evolution-law checks read.
+
+    The checks difference frames in time at fixed sample index, so they
+    need at least 3 frames of one sample count.  The slice keeps every
+    sample of a closed curve and drops ``END_TRIM`` at each open end.
+    """
+    frames = traj.frames
+    if len(frames) < 3:
+        raise ValueError("need at least 3 frames")
+    n = frames[0].n
+    if any(f.n != n for f in frames):
+        raise CurveFlowError("unaligned-trajectory", "frames have mixed sample counts")
+    cut = 0 if frames[0].closed else int(n * END_TRIM)
+    return np.array(traj.times), slice(cut, n - cut)
 
 
 @dataclass(frozen=True)
@@ -187,11 +202,7 @@ def step(curve: SampledCurve, dt: float, spec: FlowSpec) -> SampledCurve:
 def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajectory:
     """Run the flow until ``opts.stop_time`` or an earlier stop (see module doc)."""
     _check_dimension(curve, spec)
-    closed = curve.closed
-    n = opts.n_points if opts.n_points else curve.n
-    # Keep the caller's sampling for the first frame; maintenance resampling
-    # kicks in after step 0 anyway.
-    pts = curve.points if n == curve.n else resample_points(curve.points, closed, n)
+    closed, n, pts = curve.closed, curve.n, curve.points
     traj = FlowTrajectory()
     t = 0.0
     steps = 0

@@ -243,7 +243,9 @@ def resample_arclength(curve: SampledCurve, n: int) -> SampledCurve:
     Positions are looked up on local circular arcs blended between the
     circumcircles of neighbouring sample triples (chords where triples
     are collinear); a second lookup pass evens out the spacing.  The map
-    is idempotent at fixed ``n`` and preserves open-curve endpoints.
+    preserves open-curve endpoints exactly, and at fixed ``n`` it is
+    idempotent to about 1e-7 of the diameter while the curve turns by less
+    than 0.3 rad per segment (1e-9 below 0.1 rad).
     """
     return curve.with_points(resample_points(curve.points, curve.closed, n))
 

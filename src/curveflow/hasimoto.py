@@ -59,7 +59,7 @@ class FilamentFunction:
         return self.grid_start + self.grid_step * np.arange(self.n)
 
 
-def hasimoto_transform(fr: FrenetData, gauge_A: float = 0.0, time: float = 0.0,
+def hasimoto_transform(fr: FrenetData, gauge_A: float = 0.0,
                        periodic: bool = False) -> FilamentFunction:
     """psi = kappa exp(i int_0^s tau), phase integrated from the first sample.
 
@@ -83,7 +83,7 @@ def hasimoto_transform(fr: FrenetData, gauge_A: float = 0.0, time: float = 0.0,
             [[0.0], np.cumsum(0.5 * (fr.torsion[:-1] + fr.torsion[1:]) * steps)]
         )
         values = fr.curvature * np.exp(1j * phase)
-    return FilamentFunction(0.0, ds, values, gauge_A, time, periodic)
+    return FilamentFunction(0.0, ds, values, gauge_A, periodic=periodic)
 
 
 # ---------------------------------------------------------------------------

@@ -140,16 +140,16 @@ def write_diagnostics(path, records: list[DiagnosticRecord],
     return write_table(path, columns, rows, output_format)
 
 
-def write_trajectory(out_dir, traj: FlowTrajectory, stem: str = "frame") -> list[Path]:
+def write_trajectory(out_dir, traj: FlowTrajectory) -> list[Path]:
     """Write numbered curve files plus an index of times and file names."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for k, frame in enumerate(traj.frames):
-        name = f"{stem}_{k:05d}.curve"
+        name = f"frame_{k:05d}.curve"
         write_curve(out / name, frame)
         files.append(name)
-    index = dump_json(out / f"{stem}_index.json", {
+    index = dump_json(out / "frame_index.json", {
         "times": [float(t) for t in traj.times],
         "files": files,
         "stop_reason": traj.stop_reason,
@@ -157,8 +157,8 @@ def write_trajectory(out_dir, traj: FlowTrajectory, stem: str = "frame") -> list
     return [out / name for name in files] + [index]
 
 
-def read_trajectory(out_dir, stem: str = "frame") -> FlowTrajectory:
-    index = _load_json(Path(out_dir) / f"{stem}_index.json", "trajectory index")
+def read_trajectory(out_dir) -> FlowTrajectory:
+    index = _load_json(Path(out_dir) / "frame_index.json", "trajectory index")
     try:
         times, files = index["times"], index["files"]
         reason = str(index.get("stop_reason", ""))

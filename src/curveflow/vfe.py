@@ -19,7 +19,7 @@ import numpy as np
 
 from . import flow
 from .errors import CurveFlowError
-from .flow import FlowTrajectory, ScalarSeries, StepOptions
+from .flow import FlowTrajectory, ScalarSeries, StepOptions, interior_frames
 from .geometry import (
     SampledCurve,
     _lagrange_d1_d2,
@@ -31,6 +31,10 @@ from .geometry import (
 # RK4 covers the imaginary axis up to |z| = 2*sqrt(2); with the discrete
 # dispersion |lambda| <= 4/ds^2 the hard bound is dt <= 0.707 ds^2.
 STABILITY_FACTOR = 0.7
+
+# The Frenet laws divide by kappa and kappa^2; below this fraction of a
+# frame's maximum curvature the torsion estimate is roundoff, not signal.
+KAPPA_REL_FLOOR = 1e-2
 
 
 def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
@@ -93,30 +97,22 @@ class FrenetResidualSeries:
     skipped: np.ndarray
 
 
-def frenet_evolution_residuals(traj: FlowTrajectory, trim: float = 0.1,
-                               kappa_rel_floor: float = 1e-2) -> FrenetResidualSeries:
+def frenet_evolution_residuals(traj: FlowTrajectory) -> FrenetResidualSeries:
     """Check kappa_t, tau_t, N_t, B_t against the binormal-flow laws.
 
     Arclength is pointwise conserved under this flow, so fixed sample
     index is the material gauge and plain time central differences
-    apply.  Open-curve ends are trimmed by ``trim`` per side.  The laws
-    divide by kappa and kappa^2, so samples with curvature below
-    ``kappa_rel_floor`` times the frame maximum are excluded: there the
-    torsion estimate is roundoff, not signal.
+    apply.  Of the samples ``flow.interior_frames`` keeps, those with
+    curvature below ``KAPPA_REL_FLOOR`` times the frame maximum are
+    excluded.
     """
+    times, keep = interior_frames(traj)
     frames = traj.frames
-    if len(frames) < 3:
-        raise ValueError("need at least 3 frames")
     n = frames[0].n
-    if any(f.n != n for f in frames):
-        raise CurveFlowError("unaligned-trajectory", "frames have mixed sample counts")
     closed = frames[0].closed
-    lo = 0 if closed else int(n * trim)
-    hi = n if closed else n - lo
 
     data = [frenet(f) for f in frames]
     hs = [segment_lengths(f) for f in frames]
-    times = np.array(traj.times)
     m = len(frames) - 2
     out = {k: np.full(m, np.nan) for k in ("kappa", "tau", "normal", "binormal")}
     skipped = np.zeros(m, dtype=bool)
@@ -125,7 +121,7 @@ def frenet_evolution_residuals(traj: FlowTrajectory, trim: float = 0.1,
         fr = data[k]
         kap = fr.curvature
         mask = np.zeros(n, dtype=bool)
-        mask[lo:hi] = kap[lo:hi] >= kappa_rel_floor * kap[lo:hi].max()
+        mask[keep] = kap[keep] >= KAPPA_REL_FLOOR * kap[keep].max()
         mask &= (fr.torsion_defined & data[k - 1].torsion_defined
                  & data[k + 1].torsion_defined)
         if not mask.any():
@@ -161,16 +157,11 @@ def frenet_evolution_residuals(traj: FlowTrajectory, trim: float = 0.1,
     )
 
 
-def commutator_residual(traj: FlowTrajectory, trim: float = 0.1) -> ScalarSeries:
+def commutator_residual(traj: FlowTrajectory) -> ScalarSeries:
     """Max norm of d/dt(gamma_s) - d/ds(gamma_t) per interior frame."""
+    times, keep = interior_frames(traj)
     frames = traj.frames
-    if len(frames) < 3:
-        raise ValueError("need at least 3 frames")
-    n = frames[0].n
     closed = frames[0].closed
-    lo = 0 if closed else int(n * trim)
-    hi = n if closed else n - lo
-    times = np.array(traj.times)
     d1s = []
     for f in frames:
         h = segment_lengths(f)
@@ -182,8 +173,8 @@ def commutator_residual(traj: FlowTrajectory, trim: float = 0.1) -> ScalarSeries
         h = segment_lengths(frames[k])
         vel = _velocity(frames[k].points, h, closed)[0]
         rhs = _lagrange_d1_d2(vel, h, closed)[0]
-        vals[k - 1] = np.linalg.norm((lhs - rhs)[lo:hi], axis=1).max()
-    return ScalarSeries(times[1:-1], vals, "commutator_residual")
+        vals[k - 1] = np.linalg.norm((lhs - rhs)[keep], axis=1).max()
+    return ScalarSeries(times[1:-1], vals)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +247,8 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
         raise ValueError("needs a space curve")
     pts = curve.points
     n = curve.n
+    if not 0 <= i < n:
+        raise ValueError(f"sample index {i} outside [0, {n})")
     h = segment_lengths(curve)
     ds = float(h.mean())
     L = float(h.sum())

@@ -61,8 +61,20 @@ def pytest_terminal_summary(terminalreporter):
 
 
 # wall-clock spent inside shared fixtures, keyed by fixture name; the
-# acceptance gate budgets the ellipse run against this
+# acceptance gates budget the circle and ellipse runs against this
 RUN_SECONDS: dict[str, float] = {}
+
+
+@pytest.fixture(scope="session")
+def circle_run():
+    """Unit circle (n=256) run into the singularity guard near t = 1/2."""
+    from curveflow.csf import evolve
+    from curveflow.flow import StepOptions
+
+    start = time.perf_counter()
+    traj = evolve(circle2(256), StepOptions(stop_time=1.0, cfl=0.25, record_every=20))
+    RUN_SECONDS["circle"] = time.perf_counter() - start
+    return traj
 
 
 @pytest.fixture(scope="session")

@@ -45,11 +45,9 @@ from curveflow.hasimoto import (
 from curveflow.vfe import BiotSavartOptions, biot_savart_velocity
 
 
-def test_criterion_01_circle_radius_law():
-    start = time.perf_counter()
-    traj = csf.evolve(circle2(256),
-                      StepOptions(stop_time=1.0, cfl=0.25, record_every=20))
-    elapsed = time.perf_counter() - start
+def test_criterion_01_circle_radius_law(circle_run):
+    traj = circle_run
+    elapsed = RUN_SECONDS["circle"]
     worst = 0.0
     for t, frame in zip(traj.times, traj.frames):
         if t > 0.4:

@@ -141,8 +141,9 @@ def test_csf_soliton_single_member(tmp_path, capsys):
 
 
 def test_csf_soliton_sweep(tmp_path):
+    # a range alone selects the sweep
     out = tmp_path / "sweep"
-    assert run("csf", "soliton", "--sweep", "--A", "0", "--B", "-1",
+    assert run("csf", "soliton", "--A", "0", "--B", "-1",
                "--A-range", "0:0.4:2", "--B-range=-1:-0.6:2",
                "--s=-6:6:256", "--out", out) == 0
     atlas = json.loads((out / "atlas.json").read_text())
@@ -170,6 +171,14 @@ def test_grim_reaper_and_abresch_langer(tmp_path, capsys):
     assert run("csf", "soliton", "--abresch-langer", "--B=-1.0",
                "--out", tmp_path / "al2") == 2
     assert last_stderr_token(capsys) == "invalid-parameter"
+
+
+def test_csf_soliton_modes_are_exclusive(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("csf", "soliton", "--grim-reaper", "--abresch-langer", "--B=-1.0",
+            "--r-min", "0.5", "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    assert last_stderr_token(capsys) == "invalid-arguments"
 
 
 def test_vfe_soliton_profile_report(tmp_path):
@@ -215,12 +224,16 @@ def test_vfe_soliton_outside_band_exits_three(tmp_path, capsys):
 def test_vfe_evolve_with_residual_table(tmp_path, circle3_file):
     out = tmp_path / "vrun"
     assert run("vfe", "evolve", "--input", circle3_file, "--stop-time", "0.005",
-               "--dt", "1e-4", "--n", "128", "--residuals", "--out", out) == 0
+               "--dt", "1e-4", "--n", "128", "--out", out) == 0
     header = (out / "diagnostics.csv").read_text().splitlines()[0]
     assert header.split(",") == ["time", "length", "max_curvature", "max_torsion"]
-    res_lines = (out / "frenet_residuals.csv").read_text().splitlines()
+    r_out = tmp_path / "r"
+    assert run("diagnose", "residuals", "--trajectory", out, "--flow", "vfe",
+               "--out", r_out) == 0
+    res_lines = (r_out / "frenet_residuals.csv").read_text().splitlines()
     assert res_lines[0].split(",")[0] == "time"
     assert len(res_lines) > 1
+    assert (r_out / "commutator_residual.csv").is_file()
 
 
 def test_biot_savart_reports_log_slope(tmp_path, circle3_file, capsys):
@@ -232,6 +245,20 @@ def test_biot_savart_reports_log_slope(tmp_path, circle3_file, capsys):
     report = json.loads((out / "biot_savart.json").read_text())
     assert report["slope"] == pytest.approx(1.0, rel=0.05)
     assert report["r_squared"] > 0.999
+
+
+@pytest.mark.parametrize("flags", [
+    ["--index", "500"],
+    ["--index", "-5"],
+    ["--eps", "1e-2"],
+    ["--eps", "1e-2,1e-2"],
+], ids=["index-past-end", "negative-index", "one-eps", "repeated-eps"])
+def test_biot_savart_rejects_bad_parameters(tmp_path, capsys, flags):
+    from curveflow.storage import write_curve
+    path = write_curve(tmp_path / "c.curve", circle3(64))
+    assert run("vfe", "biot-savart", "--input", path, "--outer", "1.0", *flags,
+               "--out", tmp_path / "o") == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
 
 
 def test_hasimoto_pipeline_round_trip(tmp_path, circle3_file):
@@ -303,6 +330,10 @@ def test_diagnose_subcommands(tmp_path, circle_file, capsys):
     h_out = tmp_path / "h"
     assert run("diagnose", "huisken", "--trajectory", traj, "--x0", "0,0",
                "--t0", "0.5", "--out", h_out) == 0
+    for x0 in ("1", "0,0,0"):
+        assert run("diagnose", "huisken", "--trajectory", traj, "--x0", x0,
+                   "--t0", "0.5", "--out", tmp_path / f"h{x0}") == 2
+        assert last_stderr_token(capsys) == "invalid-parameter"
     lines = (h_out / "huisken.csv").read_text().splitlines()
     assert lines[0] == "time,huisken"
     values = [float(line.split(",")[1]) for line in lines[1:]]
@@ -319,5 +350,9 @@ def test_diagnose_subcommands(tmp_path, circle_file, capsys):
     assert (r_out / "arclength_residual.csv").is_file()
     assert (r_out / "curvature_residual.csv").is_file()
 
-    assert run("diagnose", "distance-ratio", "--out", tmp_path / "x") == 2
-    assert last_stderr_token(capsys) == "invalid-parameter"
+    # exactly one of --input and --trajectory
+    for sources in ([], ["--input", circle_file, "--trajectory", traj]):
+        with pytest.raises(SystemExit) as exc:
+            run("diagnose", "distance-ratio", *sources, "--out", tmp_path / "x")
+        assert exc.value.code == 2
+        assert last_stderr_token(capsys) == "invalid-arguments"

@@ -89,8 +89,8 @@ def test_stop_length():
     assert total_length(traj.final) <= 4.0
 
 
-def test_singularity_guard_and_time_estimate():
-    traj = evolve(circle2(256), StepOptions(stop_time=10.0, cfl=0.25))
+def test_singularity_guard_and_time_estimate(circle_run):
+    traj = circle_run
     assert traj.stop_reason == "approaching-singularity"
     assert estimate_singular_time(traj) == pytest.approx(0.5, abs=5e-3)
     assert np.linalg.norm(estimate_shrink_point(traj)) < 1e-10

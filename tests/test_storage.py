@@ -111,7 +111,7 @@ def test_trajectory_round_trip(tmp_path):
     for k, t in enumerate((0.0, 0.1, 0.2)):
         frame = circle2(32, radius=1.0 - t)
         traj.append(t, frame, DiagnosticRecord(t, 2 * np.pi * (1 - t), 1.0 / (1 - t)))
-    files = storage.write_trajectory(tmp_path, traj, stem="frame")
+    files = storage.write_trajectory(tmp_path, traj)
     assert [p.name for p in files] == [
         "frame_00000.curve", "frame_00001.curve", "frame_00002.curve",
         "frame_index.json"]

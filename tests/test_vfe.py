@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import circle3, helix3
+from curveflow.csf import curvature_evolution_residual
 from curveflow.errors import CurveFlowError
-from curveflow.flow import StepOptions
+from curveflow.flow import DiagnosticRecord, FlowTrajectory, StepOptions
 from curveflow.geometry import SampledCurve, hausdorff_distance
 from curveflow.vfe import (
     BiotSavartOptions,
@@ -123,6 +124,22 @@ def test_commutator_vanishes_on_the_helix():
                   StepOptions(stop_time=4e-4, dt=2e-5, record_every=10))
     res = commutator_residual(traj)
     assert res.values.max() < 2e-4
+
+
+@pytest.mark.parametrize("residual", [
+    curvature_evolution_residual, frenet_evolution_residuals, commutator_residual])
+def test_residuals_need_three_aligned_frames(residual):
+    def trajectory(sizes):
+        traj = FlowTrajectory()
+        for k, n in enumerate(sizes):
+            traj.append(0.1 * k, circle3(n), DiagnosticRecord(0.1 * k, 2 * np.pi, 1.0))
+        return traj
+
+    with pytest.raises(ValueError):
+        residual(trajectory([64, 64]))
+    with pytest.raises(CurveFlowError) as err:
+        residual(trajectory([64, 64, 65]))
+    assert err.value.token == "unaligned-trajectory"
 
 
 def test_biot_savart_points_along_the_binormal():
