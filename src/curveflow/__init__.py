@@ -7,10 +7,10 @@ family of both flows and checks the evolutions against them.
 
 from .errors import ConfigError, CurveFlowError
 from .flow import DiagnosticRecord, FlowTrajectory, ScalarSeries, StepOptions
-from .geometry import (FrenetData, SampledCurve, arclength_derivatives,
-                       curve_diameter, enclosed_area, frenet, hausdorff_distance,
-                       integrate_along, isoperimetric_ratio, resample_arclength,
-                       segment_lengths, total_length)
+from .geometry import (FrenetData, SampledCurve, curve_diameter, enclosed_area,
+                       frenet, hausdorff_distance, integrate_along,
+                       isoperimetric_ratio, resample_arclength, segment_lengths,
+                       total_length)
 from .hasimoto import (FilamentFunction, FrameState, HasimotoSolitonSpec,
                        dilating_filament, hasimoto_soliton,
                        hasimoto_soliton_filament, hasimoto_transform,

@@ -144,8 +144,9 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
         return [dump_json(out / "abresch_langer.json",
                           {"B": args.B, "r_min": args.r_min, "r_max": partner})]
 
-    if args.A is None or args.B is None:
-        raise ConfigError("invalid-parameter", "--A and --B are required")
+    if (args.A is None and not args.A_range) or (args.B is None and not args.B_range):
+        raise ConfigError("invalid-parameter",
+                          "--A and --B are required unless a range replaces them")
     s_grid = parse_range(args.s)
     s_range, n = (float(s_grid[0]), float(s_grid[-1])), s_grid.size
 

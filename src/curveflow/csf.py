@@ -26,12 +26,12 @@ from .geometry import (
     SampledCurve,
     _lagrange_d1_d2,
     _signed_curvature,
-    arclength_derivatives,
     cumulative_arclength,
     enclosed_area,
     integrate_along,
     isoperimetric_ratio,
     resample_arclength,
+    segment_lengths,
     total_length,
 )
 
@@ -99,7 +99,7 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> ScalarSeries:
     lengths = []
     for f in frames:
         rf = resample_arclength(f, n)
-        _, d1, d2 = arclength_derivatives(rf)
+        d1, d2 = _lagrange_d1_d2(rf.points, segment_lengths(rf), closed)
         kappas.append(_signed_curvature(d1, d2))
         lengths.append(total_length(rf))
 

@@ -5,10 +5,11 @@ curves the segment from the last point back to the first is implicit.
 Scalar and vector fields along a curve are plain numpy arrays aligned
 1:1 with the sample points.
 
-All derivative stencils are three-point Lagrange formulas that accept
-mildly non-uniform spacing and reduce to standard second-order central
-differences on uniform grids.  Closed curves wrap periodically, open
-curves use one-sided stencils at the ends.
+Arclength derivatives come from one table of chord slopes: every sample
+with two neighbours takes the three-point stencil, which accepts mildly
+non-uniform spacing and reduces to second-order central differences on
+uniform grids.  Closed curves wrap periodically; the two ends of an open
+curve differentiate the cubic through their four nearest samples.
 """
 
 from __future__ import annotations
@@ -258,45 +259,39 @@ def _lagrange_d1_d2(values: np.ndarray, h: np.ndarray, closed: bool):
     """First and second derivative of samples w.r.t. arclength.
 
     ``h`` holds the segment lengths (with wrap entry for closed curves).
-    Closed curves evaluate the three-point stencil in its chord-slope form:
-    with the slopes t = dv/h of the segments before (-) and after (+) a
-    sample, d1 = (h- t+ + h+ t-)/(h- + h+) and d2 = 2 (t+ - t-)/(h- + h+).
-    Open curves keep the Lagrange-weight form: the one-sided end stencils
-    amplify any change in its rounding into the end torsion, which
-    tests/test_flow.py pins.
+    Every sample with two neighbours takes the three-point stencil in its
+    chord-slope form: with the slopes t = dv/h of the segments before (-)
+    and after (+) the sample, d1 = (h- t+ + h+ t-)/(h- + h+) and
+    d2 = 2 (t+ - t-)/(h- + h+).  Closed curves wrap, so that is every
+    sample.  Each end of an open curve takes the derivatives of the cubic
+    through its four nearest samples, in Newton form from the end slope
+    and the d2 of the next two samples (Fornberg, Math. Comp. 1988).
     """
     if closed:
         values = np.concatenate([values[-1:], values, values[:1]])
-        # h per column: same-shape operands are far cheaper than broadcasting
-        # over a short last axis
-        d = values.shape[1]
-        h = np.repeat(np.concatenate([h[-1:], h]), d).reshape(-1, d)
-        t = (values[1:] - values[:-1]) / h
-        hm, hp = h[:-1], h[1:]
-        hs = hm + hp
-        return (hm * t[1:] + hp * t[:-1]) / hs, 2.0 * (t[1:] - t[:-1]) / hs
+        h = np.concatenate([h[-1:], h])
+    # h per column: same-shape operands are far cheaper than broadcasting
+    # over a short last axis
+    d = values.shape[1]
+    h = np.repeat(h, d).reshape(-1, d)
+    t = (values[1:] - values[:-1]) / h
+    hm, hp = h[:-1], h[1:]
+    hs = hm + hp
+    d1 = (hm * t[1:] + hp * t[:-1]) / hs
+    d2 = 2.0 * (t[1:] - t[:-1]) / hs
+    if closed:
+        return d1, d2
 
-    n = values.shape[0]
-    d1 = np.empty_like(values)
-    d2 = np.empty_like(values)
-    hm = h[: n - 2][:, None]
-    hp = h[1 : n - 1][:, None]
-    vm, v0, vp = values[:-2], values[1:-1], values[2:]
-    d1[1:-1] = (-hp / (hm * (hm + hp))) * vm \
-        + ((hp - hm) / (hm * hp)) * v0 \
-        + (hm / (hp * (hm + hp))) * vp
-    d2[1:-1] = 2.0 * (vm / (hm * (hm + hp)) - v0 / (hm * hp) + vp / (hp * (hm + hp)))
-
-    # 4-point one-sided stencils keep the ends second-order accurate
-    start = np.array([0.0, h[0], h[0] + h[1], h[0] + h[1] + h[2]])
-    w1, w2 = _one_sided_weights(start)
-    d1[0] = w1 @ values[:4]
-    d2[0] = w2 @ values[:4]
-    end = np.array([0.0, -h[-1], -h[-1] - h[-2], -h[-1] - h[-2] - h[-3]])
-    w1, w2 = _one_sided_weights(end)
-    d1[-1] = w1 @ values[-1:-5:-1]
-    d2[-1] = w2 @ values[-1:-5:-1]
-    return d1, d2
+    # rows 0 and 1 belong to the start and the end; h0 is the end segment,
+    # and the cubic's third divided difference is c/2
+    h0, h1 = h[[0, -1]], h[[1, -2]]
+    near, far = d2[[0, -1]], d2[[1, -2]]
+    c = (far - near) / (h0 + h1 + h[[2, -3]])
+    sign = np.array([[1.0], [-1.0]])
+    e1 = t[[0, -1]] - sign * (0.5 * h0) * (near - c * (h0 + h1))
+    e2 = near - c * (h0 + h0 + h1)
+    return (np.concatenate([e1[:1], d1, e1[1:]]),
+            np.concatenate([e2[:1], d2, e2[1:]]))
 
 
 def _signed_curvature(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -304,20 +299,6 @@ def _signed_curvature(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     cross = d1 * d2[:, ::-1]
     speed2 = _dot(d1.T, d1.T)
     return (cross[:, 0] - cross[:, 1]) / (speed2 * np.sqrt(speed2))
-
-
-def _one_sided_weights(offsets: np.ndarray):
-    """Weights for f'(0) and f''(0) from samples at the given offsets."""
-    vand = np.vander(offsets, len(offsets), increasing=True)
-    inv = np.linalg.inv(vand)
-    return inv[1], 2.0 * inv[2]
-
-
-def arclength_derivatives(curve: SampledCurve):
-    """(s, gamma_s, gamma_ss) by three-point stencils on the polyline."""
-    h = segment_lengths(curve)
-    d1, d2 = _lagrange_d1_d2(curve.points, h, curve.closed)
-    return cumulative_arclength(curve), d1, d2
 
 
 def frenet(curve: SampledCurve) -> FrenetData:
@@ -385,41 +366,6 @@ def isoperimetric_ratio(curve: SampledCurve) -> float:
     if area <= 0.0:
         raise CurveFlowError("degenerate-curve", "enclosed area is zero")
     return total_length(curve) ** 2 / (4.0 * np.pi * area)
-
-
-def possibly_self_intersecting(curve: SampledCurve) -> bool:
-    """Segment-pair intersection test for planar curves (O(n^2))."""
-    if curve.dimension != 2:
-        raise ValueError("self-intersection test is planar only")
-    pts = curve.points
-    if curve.closed:
-        a = pts
-        b = np.vstack([pts[1:], pts[:1]])
-    else:
-        a = pts[:-1]
-        b = pts[1:]
-    m = a.shape[0]
-
-    def orient(p, q, r):
-        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) \
-            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
-
-    for i in range(m - 2):
-        # skip the two neighbours sharing an endpoint with segment i
-        j0 = i + 2
-        j1 = m - 1 if (curve.closed and i == 0) else m
-        if j0 >= j1:
-            continue
-        p, q = a[i], b[i]
-        r, s = a[j0:j1], b[j0:j1]
-        d1 = orient(p[None, :], q[None, :], r)
-        d2 = orient(p[None, :], q[None, :], s)
-        d3 = orient(r, s, p[None, :])
-        d4 = orient(r, s, q[None, :])
-        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-        if np.any(hit):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,17 @@ def test_csf_soliton_sweep(tmp_path):
         assert (out / entry["file"]).is_file()
 
 
+def test_csf_soliton_range_replaces_its_scalar(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run("csf", "soliton", "--B", "1", "--A-range", "0.5:1:2",
+               "--s=-6:6:256", "--out", out) == 0
+    assert len(json.loads((out / "atlas.json").read_text())) == 2
+
+    assert run("csf", "soliton", "--A-range", "0.5:1:2",
+               "--s=-6:6:256", "--out", tmp_path / "no_b") == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
+
+
 def test_grim_reaper_and_abresch_langer(tmp_path, capsys):
     out = tmp_path / "reaper"
     assert run("csf", "soliton", "--grim-reaper", "--t", "0.25",

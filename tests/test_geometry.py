@@ -16,7 +16,6 @@ from curveflow.geometry import (
     hausdorff_distance,
     integrate_along,
     isoperimetric_ratio,
-    possibly_self_intersecting,
     resample_arclength,
     segment_lengths,
     total_length,
@@ -182,10 +181,3 @@ def test_hausdorff_basic():
 def test_curve_diameter():
     assert curve_diameter(ellipse2(2.0, 1.0, 512)) == pytest.approx(4.0, rel=1e-4)
     assert curve_diameter(circle2(64).points) == pytest.approx(2.0, rel=1e-3)
-
-
-def test_self_intersection_flag():
-    assert not possibly_self_intersecting(circle2(128))
-    th = np.linspace(0, 2 * np.pi, 257)[:-1]
-    fig8 = np.column_stack([np.sin(2 * th), np.sin(th)])
-    assert possibly_self_intersecting(SampledCurve(2, True, fig8))
