@@ -282,8 +282,10 @@ def _lagrange_d1_d2(values: np.ndarray, h: np.ndarray, closed: bool):
     if closed:
         return d1, d2
 
-    # rows 0 and 1 belong to the start and the end; h0 is the end segment,
-    # and the cubic's third divided difference is c/2
+    # rows 0 and 1 hold the start and the end: h0 is the end segment and h1
+    # the next one inward; near and far are d2 at the next two samples, twice
+    # the cubic's second divided differences, so c/2 is its third.  The end
+    # runs backwards from its last sample, which flips the sign in d1.
     h0, h1 = h[[0, -1]], h[[1, -2]]
     near, far = d2[[0, -1]], d2[[1, -2]]
     c = (far - near) / (h0 + h1 + h[[2, -3]])
