@@ -5,7 +5,8 @@ reading and writing the curve/filament/trajectory/CSV formats from the
 storage module.  Each run appends a record (command, parameters,
 artifact checksums, wall clock, version) to manifest.jsonl in the
 output directory; rerunning into a non-empty directory requires
---force and appends rather than overwrites.
+--force and appends rather than overwrites.  A failed run removes the
+output directory if it created it and left it empty.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  Every
 error path prints a stable machine-readable token as the last line on
@@ -15,6 +16,8 @@ standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -44,6 +47,9 @@ def parse_range(text: str):
         raise ConfigError("invalid-range", f"bad range {text!r}: {exc}") from exc
     if count < 1:
         raise ConfigError("invalid-range", "count must be positive")
+    # also catches a NaN or infinite bound
+    if not math.isfinite(b - a):
+        raise ConfigError("invalid-range", f"range {text!r} needs finite bounds")
     return np.linspace(a, b, count)
 
 
@@ -544,9 +550,13 @@ def main(argv=None) -> int:
         print("invalid-arguments", file=sys.stderr)
         return 2
     start = time.perf_counter()
+    out = Path(args.out)
+    created = not out.exists()
+    done = False
     try:
-        out = prepare_out_dir(args.out, args.force)
+        prepare_out_dir(out, args.force)
         paths = args.handler(args, out)
+        done = True
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(exc.token, file=sys.stderr)
@@ -559,6 +569,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("invalid-parameter", file=sys.stderr)
         return 2
+    finally:
+        # a failed run takes back the directory it made, never a file in it
+        if created and not done:
+            with contextlib.suppress(OSError):
+                out.rmdir()
     manifest = RunManifest(command=args.command_path,
                            parameters=_manifest_parameters(args),
                            artifacts=artifact_records(out, paths),

@@ -103,6 +103,18 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # cross product over the first (coordinate) axis of 3-vectors, written
+    # into out if given; each component is the difference of two products
+    # in np.cross's order, so the bits match it without its axis moves
+    if out is None:
+        out = np.empty((3,) + np.broadcast_shapes(u[0].shape, v[0].shape))
+    np.subtract(u[1] * v[2], u[2] * v[1], out=out[0])
+    np.subtract(u[2] * v[0], u[0] * v[2], out=out[1])
+    np.subtract(u[0] * v[1], u[1] * v[0], out=out[2])
+    return out
+
+
 def chord_lengths(points: np.ndarray, closed: bool) -> np.ndarray:
     """Chord lengths of a point array, including the wrap segment if closed."""
     if closed:
@@ -140,7 +152,7 @@ def _cross_norm(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if len(u) == 2:
         prod = u * v[::-1]
         return np.abs(prod[0] - prod[1])
-    w = np.cross(u, v, axis=0)
+    w = _cross(u, v)
     return np.sqrt(_dot(w, w))
 
 
@@ -309,7 +321,7 @@ def frenet(curve: SampledCurve) -> FrenetData:
     pts = curve.points
     d1, d2 = _lagrange_d1_d2(pts, h, curve.closed)
     s = cumulative_arclength(curve)
-    speed = np.linalg.norm(d1, axis=1)
+    speed = np.sqrt(_dot(d1.T, d1.T))
     tangent = d1 / speed[:, None]
 
     if curve.dimension == 2:
@@ -317,17 +329,22 @@ def frenet(curve: SampledCurve) -> FrenetData:
         normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
         return FrenetData(s, tangent, normal, kappa)
 
-    cross = np.cross(d1, d2)
-    cross_norm = np.linalg.norm(cross, axis=1)
+    # the einsum calls below need C-contiguous rows: they sum x0y0 + x2y2
+    # first, and a transposed operand changes that order and the bits
+    cross = np.empty_like(d1)
+    _cross(d1.T, d2.T, cross.T)
+    cross_norm = np.sqrt(_dot(cross.T, cross.T))
     kappa = cross_norm / speed**3
     floor = KAPPA_FLOOR_SCALE / float(np.mean(h))
     defined = kappa >= floor
 
     w = d2 - np.einsum("ij,ij->i", d2, tangent)[:, None] * tangent
-    wn = np.linalg.norm(w, axis=1)
+    wn = np.sqrt(_dot(w.T, w.T))
     wn_safe = np.where(defined & (wn > 0), wn, 1.0)
     normal = np.where(defined[:, None], w / wn_safe[:, None], np.nan)
-    binormal = np.where(defined[:, None], np.cross(tangent, normal), np.nan)
+    binormal = np.empty_like(normal)
+    _cross(tangent.T, normal.T, binormal.T)
+    binormal = np.where(defined[:, None], binormal, np.nan)
 
     d3, _ = _lagrange_d1_d2(d2, h, curve.closed)
     cn2 = np.where(defined, cross_norm**2, 1.0)

@@ -15,6 +15,7 @@ dilating filament family.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -95,12 +96,11 @@ def _linear_step_periodic(values: np.ndarray, ds: float, dt: float) -> np.ndarra
     return np.fft.ifft(np.exp(-1j * k**2 * dt) * np.fft.fft(values))
 
 
-def _linear_step_clamped(values: np.ndarray, ds: float, dt: float) -> np.ndarray:
-    # Crank-Nicolson for psi_t = i psi_ss with endpoints held fixed
-    n = values.size
+@functools.lru_cache(maxsize=8)
+def _clamped_bands(n: int, ds: float, dt: float) -> np.ndarray:
+    # the implicit half of the Crank-Nicolson step, in solve_banded's (3, n)
+    # layout; read-only, since every step with this grid and dt shares it
     c = 1j * dt / (2.0 * ds**2)
-    rhs = values.copy()
-    rhs[1:-1] = values[1:-1] + c * (values[2:] - 2.0 * values[1:-1] + values[:-2])
     ab = np.zeros((3, n), dtype=complex)
     ab[1, :] = 1.0 + 2.0 * c
     ab[0, 2:] = -c
@@ -108,7 +108,17 @@ def _linear_step_clamped(values: np.ndarray, ds: float, dt: float) -> np.ndarray
     ab[1, 0] = ab[1, -1] = 1.0
     ab[0, 1] = 0.0
     ab[2, -2] = 0.0
-    return solve_banded((1, 1), ab, rhs)
+    ab.flags.writeable = False
+    return ab
+
+
+def _linear_step_clamped(values: np.ndarray, ds: float, dt: float) -> np.ndarray:
+    # Crank-Nicolson for psi_t = i psi_ss with endpoints held fixed
+    c = 1j * dt / (2.0 * ds**2)
+    rhs = values.copy()
+    rhs[1:-1] = values[1:-1] + c * (values[2:] - 2.0 * values[1:-1] + values[:-2])
+    return solve_banded((1, 1), _clamped_bands(values.size, ds, dt), rhs,
+                        overwrite_b=True)
 
 
 def nlcse_step(psi: FilamentFunction, dt: float) -> FilamentFunction:

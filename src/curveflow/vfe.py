@@ -22,6 +22,8 @@ from .errors import CurveFlowError
 from .flow import FlowTrajectory, ScalarSeries, StepOptions, interior_frames
 from .geometry import (
     SampledCurve,
+    _cross,
+    _dot,
     _lagrange_d1_d2,
     frenet,
     integrate_along,
@@ -39,10 +41,11 @@ KAPPA_REL_FLOOR = 1e-2
 
 def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
     d1, d2 = _lagrange_d1_d2(pts, h, closed)
-    vel = np.cross(d1, d2)
+    vel = np.empty_like(d1)
+    _cross(d1.T, d2.T, vel.T)
     if not closed:
-        vel[[0, -1]] = 0.0
-    return vel, np.linalg.norm(vel, axis=1) / np.linalg.norm(d1, axis=1) ** 3
+        vel[0] = vel[-1] = 0.0
+    return vel, np.sqrt(_dot(vel.T, vel.T)) / np.sqrt(_dot(d1.T, d1.T)) ** 3
 
 
 def binormal_velocity(curve: SampledCurve) -> np.ndarray:

@@ -27,7 +27,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import CurveFlowError
-from .geometry import SampledCurve, _lagrange_d1_d2, segment_lengths
+from .geometry import SampledCurve, _cross, _dot, _lagrange_d1_d2, segment_lengths
 
 # z^2 + 2*C1 magnitudes below this trigger the vertical-tangent truncation
 W_FLOOR = 1e-9
@@ -188,11 +188,10 @@ def rotation_residual(curve: SampledCurve, omega) -> np.ndarray:
         raise ValueError("needs a space curve")
     omega = np.asarray(omega, dtype=float)
     h = segment_lengths(curve)
-    d1, d2 = _lagrange_d1_d2(curve.points, h, curve.closed)
-    speed = np.linalg.norm(d1, axis=1)
-    kb = np.cross(d1, d2) / speed[:, None] ** 3
-    lhs = np.cross(np.broadcast_to(omega, curve.points.shape), curve.points)
-    return np.linalg.norm(lhs - kb, axis=1)
+    d1, d2 = (d.T for d in _lagrange_d1_d2(curve.points, h, curve.closed))
+    kb = _cross(d1, d2) / np.sqrt(_dot(d1, d1)) ** 3
+    diff = _cross(omega[:, None], curve.points.T) - kb
+    return np.sqrt(_dot(diff, diff))
 
 
 def apply_rotation(curve: SampledCurve, omega, t: float) -> SampledCurve:

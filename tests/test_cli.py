@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,34 @@ def test_bad_range_exits_two(tmp_path, capsys):
     assert run("csf", "soliton", "--grim-reaper", "--x", "0:1",
                "--out", tmp_path / "o") == 2
     assert last_stderr_token(capsys) == "invalid-range"
+
+
+@pytest.mark.parametrize("argv", [
+    ("csf", "soliton", "--A", "0", "--B", "-1", "--s=nan:1:64"),
+    ("csf", "soliton", "--grim-reaper", "--x=-inf:1:64"),
+    ("csf", "soliton", "--grim-reaper", "--x=0:inf:3"),
+    ("hasimoto", "soliton", "--nu", "1", "--tau0", "0.5", "--s=0:nan:33"),
+    ("hasimoto", "soliton", "--nu", "1", "--tau0", "0.5", "--s=-1e308:1e308:33"),
+], ids=["nan-start", "minus-inf-start", "inf-end", "nan-end", "overflowing-span"])
+def test_non_finite_range_exits_two(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--out", tmp_path / "o") == 2
+    assert last_stderr_token(capsys) == "invalid-range"
+
+
+def test_failed_run_leaves_no_empty_directory(tmp_path, capsys):
+    bad = ("csf", "soliton", "--A", "0", "--B", "-1", "--s=nan:1:64")
+    assert run(*bad, "--out", tmp_path / "new") == 2
+    assert not (tmp_path / "new").exists()
+    # a directory that was there before the run stays, and so do its files
+    (tmp_path / "empty").mkdir()
+    assert run(*bad, "--out", tmp_path / "empty") == 2
+    assert (tmp_path / "empty").is_dir()
+    (tmp_path / "full").mkdir()
+    (tmp_path / "full" / "keep.txt").write_text("x")
+    assert run(*bad, "--out", tmp_path / "full", "--force") == 2
+    assert (tmp_path / "full" / "keep.txt").read_text() == "x"
 
 
 def test_structured_text_format(tmp_path, circle_file):

@@ -1,5 +1,6 @@
 """Property tests: derivative stencils, resampling, curvature under
-similarity, storage and frame round trips, range parsing."""
+similarity, storage and frame round trips, range parsing, and the bits of
+the hand-written 3-D products."""
 from __future__ import annotations
 
 import tempfile
@@ -16,25 +17,27 @@ from curveflow import storage
 from curveflow.cli import parse_range
 from curveflow.errors import ConfigError
 from curveflow.flow import DiagnosticRecord, FlowTrajectory
-from curveflow.geometry import (SampledCurve, _lagrange_d1_d2, chord_lengths,
-                                curve_diameter, frenet, hausdorff_distance,
-                                resample_arclength)
+from curveflow.geometry import (KAPPA_FLOOR_SCALE, SampledCurve, _cross,
+                                _lagrange_d1_d2, chord_lengths, curve_diameter,
+                                frenet, hausdorff_distance, resample_arclength)
 from curveflow.hasimoto import (FilamentFunction, FrameState, hasimoto_transform,
                                 reconstruct_frame)
+from curveflow.vfe import _velocity, binormal_velocity
+from curveflow.vfe_solitons import rotation_residual
 
 BOUNDED = settings(max_examples=50, deadline=None)
 ROUND_TRIP = 1e-12
 
 
 @st.composite
-def smooth_curves(draw, closed=None):
+def smooth_curves(draw, closed=None, dim=None):
     """A circle or arc with three low Fourier modes, 2-D or 3-D, 64 to 256 points.
 
     The mode amplitudes decay as 0.1/k^2, which keeps the speed of the
     parametrization above 0.36.  The curves turn by at most about 0.25 rad
     per segment.
     """
-    dim = draw(st.sampled_from((2, 3)))
+    dim = draw(st.sampled_from((2, 3))) if dim is None else dim
     closed = draw(st.booleans()) if closed is None else closed
     n = draw(st.integers(64, 256))
     coef = draw(arrays(float, (3, 2, dim), elements=st.floats(-1.0, 1.0)))
@@ -181,3 +184,86 @@ def test_parse_range_raises_only_config_error(text):
     except ConfigError:
         return
     assert grid.size == int(text.split(":")[2])
+    assert np.isfinite(grid).all()
+
+
+# ---------------------------------------------------------------------------
+# the 3-D path writes its cross products and norms by hand; these pin it to
+# np.cross, np.linalg.norm and einsum bit for bit
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@st.composite
+def space_curves(draw):
+    """Smooth 3-D curves; half of them with a straight run, where the
+    curvature drops below the floor and normal and torsion are NaN."""
+    curve = draw(smooth_curves(dim=3))
+    if draw(st.booleans()):
+        pts = np.array(curve.points)
+        i = draw(st.integers(0, curve.n // 2))
+        j = i + curve.n // 4
+        pts[i:j] = np.linspace(pts[i], pts[j - 1], j - i)
+        curve = curve.with_points(pts)
+    return curve
+
+
+@BOUNDED
+@given(st.integers(1, 64).flatmap(
+           lambda n: arrays(float, (2, n, 3), elements=st.floats(-1e150, 1e150))))
+def test_cross_matches_numpy(uv):
+    u, v = uv
+    assert_same_bits(_cross(u.T, v.T).T, np.cross(u, v))
+    assert_same_bits(_cross(u[0][:, None], v.T).T, np.cross(u[0], v))
+
+
+@BOUNDED
+@given(space_curves())
+def test_frenet_matches_the_numpy_reference(curve):
+    h = chord_lengths(curve.points, curve.closed)
+    d1, d2 = _lagrange_d1_d2(curve.points, h, curve.closed)
+    speed = np.linalg.norm(d1, axis=1)
+    tangent = d1 / speed[:, None]
+    cross = np.cross(d1, d2)
+    cross_norm = np.linalg.norm(cross, axis=1)
+    kappa = cross_norm / speed**3
+    defined = kappa >= KAPPA_FLOOR_SCALE / float(np.mean(h))
+    w = d2 - np.einsum("ij,ij->i", d2, tangent)[:, None] * tangent
+    wn = np.linalg.norm(w, axis=1)
+    wn_safe = np.where(defined & (wn > 0), wn, 1.0)
+    normal = np.where(defined[:, None], w / wn_safe[:, None], np.nan)
+    binormal = np.where(defined[:, None], np.cross(tangent, normal), np.nan)
+    d3 = _lagrange_d1_d2(d2, h, curve.closed)[0]
+    cn2 = np.where(defined, cross_norm**2, 1.0)
+    torsion = np.where(defined, np.einsum("ij,ij->i", cross, d3) / cn2, np.nan)
+
+    fr = frenet(curve)
+    for got, want in [(fr.tangent, tangent), (fr.normal, normal),
+                      (fr.binormal, binormal), (fr.curvature, kappa),
+                      (fr.torsion, torsion), (fr.torsion_defined, defined)]:
+        assert_same_bits(got, want)
+
+
+@BOUNDED
+@given(space_curves(), arrays(float, 3, elements=st.floats(-10.0, 10.0)))
+def test_binormal_velocity_matches_the_numpy_reference(curve, omega):
+    pts = curve.points
+    h = chord_lengths(pts, curve.closed)
+    d1, d2 = _lagrange_d1_d2(pts, h, curve.closed)
+    vel = np.cross(d1, d2)
+    if not curve.closed:
+        vel[[0, -1]] = 0.0
+    kappa = np.linalg.norm(vel, axis=1) / np.linalg.norm(d1, axis=1) ** 3
+    kb = np.cross(d1, d2) / np.linalg.norm(d1, axis=1)[:, None] ** 3
+    residual = np.linalg.norm(np.cross(np.broadcast_to(omega, pts.shape), pts) - kb,
+                              axis=1)
+
+    got_vel, got_kappa = _velocity(pts, h, curve.closed)
+    assert got_vel.flags.c_contiguous
+    assert_same_bits(got_vel, vel)
+    assert_same_bits(got_kappa, kappa)
+    assert_same_bits(binormal_velocity(curve), vel)
+    assert_same_bits(rotation_residual(curve, omega), residual)
