@@ -8,6 +8,8 @@ profile governed by the autonomous system
 where x is the curvature, y the tangential support component, and theta
 the tangent angle.  The plane curve is recovered from a profile as
 X = e^{i theta} (x + i y) / (A - i B), which is arclength-parametrized.
+Profiles are integrated with the 8th-order Dormand-Prince pair (DOP853)
+at rtol = atol = 1e-11.
 The module also carries the two classical special cases: the translating
 grim reaper graph and the closed shrinkers confined to an annulus.
 """
@@ -88,17 +90,19 @@ def _escape(_s, u):
 _escape.terminal = True
 
 
-def _solve_from_origin(spec: CsfSolitonSpec, s_end: float):
-    rhs = lambda s, u: (*soliton_ode_rhs(u[0], u[1], spec.A, spec.B), u[0])
+def _solve_from_origin(A: float, B: float, x0: float, y0: float, s_end: float,
+                       events=_escape):
+    """The profile (x, y, theta) from (x0, y0, 0) at s = 0 to ``s_end``."""
+    rhs = lambda s, u: (*soliton_ode_rhs(u[0], u[1], A, B), u[0])
     return solve_ivp(
         rhs,
         (0.0, s_end),
-        [spec.x0, spec.y0, 0.0],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-10,
+        [x0, y0, 0.0],
+        method="DOP853",
+        rtol=1e-11,
+        atol=1e-11,
         dense_output=True,
-        events=_escape,
+        events=events,
     )
 
 
@@ -113,12 +117,12 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
     escaped = False
     sol_fwd = sol_bwd = None
     if b > 0:
-        sol_fwd = _solve_from_origin(spec, b)
+        sol_fwd = _solve_from_origin(spec.A, spec.B, spec.x0, spec.y0, b)
         if sol_fwd.status == 1:
             hi = float(sol_fwd.t[-1])
             escaped = True
     if a < 0:
-        sol_bwd = _solve_from_origin(spec, a)
+        sol_bwd = _solve_from_origin(spec.A, spec.B, spec.x0, spec.y0, a)
         if sol_bwd.status == 1:
             lo = float(sol_bwd.t[-1])
             escaped = True
@@ -223,22 +227,11 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
     upward zero crossings of that expression.  The curve closes up when
     the advance over one excursion is 2 pi p/q with small q.
     """
-    rhs = lambda s, u: (*soliton_ode_rhs(u[0], u[1], A, B), u[0])
-
     def minimum(_s, u):
         return A * u[0] - B * u[1]
 
     minimum.direction = 1.0
-    sol = solve_ivp(
-        rhs,
-        (0.0, CLOSURE_MAX_S),
-        [x0, y0, 0.0],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-10,
-        dense_output=True,
-        events=(minimum, _escape),
-    )
+    sol = _solve_from_origin(A, B, x0, y0, CLOSURE_MAX_S, events=(minimum, _escape))
     hits = sol.t_events[0]
     if len(hits) < 2:
         return ClosureData(False, None, None, float("nan"), float("nan"))

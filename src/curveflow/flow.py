@@ -1,7 +1,7 @@
 """The one time-stepping driver for both flow engines.
 
 ``evolve`` runs explicit, CFL-guarded stepping with a singularity guard and
-periodic arclength resampling; ``step`` takes one step.  An engine
+arclength resampling when the spacing drifts; ``step`` takes one step.  An engine
 describes itself with a ``FlowSpec``: its dimension, its step-size
 constants, its velocity, its time integrator (``euler`` or ``rk4``) and the
 diagnostics it records per frame.  Everything else is shared.
@@ -22,6 +22,11 @@ Stop reasons, checked in this order before every step:
 * ``blow-up-detected``: a step produced a non-finite point.  The last
   finite state is recorded as a frame before the run stops.
 
+Every ``resample_every`` steps the driver checks the chord lengths: it
+refreshes the CFL step from the shortest one, and resamples only when the
+longest exceeds the shortest by more than ``SPACING_TOL``.  A uniformly
+spaced curve that keeps its spacing is never resampled.
+
 Frames are recorded every ``record_every`` steps and at the stop.  A frame
 due on a resampling step is recorded before the resampling pass, so stored
 geometry is the raw evolved state, not the smoothed restart data.
@@ -40,14 +45,20 @@ import numpy as np
 from .errors import CurveFlowError
 from .geometry import SampledCurve, chord_lengths, resample_points
 
+# relative chord-length spread, max h / min h - 1, above which a check
+# resamples the curve
+SPACING_TOL = 0.02
+
 
 @dataclass
 class StepOptions:
     """Time-stepping controls shared by the flow engines.
 
-    Exactly one of ``dt`` (fixed step) or ``cfl`` (step chosen each
-    resampling cycle from the current spacing) must be set.  Resampling
-    keeps the input's sample count.  The run stops at ``stop_time``, or
+    Exactly one of ``dt`` (fixed step) or ``cfl`` (step chosen at each
+    spacing check from the current spacing) must be set.  The spacing is
+    checked every ``resample_every`` steps, and the curve is resampled
+    only when its chord lengths spread by more than ``SPACING_TOL``;
+    resampling keeps the input's sample count.  The run stops at ``stop_time``, or
     earlier when the length drops below ``stop_length``, when the
     singularity proxies fire, or after ``max_steps``.
     """
@@ -251,10 +262,11 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
             break
 
         if steps > 0 and steps % opts.resample_every == 0:
-            pts = resample_points(pts, closed, n)
-            h = chord_lengths(pts, closed)
+            if h.max() > (1.0 + SPACING_TOL) * h.min():
+                pts = resample_points(pts, closed, n)
+                h = chord_lengths(pts, closed)
+                vel, kappa = spec.velocity(pts, h, closed)
             dt_base = base_dt(h)
-            vel, kappa = spec.velocity(pts, h, closed)
 
         dt = min(dt_base, opts.stop_time - t)
         new_pts = spec.advance(spec.velocity, pts, closed, dt, vel)

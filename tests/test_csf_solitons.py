@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from conftest import circle2
 from curveflow.csf_solitons import (
@@ -138,3 +138,29 @@ def test_generic_shrinking_member_stays_in_the_angle_band():
         assert 0.5 < ratio < 1.0 / np.sqrt(2.0)
         if not c.closed:
             assert c.p is None and c.q is None
+
+
+def _reference_profile(spec: CsfSolitonSpec, s: np.ndarray) -> np.ndarray:
+    rhs = lambda _s, u: (u[0] * u[1] + spec.A, -u[0] ** 2 - spec.B, u[0])
+    out = np.empty((3, s.size))
+    for side, end in ((s >= 0, s.max()), (s < 0, s.min())):
+        sol = solve_ivp(rhs, (0.0, end), [spec.x0, spec.y0, 0.0], method="DOP853",
+                        rtol=1e-13, atol=1e-13, dense_output=True)
+        out[:, side] = sol.sol(s[side])
+    return out
+
+
+# each bound is the error of the RK45 solver at rtol = atol = 1e-10 that
+# integrate_profile used before DOP853, rounded up: a faster integrator may
+# not be a less accurate one
+@pytest.mark.parametrize("A, B, bound", [
+    (0.8, 0.5, 4.3e-10),
+    (0.8, -0.5, 7.3e-10),
+    (-0.8, 0.5, 3.6e-10),
+    (-0.8, -0.5, 4.8e-10),
+])
+def test_profile_accuracy_against_a_tight_reference(A, B, bound):
+    spec = CsfSolitonSpec(A, B, 0.9, 0.1, s_range=(-5.0, 5.0), n=256)
+    prof = integrate_profile(spec)
+    want = _reference_profile(spec, prof.s)
+    assert np.abs(np.vstack([prof.x, prof.y, prof.theta]) - want).max() < bound

@@ -15,7 +15,7 @@ import pytest
 from conftest import circle2, circle3, ellipse2, helix3
 from curveflow import csf, flow, vfe
 from curveflow.flow import StepOptions
-from curveflow.geometry import SampledCurve
+from curveflow.geometry import SampledCurve, chord_lengths
 
 
 def _parabola(n: int = 48) -> SampledCurve:
@@ -211,3 +211,38 @@ def test_blow_up_records_the_last_finite_frame(engine, curve):
     shift = np.zeros(curve.dimension)
     shift[0] = traj.final_time
     assert np.allclose(traj.final.points, curve.points + shift, rtol=0, atol=1e-12)
+
+
+def _count_resamples(monkeypatch) -> list:
+    calls = []
+    original = flow.resample_points
+
+    def counting(pts, closed, n):
+        calls.append(n)
+        return original(pts, closed, n)
+
+    monkeypatch.setattr(flow, "resample_points", counting)
+    return calls
+
+
+def test_uniform_circle_is_never_resampled(monkeypatch):
+    # CSF moves a uniformly sampled circle's points along their radii, so
+    # the spacing stays uniform and no spacing check may resample it
+    calls = _count_resamples(monkeypatch)
+    traj = csf.evolve(circle2(64), StepOptions(stop_time=0.1, cfl=0.25))
+    assert traj.stop_reason == "stop-time"
+    assert traj.steps_taken >= 50          # five checks at resample_every = 10
+    assert calls == []
+
+
+def test_spacing_drift_is_resampled(monkeypatch):
+    # radial motion keeps this angular clustering until a resample removes it
+    u = np.linspace(0.0, 1.0, 64, endpoint=False)
+    th = 2.0 * np.pi * u + 0.3 * np.sin(2.0 * np.pi * u)
+    curve = SampledCurve(2, True, np.column_stack([np.cos(th), np.sin(th)]))
+    calls = _count_resamples(monkeypatch)
+    traj = csf.evolve(curve, StepOptions(stop_time=0.05, cfl=0.25))
+    assert traj.stop_reason == "stop-time"
+    assert len(calls) >= 1
+    h = chord_lengths(traj.final.points, True)
+    assert h.max() <= (1.0 + flow.SPACING_TOL) * h.min()

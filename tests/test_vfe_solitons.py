@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.spatial.transform import Rotation
 
 from conftest import circle3
@@ -193,3 +193,29 @@ def test_profiles_rotate_rigidly_under_the_flow(case):
     k = cur.n // 10
     gap = hausdorff_distance(traj.final.points[k:-k], exact.points[k:-k])
     assert gap < 1e-4
+
+
+def _reference_band(p: float, C1: float, z0: float, x: np.ndarray) -> np.ndarray:
+    w0 = z0**2 + 2.0 * C1
+    zp0 = np.sqrt((4.0 - p**2 * w0**2) / (p**3 * w0**2))
+    rhs = lambda _x, u: (u[1], -8.0 * u[0] / (p**3 * (u[0] ** 2 + 2.0 * C1) ** 3))
+    sol = solve_ivp(rhs, (x[0], x[-1]), [z0, zp0], method="DOP853",
+                    rtol=1e-13, atol=1e-13, dense_output=True)
+    return sol.sol(x)[0]
+
+
+# each bound is the error of the RK45 solver at rtol = 1e-10, atol = 1e-12
+# that _band_profile used before DOP853, rounded up: a faster integrator may
+# not be a less accurate one
+def test_xaxis_band_accuracy_against_a_tight_reference():
+    lam, C1 = 1.0, 0.25
+    z0 = 0.5 * np.sqrt(z_bounds(lam, C1)[1])
+    spec = VfeRotatingSpec("x-axis", C1, lam=lam, z0=z0, x_range=(0.0, 4.0), n=256)
+    x, _, z = xaxis_rotation_profile(spec).points.T
+    assert np.abs(z - _reference_band(1.0 + lam**2, C1, z0, x)).max() < 6.0e-11
+
+
+def test_planar_band_accuracy_against_a_tight_reference():
+    curve, _ = planar_rotation_profile(0.5, 0.5, (0.0, 4.0), 256)
+    x, f, _ = curve.points.T
+    assert np.abs(f - _reference_band(1.0, 0.5, 0.5, x)).max() < 8.5e-11
