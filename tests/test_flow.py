@@ -63,10 +63,13 @@ def summarize(traj) -> dict:
 NAN = float("nan")
 
 # recorded from the two per-engine loops that preceded the shared driver,
-# except vfe-open-dt: it was regenerated when the open-curve end stencils
-# moved from Lagrange weights to the Newton form of the same cubic, a change
-# at rounding level.  Its max_torsion reads the end samples, where the end
-# stencil applied to d2 amplifies that rounding to up to 1.8e-11 relative.
+# except four rows.  vfe-open-dt was regenerated when the open-curve end
+# stencils moved from Lagrange weights to the Newton form of the same cubic,
+# a change at rounding level.  Its max_torsion reads the end samples, where
+# the end stencil applied to d2 amplifies that rounding to up to 1.8e-11
+# relative.  csf-closed-dt, csf-open-dt and vfe-closed-cfl were regenerated
+# when the driver began to resample only on spacing drift: they skip
+# resamples that the fixed cadence made.
 GOLDEN = {
     "csf-closed-cfl": {
         "stop_reason": "stop-time", "steps_taken": 24,
@@ -80,11 +83,11 @@ GOLDEN = {
     "csf-closed-dt": {
         "stop_reason": "stop-time", "steps_taken": 40,
         "frames": [
-            [0.0, 0.0, 9.684557854680218, 2.0048268947365786, 6.687207444412131, NAN, -4.6629367034256575e-15, -3.594347042223944e-15, 160.0],
-            [0.005000000000000001, 0.005000000000000001, 9.651630781782977, 1.9622471510878903, 6.650327556173904, NAN, -1.0436096431476471e-14, 1.8457457784393227e-15, 159.200456836789],
-            [0.010000000000000005, 0.010000000000000005, 9.616558418179952, 1.9401861798923572, 6.680621051964383, NAN, 1.84297022087776e-14, 4.0245584642661925e-15, 143.09760324235035],
-            [0.01500000000000001, 0.01500000000000001, 9.584008113340378, 1.911616363824896, 6.65241583541704, NAN, 2.6867397195928788e-14, 3.774758283725532e-15, 142.19048823420957],
-            [0.02, 0.02, 9.551568653169646, 1.886832563686424, 6.627117724928641, NAN, 4.440892098500626e-16, -1.7208456881689926e-15, 141.28832312099797],
+            [0.0, 0.0, 9.684557854680218, 2.0048268947365444, 6.6872074444122145, NAN, -4.6629367034256575e-15, -3.594347042223944e-15, 160.0],
+            [0.005000000000000001, 0.005000000000000001, 9.651630781782977, 1.9622471510879087, 6.650327556174021, NAN, -1.0436096431476471e-14, 1.8041124150158794e-15, 159.200456836789],
+            [0.010000000000000005, 0.010000000000000005, 9.616558418179952, 1.9401861798923907, 6.68062105196441, NAN, 1.199040866595169e-14, -9.131584377541913e-15, 143.09760324235035],
+            [0.01500000000000001, 0.01500000000000001, 9.584008113340378, 1.911616363824922, 6.652415835417052, NAN, 1.2212453270876722e-14, -1.1185496973098452e-14, 142.19048823420954],
+            [0.02, 0.02, 9.551569776586572, 1.8870385463101276, 6.624927966663463, NAN, 1.0880185641326534e-14, -1.7513768213461844e-14, 141.5454914523367],
         ],
     },
     "csf-max-steps": {
@@ -108,10 +111,10 @@ GOLDEN = {
     "csf-open-dt": {
         "stop_reason": "stop-time", "steps_taken": 30,
         "frames": [
-            [0.0, 0.0, 2.9576157739833464, 1.9945864406281444, 2.626149644652026, NAN, -4.6629367034256575e-15, 16.680851063829785, 27.109214721208208],
-            [0.0010000000000000002, 0.0010000000000000002, 2.955003794620728, 1.9795774532682606, 2.6155490195931375, NAN, 9.992007221626409e-16, 16.71617309956776, 27.10115324672864],
-            [0.0020000000000000005, 0.0020000000000000005, 2.9522398682379616, 1.9605942830901852, 2.6099832362011353, NAN, 7.771561172376096e-16, 20.348363533829655, 33.699230190713635],
-            [0.0029999999999999988, 0.0029999999999999988, 2.9496471386871863, 1.9475351454702976, 2.6007619542415936, NAN, 5.662137425588298e-15, 20.3898261349536, 33.71394862147366],
+            [0.0, 0.0, 2.9576157739833464, 1.9945864406281448, 2.626149644652032, NAN, -4.6629367034256575e-15, 16.680851063829785, 27.109214721208208],
+            [0.0010000000000000002, 0.0010000000000000002, 2.955003794620728, 1.9795774532682602, 2.6155490195931446, NAN, -8.881784197001252e-16, 16.71617309956776, 27.101153246728636],
+            [0.0020000000000000005, 0.0020000000000000005, 2.9522398682379616, 1.9605942830901726, 2.60998323620113, NAN, 5.440092820663267e-15, 20.348363533829655, 33.69923019071363],
+            [0.0029999999999999988, 0.0029999999999999988, 2.9496471541450715, 1.9476461131074971, 2.6007266477465607, NAN, 8.104628079763643e-15, 20.376739645901438, 33.69103014210954],
         ],
     },
     "csf-singular": {
@@ -136,11 +139,11 @@ GOLDEN = {
     "vfe-closed-cfl": {
         "stop_reason": "stop-time", "steps_taken": 31,
         "frames": [
-            [0.0, 0.0, 7.307151594560191, 2.1384872396556958, 14.867892647605004, 56.832390542706, -8.43769498715119e-15, -3.0531133177191805e-15, -2.498001805406602e-16, 51.12],
-            [0.012288949730374988, 0.012288949730374988, 7.307151593419394, 2.166903932107371, 14.866287675735856, 15.974662129850676, 0.00247755757787238, -0.15243948419814488, 0.3983321686935477, 51.134016035370635],
-            [0.035357414842983326, 0.035357414842983326, 7.307471663798024, 2.186865106381581, 14.749292327767684, 9.560505032783597, 0.0470978638730466, -0.35979137275354706, 1.308131971408718, 52.53765535130705],
-            [0.058424559808735246, 0.058424559808735246, 7.3074716341588015, 2.3289254642607893, 14.801420493825667, 18.321914127377894, 0.06280837789279481, -0.5971202350244216, 2.1566745826940323, 52.63709282651742],
-            [0.06, 0.06, 7.307471610527116, 2.3505650196063224, 14.806164487171971, 19.37366092538252, 0.06440770478043345, -0.6153596477190091, 2.2151102693032163, 52.64722556174331],
+            [0.0, 0.0, 7.307151594560191, 2.1384872396557064, 14.867892647605018, 56.832390542706676, -8.43769498715119e-15, -3.0531133177191805e-15, -2.498001805406602e-16, 51.12],
+            [0.012288949730374988, 0.012288949730374988, 7.307151593419394, 2.166903932107345, 14.866287675735858, 15.97466212985077, 0.0024775575778741565, -0.15243948419814515, 0.398332168693548, 51.134016035370635],
+            [0.035357414842983326, 0.035357414842983326, 7.307471663798022, 2.186865106381578, 14.749292327767694, 9.560505032784077, 0.04709786387304127, -0.3597913727535549, 1.3081319714087227, 52.537655351307045],
+            [0.0584258799555603, 0.0584258799555603, 7.307471653852932, 2.3287938121654155, 14.801454376843882, 18.33442946454022, 0.0625328197337296, -0.595022269777872, 2.1557786028873416, 52.63587383015973],
+            [0.06, 0.06, 7.307471653752756, 2.350302303431681, 14.806465025905808, 19.39586716515308, 0.06376367870131183, -0.6111237618971517, 2.2133163774351234, 52.64398246825694],
         ],
     },
     "vfe-open-dt": {
