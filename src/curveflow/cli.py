@@ -419,7 +419,9 @@ def _add_evolve_flags(parser):
                         help="resample the input to this many points")
     parser.add_argument("--dt", type=float, default=None)
     parser.add_argument("--cfl", type=float, default=None)
-    parser.add_argument("--resample-every", type=int, default=10)
+    parser.add_argument("--resample-every", type=int, default=10,
+                        help="steps between spacing checks; a check resamples "
+                             "only a curve whose spacing has drifted")
     parser.add_argument("--record-every", type=int, default=10)
 
 

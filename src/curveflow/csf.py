@@ -2,8 +2,8 @@
 
 The flow moves each point by the discrete curvature vector (the second
 arclength derivative).  Stepping is explicit Euler under the parabolic
-bound dt <= cfl * ds^2 / 2 on the shared driver in ``flow``, with
-periodic resampling to hold the arclength gauge.
+bound dt <= cfl * ds^2 / 2 on the shared driver in ``flow``, which
+resamples when the spacing drifts to hold the arclength gauge.
 
 Diagnostics cover the arclength decay law dL/dt = -int kappa^2 ds, the
 curvature evolution law kappa_t = kappa_ss + kappa^3, the backwards-heat

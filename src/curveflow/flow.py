@@ -1,8 +1,8 @@
 """The one time-stepping driver for both flow engines.
 
 ``evolve`` runs explicit, CFL-guarded stepping with a singularity guard and
-arclength resampling when the spacing drifts; ``step`` takes one step.  An engine
-describes itself with a ``FlowSpec``: its dimension, its step-size
+arclength resampling when the spacing drifts; ``step`` takes one step.  An
+engine describes itself with a ``FlowSpec``: its dimension, its step-size
 constants, its velocity, its time integrator (``euler`` or ``rk4``) and the
 diagnostics it records per frame.  Everything else is shared.
 
@@ -58,9 +58,9 @@ class StepOptions:
     spacing check from the current spacing) must be set.  The spacing is
     checked every ``resample_every`` steps, and the curve is resampled
     only when its chord lengths spread by more than ``SPACING_TOL``;
-    resampling keeps the input's sample count.  The run stops at ``stop_time``, or
-    earlier when the length drops below ``stop_length``, when the
-    singularity proxies fire, or after ``max_steps``.
+    resampling keeps the input's sample count.  The run stops at
+    ``stop_time``, or earlier when the length drops below ``stop_length``,
+    when the singularity proxies fire, or after ``max_steps``.
     """
 
     stop_time: float
