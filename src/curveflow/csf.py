@@ -55,11 +55,6 @@ def _spec() -> flow.FlowSpec:
                          velocity=_velocity, advance=flow.euler, record=_record)
 
 
-def csf_step(curve: SampledCurve, dt: float) -> SampledCurve:
-    """One explicit Euler step p <- p + dt * gamma_ss (ends pinned if open)."""
-    return flow.step(curve, dt, _spec())
-
-
 def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:
     """Run the flow until stop_time or an earlier stop; see ``flow.evolve``."""
     return flow.evolve(curve, opts, _spec())

@@ -227,6 +227,14 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
     upward zero crossings of that expression.  The curve closes up when
     the advance over one excursion is 2 pi p/q with small q.
     """
+    # f = A x - B y has f' = A x y + A^2 + B x^2 + B^2.  Where f = 0,
+    # A x y = B y^2, so f' = B (x^2 + y^2) + A^2 + B^2 there.  For B >= 0
+    # that is positive unless A = B = 0, when f vanishes identically and
+    # never crosses zero.  So f crosses zero at most once, and no profile
+    # shows the two radius minima a closure needs.
+    if B >= 0.0:
+        return ClosureData(False, None, None, float("nan"), float("nan"))
+
     def minimum(_s, u):
         return A * u[0] - B * u[1]
 

@@ -1,8 +1,7 @@
 """The one time-stepping driver for both flow engines.
 
 ``evolve`` runs explicit, CFL-guarded stepping with a singularity guard and
-arclength resampling when the spacing drifts; ``step`` takes one step.  An
-engine describes itself with a ``FlowSpec``: its dimension, its step-size
+arclength resampling when the spacing drifts.  An engine describes itself with a ``FlowSpec``: its dimension, its step-size
 constants, its velocity, its time integrator (``euler`` or ``rk4``) and the
 diagnostics it records per frame.  Everything else is shared.
 
@@ -14,7 +13,7 @@ stage reuses that velocity.
 Stop reasons, checked in this order before every step:
 
 * ``approaching-singularity``: max|kappa| times the longest segment exceeds
-  1, or the length falls below ``singular_length_fraction`` of the initial
+  1, or the length falls below ``SINGULAR_LENGTH_FRACTION`` of the initial
   length;
 * ``stop-length``: the length reaches ``stop_length``;
 * ``stop-time``: the time reaches ``stop_time``;
@@ -49,6 +48,9 @@ from .geometry import SampledCurve, chord_lengths, resample_points
 # resamples the curve
 SPACING_TOL = 0.02
 
+# fraction of the initial length below which the singularity guard stops a run
+SINGULAR_LENGTH_FRACTION = 0.01
+
 
 @dataclass
 class StepOptions:
@@ -69,7 +71,6 @@ class StepOptions:
     resample_every: int = 10
     record_every: int = 10
     stop_length: float | None = None
-    singular_length_fraction: float = 0.01
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -84,8 +85,6 @@ class StepOptions:
             raise ValueError("stop_time must be positive and finite")
         if self.stop_length is not None and not 0 <= self.stop_length < np.inf:
             raise ValueError("stop_length must be non-negative and finite")
-        if not 0 <= self.singular_length_fraction < 1:
-            raise ValueError("singular_length_fraction must lie in [0, 1)")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         if self.resample_every < 1 or self.record_every < 1:
@@ -194,25 +193,10 @@ def rk4(velocity, pts, closed, dt, k1):
     return pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_dimension(curve: SampledCurve, spec: FlowSpec) -> None:
-    if curve.dimension != spec.dimension:
-        raise ValueError(f"this flow needs a curve in R^{spec.dimension}")
-
-
-def step(curve: SampledCurve, dt: float, spec: FlowSpec) -> SampledCurve:
-    """One step of size ``dt`` (ends pinned if open)."""
-    _check_dimension(curve, spec)
-    pts, closed = curve.points, curve.closed
-    k1, _ = spec.velocity(pts, chord_lengths(pts, closed), closed)
-    new_pts = spec.advance(spec.velocity, pts, closed, dt, k1)
-    if not np.isfinite(new_pts).all():
-        raise CurveFlowError("blow-up-detected", "non-finite point after step")
-    return curve.with_points(new_pts)
-
-
 def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajectory:
     """Run the flow until ``opts.stop_time`` or an earlier stop (see module doc)."""
-    _check_dimension(curve, spec)
+    if curve.dimension != spec.dimension:
+        raise ValueError(f"this flow needs a curve in R^{spec.dimension}")
     closed, n, pts = curve.closed, curve.n, curve.points
     traj = FlowTrajectory()
     t = 0.0
@@ -247,7 +231,7 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
         length = float(h.sum())
         stop = ""
         if (float(np.abs(kappa).max()) * h.max() > 1.0
-                or length < opts.singular_length_fraction * length0):
+                or length < SINGULAR_LENGTH_FRACTION * length0):
             stop = "approaching-singularity"
         elif opts.stop_length is not None and length <= opts.stop_length:
             stop = "stop-length"

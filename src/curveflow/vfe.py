@@ -69,11 +69,6 @@ def _spec() -> flow.FlowSpec:
                          velocity=_velocity, advance=flow.rk4, record=_record)
 
 
-def vfe_step(curve: SampledCurve, dt: float) -> SampledCurve:
-    """One RK4 step of the binormal flow."""
-    return flow.step(curve, dt, _spec())
-
-
 def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:
     """Run the binormal flow; stop reasons as in ``flow.evolve``."""
     return flow.evolve(curve, opts, _spec())

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.spatial.transform import Rotation
 
 from .errors import CurveFlowError
 from .geometry import SampledCurve, _cross, _dot, _lagrange_d1_d2, segment_lengths
@@ -197,17 +198,9 @@ def rotation_residual(curve: SampledCurve, omega) -> np.ndarray:
 
 
 def apply_rotation(curve: SampledCurve, omega, t: float) -> SampledCurve:
-    """Rodrigues rotation of the curve by angle |omega|*t about omega."""
+    """Rotate the curve rigidly by the angle |omega| t about the axis omega."""
     omega = np.asarray(omega, dtype=float)
-    speed = np.linalg.norm(omega)
-    if speed == 0.0:
+    if not omega.any():
         return curve
-    axis = omega / speed
-    ang = speed * t
-    p = curve.points
-    cos, sin = np.cos(ang), np.sin(ang)
-    dot = p @ axis
-    rotated = (p * cos
-               + np.cross(np.broadcast_to(axis, p.shape), p) * sin
-               + np.outer(dot, axis) * (1.0 - cos))
-    return curve.with_points(rotated)
+    # scipy's Rotation.apply rejects a read-only array, so pass a copy
+    return curve.with_points(Rotation.from_rotvec(omega * t).apply(np.array(curve.points)))

@@ -7,7 +7,6 @@ from conftest import circle2, ellipse2
 from curveflow.csf import (
     arclength_rate_residual,
     backwards_heat_kernel,
-    csf_step,
     curvature_evolution_residual,
     distance_ratio,
     distance_ratio_series,
@@ -39,7 +38,7 @@ def test_step_options_validation():
 def test_single_step_shrinks_circle():
     c = circle2(256)
     dt = 1e-5
-    out = csf_step(c, dt)
+    out = evolve(c, StepOptions(stop_time=dt, dt=dt)).final
     r = np.linalg.norm(out.points, axis=1)
     # gamma_ss of the sampled circle points inward with |gamma_ss| ~ 1
     assert np.abs(r - (1.0 - dt)).max() < 1e-7

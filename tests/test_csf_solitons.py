@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from conftest import circle2
+from curveflow import csf_solitons
 from curveflow.csf_solitons import (
     CsfSolitonSpec,
     abresch_langer_partner,
@@ -138,6 +139,19 @@ def test_generic_shrinking_member_stays_in_the_angle_band():
         assert 0.5 < ratio < 1.0 / np.sqrt(2.0)
         if not c.closed:
             assert c.p is None and c.q is None
+
+
+@pytest.mark.parametrize("A, B", [(0.5, 1.0), (-1.0, 0.0)])
+def test_non_negative_dilation_returns_open_without_integrating(monkeypatch, A, B):
+    # for B >= 0, A x - B y crosses zero at most once, so no profile has the
+    # two radius minima a closure needs; the stiff solve would find nothing
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated a profile that cannot close")
+
+    monkeypatch.setattr(csf_solitons, "_solve_from_origin", fail)
+    c = detect_closure(A, B, 1.0)
+    assert (c.closed, c.p, c.q) == (False, None, None)
+    assert np.isnan(c.delta_phi) and np.isnan(c.period)
 
 
 def _reference_profile(spec: CsfSolitonSpec, s: np.ndarray) -> np.ndarray:

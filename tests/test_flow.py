@@ -183,8 +183,6 @@ NaN, INF = float("nan"), float("inf")
     dict(stop_time=1.0, cfl=NaN),
     dict(stop_time=1.0, cfl=0.25, stop_length=NaN),
     dict(stop_time=1.0, cfl=0.25, stop_length=-1.0),
-    dict(stop_time=1.0, cfl=0.25, singular_length_fraction=NaN),
-    dict(stop_time=1.0, cfl=0.25, singular_length_fraction=1.0),
     dict(stop_time=1.0, cfl=0.25, max_steps=-1),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_step_options_reject_non_finite_and_out_of_range(kwargs):

@@ -189,6 +189,25 @@ def test_helix_round_trip():
     assert hausdorff_distance(rebuilt, hx) < 1e-3
 
 
+def test_kink_frames_match_the_closed_form():
+    # psi carries the phase tau0 * s, so the transported pair N + iB is the
+    # Frenet pair turned by exp(i tau0 s); the bounds are twice the measured
+    # errors of the Magnus frames, 3.5e-6, 3.7e-6 and 1.0e-3
+    spec = HasimotoSolitonSpec(nu=1.0, tau0=0.5)
+    s = np.linspace(-10.0, 10.0, 256)
+    curve, fr = hasimoto_soliton(spec, 0.0, s)
+    exact = (fr.normal + 1j * fr.binormal) * np.exp(1j * spec.tau0 * s)[:, None]
+    seed = FrameState(T=fr.tangent[0], N_complex=exact[0], position=curve.points[0])
+    rebuilt, frames = reconstruct_frame(hasimoto_soliton_filament(spec, 0.0, s), seed)
+    tangents = np.array([f.T for f in frames])
+    normals = np.array([f.N_complex for f in frames])
+    rows = np.stack([tangents, normals.real, normals.imag], axis=1)
+    assert np.abs(rows @ rows.transpose(0, 2, 1) - np.eye(3)).max() < 1e-12
+    assert np.abs(tangents - fr.tangent).max() < 7.5e-6
+    assert np.abs(normals - exact).max() < 7.5e-6
+    assert np.abs(rebuilt.points - curve.points).max() < 2.1e-3
+
+
 def test_soliton_closed_form_invariants():
     spec = HasimotoSolitonSpec(nu=1.2, tau0=0.5)
     s = np.linspace(-12.0, 12.0, 1025)     # includes s = 0

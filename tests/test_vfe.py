@@ -16,7 +16,6 @@ from curveflow.vfe import (
     evolve,
     frenet_evolution_residuals,
     rigid_motion_fit,
-    vfe_step,
 )
 
 
@@ -29,7 +28,7 @@ def test_binormal_velocity_of_the_circle():
 
 def test_step_preserves_arclength_pointwise():
     c = helix3(n=256)
-    out = vfe_step(c, 1e-5)
+    out = evolve(c, StepOptions(stop_time=1e-5, dt=1e-5)).final
     h0 = np.linalg.norm(np.diff(c.points, axis=0), axis=1)
     h1 = np.linalg.norm(np.diff(out.points, axis=0), axis=1)
     assert np.abs(h1 - h0).max() < 1e-10
