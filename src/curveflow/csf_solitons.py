@@ -225,7 +225,8 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
 
     The radius |X| has d|X|^2/ds proportional to A x - B y, so minima are
     upward zero crossings of that expression.  The curve closes up when
-    the advance over one excursion is 2 pi p/q with small q.
+    the advance over one excursion is 2 pi p/q with small q.  A profile
+    with B >= 0 has at most one minimum and is reported open unintegrated.
     """
     # f = A x - B y has f' = A x y + A^2 + B x^2 + B^2.  Where f = 0,
     # A x y = B y^2, so f' = B (x^2 + y^2) + A^2 + B^2 there.  For B >= 0

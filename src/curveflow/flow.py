@@ -1,9 +1,10 @@
 """The one time-stepping driver for both flow engines.
 
 ``evolve`` runs explicit, CFL-guarded stepping with a singularity guard and
-arclength resampling when the spacing drifts.  An engine describes itself with a ``FlowSpec``: its dimension, its step-size
-constants, its velocity, its time integrator (``euler`` or ``rk4``) and the
-diagnostics it records per frame.  Everything else is shared.
+arclength resampling when the spacing drifts.  An engine describes itself
+with a ``FlowSpec``: its dimension, its step-size constants, its velocity,
+its time integrator (``euler`` or ``rk4``) and the diagnostics it records
+per frame.  Everything else is shared.
 
 The driver works on the raw ``(n, d)`` point array, resamples it as such,
 and builds a validated ``SampledCurve`` only for the frames it records.

@@ -218,16 +218,16 @@ def _gauss_values(values: np.ndarray) -> np.ndarray:
     """psi at both Gauss points of each segment, shape (n - 1, 2): the cubic
     through the four nearest samples, the quadratic on the end segments."""
     u = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
-
-    def quadratic(u):           # Lagrange weights, nodes 0, 1, 2
-        return np.array([(u - 1) * (u - 2) / 2, -u * (u - 2), u * (u - 1) / 2])
-
+    # Lagrange weights at u, for nodes 0, 1, 2 and for nodes -1, 0, 1, 2
+    quadratic = np.array([(u - 1) * (u - 2) / 2, -u * (u - 2), u * (u - 1) / 2])
     cubic = np.array([-u * (u - 1) * (u - 2) / 6, (u + 1) * (u - 1) * (u - 2) / 2,
                       -(u + 1) * u * (u - 2) / 2, (u + 1) * u * (u - 1) / 6])
     out = np.empty((values.size - 1, 2), dtype=complex)
-    out[0] = values[:3] @ quadratic(u)
+    out[0] = values[:3] @ quadratic
     out[1:-1] = np.lib.stride_tricks.sliding_window_view(values, 4) @ cubic
-    out[-1] = values[-3:] @ quadratic(u + 1.0)
+    # the last segment is the first one read backwards, and the Gauss pair
+    # is symmetric about the segment's midpoint
+    out[-1] = values[:-4:-1] @ quadratic[:, ::-1]
     return out
 
 

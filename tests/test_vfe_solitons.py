@@ -175,8 +175,8 @@ def test_apply_rotation_matches_scipy():
     # a quarter turn about +z takes (x, y, z) to (-y, x, z)
     quarter = apply_rotation(curve, [0.0, 0.0, 2.0], np.pi / 4)
     p = curve.points
-    np.testing.assert_allclose(quarter.points, np.column_stack([-p[:, 1], p[:, 0], p[:, 2]]),
-                               atol=1e-15)
+    np.testing.assert_allclose(quarter.points,
+                               np.column_stack([-p[:, 1], p[:, 0], p[:, 2]]), atol=1e-15)
     same = apply_rotation(curve, np.zeros(3), 1.0)
     assert same is curve
 
