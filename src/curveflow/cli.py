@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import sys
 import time
@@ -27,8 +28,7 @@ import numpy as np
 from . import __version__, csf, csf_solitons, hasimoto, vfe, vfe_solitons
 from .errors import ConfigError, CurveFlowError
 from .flow import StepOptions
-from .geometry import (SampledCurve, frenet, integrate_along,
-                       resample_arclength, total_length)
+from .geometry import SampledCurve, frenet, resample_arclength, total_length
 from .storage import (CSF_COLUMNS, VFE_COLUMNS, RunManifest, append_run_manifest,
                       artifact_records, dump_json, prepare_out_dir, read_curve,
                       read_filament, read_trajectory, write_curve,
@@ -55,13 +55,25 @@ def parse_range(text: str):
 
 def parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError("invalid-range", f"bad list {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("invalid-range", f"list {text!r} needs finite values")
+    return values
 
 
 def _table_name(stem: str, output_format: str) -> str:
     return f"{stem}.csv" if output_format == "csv" else f"{stem}.txt"
+
+
+def _table(out: Path, args, stem: str, columns, rows) -> Path:
+    return write_table(out / _table_name(stem, args.format), columns, rows, args.format)
+
+
+def _series_table(out: Path, args, stem: str, series, name: str = "residual") -> Path:
+    return _table(out, args, stem, ("time", name),
+                  np.column_stack([series.times, series.values]))
 
 
 def _step_options(args) -> StepOptions:
@@ -69,13 +81,19 @@ def _step_options(args) -> StepOptions:
     if dt is None and cfl is None:
         cfl = 0.25
     return StepOptions(stop_time=args.stop_time, dt=dt, cfl=cfl,
-                       resample_every=args.resample_every,
                        record_every=args.record_every)
 
 
 def _run_summary(traj) -> dict:
     return {"stop_reason": traj.stop_reason, "steps": traj.steps_taken,
             "final_time": traj.final_time}
+
+
+def _write_run(out: Path, args, traj, columns, summary: dict) -> list[Path]:
+    return [*write_trajectory(out, traj),
+            write_diagnostics(out / _table_name("diagnostics", args.format),
+                              traj.records, columns, args.format),
+            dump_json(out / "summary.json", summary)]
 
 
 def _load_input_curve(args) -> SampledCurve:
@@ -91,6 +109,11 @@ def _load_input_curve(args) -> SampledCurve:
 
 def cmd_csf_evolve(args, out: Path) -> list[Path]:
     curve = _load_input_curve(args)
+    if args.rescale:
+        # checked before the run, so a bad request fails fast and writes nothing
+        lambdas = parse_floats(args.lambdas)
+        if not curve.closed:
+            raise ConfigError("invalid-parameter", "--rescale needs a closed curve")
     traj = csf.evolve(curve, _step_options(args))
     summary = _run_summary(traj)
     if traj.final.closed:
@@ -100,22 +123,16 @@ def cmd_csf_evolve(args, out: Path) -> list[Path]:
         csf.distance_ratio_series(traj)
         summary["shrink_point"] = [float(c) for c in x0]
         summary["singular_time_estimate"] = float(t_sing)
-    paths = write_trajectory(out, traj)
-    paths.append(write_diagnostics(out / _table_name("diagnostics", args.format),
-                                   traj.records, CSF_COLUMNS, args.format))
-    paths.append(dump_json(out / "summary.json", summary))
+    paths = _write_run(out, args, traj, CSF_COLUMNS, summary)
     if args.rescale:
-        if not traj.final.closed:
-            raise ConfigError("invalid-parameter", "--rescale needs a closed curve")
         rows = []
-        for rt in csf.parabolic_rescale(traj, x0, t_sing, parse_floats(args.lambdas)):
+        for rt in csf.parabolic_rescale(traj, x0, t_sing, lambdas):
             rows.append([rt.lam, rt.iso_at_half, rt.centroid_drift,
                          float(rt.drift_flagged), float(rt.skipped)])
             if rt.trajectory is not None:
                 paths += write_trajectory(out / f"rescaled_{rt.lam:g}", rt.trajectory)
-        paths.append(write_table(out / _table_name("rescaled_report", args.format),
-                                 ("lam", "iso_at_half", "centroid_drift",
-                                  "drift_flagged", "skipped"), rows, args.format))
+        paths.append(_table(out, args, "rescaled_report", ("lam", "iso_at_half",
+                            "centroid_drift", "drift_flagged", "skipped"), rows))
     return paths
 
 
@@ -193,11 +210,7 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
 def cmd_vfe_evolve(args, out: Path) -> list[Path]:
     curve = _load_input_curve(args)
     traj = vfe.evolve(curve, _step_options(args))
-    paths = write_trajectory(out, traj)
-    paths.append(write_diagnostics(out / _table_name("diagnostics", args.format),
-                                   traj.records, VFE_COLUMNS, args.format))
-    paths.append(dump_json(out / "summary.json", _run_summary(traj)))
-    return paths
+    return _write_run(out, args, traj, VFE_COLUMNS, _run_summary(traj))
 
 
 def _sign_schedule(x, component) -> list[dict]:
@@ -286,17 +299,14 @@ def cmd_hasimoto_transform(args, out: Path) -> list[Path]:
 
 
 def cmd_hasimoto_evolve(args, out: Path) -> list[Path]:
-    fil = read_filament(args.input)
-    fil = hasimoto.FilamentFunction(fil.grid_start, fil.grid_step, fil.values,
-                                    gauge_A=fil.gauge_A, time=fil.time,
-                                    periodic=args.periodic)
+    fil = dataclasses.replace(read_filament(args.input), periodic=args.periodic)
     evolved = hasimoto.nlcse_evolve(fil, args.dt, args.steps)
     return [write_filament(out / "filament.json", evolved)]
 
 
 def cmd_hasimoto_reconstruct(args, out: Path) -> list[Path]:
     fil = read_filament(args.input)
-    curve, _frames = hasimoto.reconstruct_frame(fil)
+    curve, _ = hasimoto.reconstruct_frame(fil)
     return [write_curve(out / "reconstructed.curve", curve)]
 
 
@@ -340,10 +350,8 @@ def cmd_diagnose_huisken(args, out: Path) -> list[Path]:
         if x0.size != 2:
             raise ConfigError("invalid-parameter", "--x0 needs two values x,y")
     t0 = args.t0 if args.t0 is not None else csf.estimate_singular_time(traj)
-    series = csf.huisken_series(traj, x0, t0)
-    rows = np.column_stack([series.times, series.values])
-    return [write_table(out / _table_name("huisken", args.format),
-                        ("time", "huisken"), rows, args.format)]
+    return [_series_table(out, args, "huisken", csf.huisken_series(traj, x0, t0),
+                          "huisken")]
 
 
 def cmd_diagnose_distance_ratio(args, out: Path) -> list[Path]:
@@ -352,38 +360,22 @@ def cmd_diagnose_distance_ratio(args, out: Path) -> list[Path]:
         print(repr(value))
         return [dump_json(out / "distance_ratio.json", {"distance_ratio": value})]
     series = csf.distance_ratio_series(read_trajectory(args.trajectory))
-    rows = np.column_stack([series.times, series.values])
-    return [write_table(out / _table_name("distance_ratio", args.format),
-                        ("time", "distance_ratio"), rows, args.format)]
+    return [_series_table(out, args, "distance_ratio", series, "distance_ratio")]
 
 
 def cmd_diagnose_residuals(args, out: Path) -> list[Path]:
     traj = read_trajectory(args.trajectory)
-    paths = []
     if args.flow == "csf":
-        for k, frame in enumerate(traj.frames):
-            fr = frenet(frame)
-            traj.records[k].bending = integrate_along(frame, fr.curvature**2)
-        arc = csf.arclength_rate_residual(traj)
-        rows = np.column_stack([arc.times, arc.values])
-        paths.append(write_table(out / _table_name("arclength_residual", args.format),
-                                 ("time", "residual"), rows, args.format))
-        curv = csf.curvature_evolution_residual(traj)
-        rows = np.column_stack([curv.times, curv.values])
-        paths.append(write_table(out / _table_name("curvature_residual", args.format),
-                                 ("time", "residual"), rows, args.format))
-    else:
-        res = vfe.frenet_evolution_residuals(traj)
-        rows = np.column_stack([res.times, res.res_kappa, res.res_tau,
-                                res.res_normal, res.res_binormal])
-        paths.append(write_table(out / _table_name("frenet_residuals", args.format),
-                                 ("time", "res_kappa", "res_tau", "res_normal",
-                                  "res_binormal"), rows, args.format))
-        comm = vfe.commutator_residual(traj)
-        rows = np.column_stack([comm.times, comm.values])
-        paths.append(write_table(out / _table_name("commutator_residual", args.format),
-                                 ("time", "residual"), rows, args.format))
-    return paths
+        return [_series_table(out, args, "arclength_residual",
+                              csf.arclength_rate_residual(traj)),
+                _series_table(out, args, "curvature_residual",
+                              csf.curvature_evolution_residual(traj))]
+    res = vfe.frenet_evolution_residuals(traj)
+    return [_table(out, args, "frenet_residuals",
+                   ("time", "res_kappa", "res_tau", "res_normal", "res_binormal"),
+                   np.column_stack([res.times, res.res_kappa, res.res_tau,
+                                    res.res_normal, res.res_binormal])),
+            _series_table(out, args, "commutator_residual", vfe.commutator_residual(traj))]
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +411,6 @@ def _add_evolve_flags(parser):
                         help="resample the input to this many points")
     parser.add_argument("--dt", type=float, default=None)
     parser.add_argument("--cfl", type=float, default=None)
-    parser.add_argument("--resample-every", type=int, default=10,
-                        help="steps between spacing checks; a check resamples "
-                             "only a curve whose spacing has drifted")
     parser.add_argument("--record-every", type=int, default=10)
 
 
@@ -435,14 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = parser.add_subparsers(dest="group", metavar="{csf,vfe,hasimoto,diagnose}")
 
+    def command(group, name, handler):
+        p = group.add_parser(name, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
+
     csf_group = top.add_parser("csf", help="curve shortening flow").add_subparsers(
         dest="command", metavar="{evolve,soliton}")
-    p = csf_group.add_parser("evolve", parents=[common])
+    p = command(csf_group, "evolve", cmd_csf_evolve)
     _add_evolve_flags(p)
     p.add_argument("--rescale", action="store_true")
     p.add_argument("--lambdas", default="2,4,8")
-    p.set_defaults(handler=cmd_csf_evolve, command_path="csf evolve")
-    p = csf_group.add_parser("soliton", parents=[common])
+    p = command(csf_group, "soliton", cmd_csf_soliton)
     p.add_argument("--A", type=float, default=None)
     p.add_argument("--B", type=float, default=None)
     p.add_argument("--x0", type=float, default=1.0)
@@ -459,14 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--x", default="-1.5:1.5:512", help="spatial grid for the grim reaper")
     p.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p.set_defaults(handler=cmd_csf_soliton, command_path="csf soliton")
 
     vfe_group = top.add_parser("vfe", help="binormal flow").add_subparsers(
         dest="command", metavar="{evolve,soliton,biot-savart}")
-    p = vfe_group.add_parser("evolve", parents=[common])
-    _add_evolve_flags(p)
-    p.set_defaults(handler=cmd_vfe_evolve, command_path="vfe evolve")
-    p = vfe_group.add_parser("soliton", parents=[common])
+    _add_evolve_flags(command(vfe_group, "evolve", cmd_vfe_evolve))
+    p = command(vfe_group, "soliton", cmd_vfe_soliton)
     p.add_argument("--case", required=True,
                    choices=("transverse-axis", "x-axis", "planar"))
     p.add_argument("--C1", type=float, required=True)
@@ -475,61 +465,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", type=float, default=None)
     p.add_argument("--sign", type=int, choices=(-1, 1), default=1)
     p.add_argument("--x", default="0:5:1024", help="profile parameter grid")
-    p.set_defaults(handler=cmd_vfe_soliton, command_path="vfe soliton")
-    p = vfe_group.add_parser("biot-savart", parents=[common])
+    p = command(vfe_group, "biot-savart", cmd_vfe_biot_savart)
     p.add_argument("--input", required=True)
     p.add_argument("--eps", default="1e-2,1e-3,1e-4")
     p.add_argument("--outer", type=float, default=None)
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--quadrature-n", dest="quadrature_n", type=int, default=256)
-    p.set_defaults(handler=cmd_vfe_biot_savart, command_path="vfe biot-savart")
 
     has_group = top.add_parser("hasimoto", help="filament transform and NLCSE").add_subparsers(
         dest="command", metavar="{transform,evolve,reconstruct,soliton,dilating}")
-    p = has_group.add_parser("transform", parents=[common])
+    p = command(has_group, "transform", cmd_hasimoto_transform)
     p.add_argument("--input", required=True)
     p.add_argument("--gauge-A", dest="gauge_A", type=float, default=0.0)
     p.add_argument("--periodic", action="store_true")
-    p.set_defaults(handler=cmd_hasimoto_transform, command_path="hasimoto transform")
-    p = has_group.add_parser("evolve", parents=[common])
+    p = command(has_group, "evolve", cmd_hasimoto_evolve)
     p.add_argument("--input", required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--periodic", action="store_true")
-    p.set_defaults(handler=cmd_hasimoto_evolve, command_path="hasimoto evolve")
-    p = has_group.add_parser("reconstruct", parents=[common])
+    p = command(has_group, "reconstruct", cmd_hasimoto_reconstruct)
     p.add_argument("--input", required=True)
-    p.set_defaults(handler=cmd_hasimoto_reconstruct, command_path="hasimoto reconstruct")
-    p = has_group.add_parser("soliton", parents=[common])
+    p = command(has_group, "soliton", cmd_hasimoto_soliton)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--tau0", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--s", default="-20:20:1024")
-    p.set_defaults(handler=cmd_hasimoto_soliton, command_path="hasimoto soliton")
-    p = has_group.add_parser("dilating", parents=[common])
+    p = command(has_group, "dilating", cmd_hasimoto_dilating)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", default="-10:10:4096")
     p.add_argument("--check-residual", action="store_true")
-    p.set_defaults(handler=cmd_hasimoto_dilating, command_path="hasimoto dilating")
 
     diag_group = top.add_parser("diagnose", help="post-hoc diagnostics").add_subparsers(
         dest="command", metavar="{huisken,distance-ratio,residuals}")
-    p = diag_group.add_parser("huisken", parents=[common])
+    p = command(diag_group, "huisken", cmd_diagnose_huisken)
     p.add_argument("--trajectory", required=True, help="trajectory output directory")
     p.add_argument("--x0", default=None, help="kernel center as x,y")
     p.add_argument("--t0", type=float, default=None)
-    p.set_defaults(handler=cmd_diagnose_huisken, command_path="diagnose huisken")
-    p = diag_group.add_parser("distance-ratio", parents=[common])
-    source = p.add_mutually_exclusive_group(required=True)
+    source = command(diag_group, "distance-ratio",
+                     cmd_diagnose_distance_ratio).add_mutually_exclusive_group(required=True)
     source.add_argument("--input", default=None)
     source.add_argument("--trajectory", default=None)
-    p.set_defaults(handler=cmd_diagnose_distance_ratio,
-                   command_path="diagnose distance-ratio")
-    p = diag_group.add_parser("residuals", parents=[common])
+    p = command(diag_group, "residuals", cmd_diagnose_residuals)
     p.add_argument("--trajectory", required=True)
     p.add_argument("--flow", choices=("csf", "vfe"), required=True)
-    p.set_defaults(handler=cmd_diagnose_residuals, command_path="diagnose residuals")
 
     return parser
 
@@ -576,7 +555,7 @@ def main(argv=None) -> int:
         if created and not done:
             with contextlib.suppress(OSError):
                 out.rmdir()
-    manifest = RunManifest(command=args.command_path,
+    manifest = RunManifest(command=f"{args.group} {args.command}",
                            parameters=_manifest_parameters(args),
                            artifacts=artifact_records(out, paths),
                            wall_clock=time.perf_counter() - start,

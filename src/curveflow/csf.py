@@ -28,6 +28,7 @@ from .geometry import (
     _signed_curvature,
     cumulative_arclength,
     enclosed_area,
+    frenet,
     integrate_along,
     isoperimetric_ratio,
     resample_arclength,
@@ -65,12 +66,14 @@ def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:
 
 
 def arclength_rate_residual(traj: FlowTrajectory) -> ScalarSeries:
-    """|dL/dt + int kappa^2 ds| at interior frames (central difference)."""
-    if len(traj.times) < 3:
-        raise ValueError("need at least 3 frames")
-    t = np.array(traj.times)
-    length = np.array([r.length for r in traj.records])
-    bending = np.array([r.bending for r in traj.records])
+    """|dL/dt + int kappa^2 ds| at interior frames (central difference).
+
+    Length and bending are measured on the frames, with the stencil that
+    ``evolve`` records, so a stored trajectory gives the same values.
+    """
+    t, _ = interior_frames(traj)
+    length = np.array([total_length(f) for f in traj.frames])
+    bending = np.array([integrate_along(f, frenet(f).curvature**2) for f in traj.frames])
     rate = (length[2:] - length[:-2]) / (t[2:] - t[:-2])
     return ScalarSeries(t[1:-1], np.abs(rate + bending[1:-1]))
 
@@ -151,6 +154,8 @@ def huisken_functional(curve: SampledCurve, t: float, x0: np.ndarray, t0: float)
 
 def huisken_series(traj: FlowTrajectory, x0: np.ndarray, t0: float) -> ScalarSeries:
     """Kernel functional along a trajectory; also fills the records."""
+    if not (np.isfinite(t0) and np.all(np.isfinite(x0))):
+        raise ValueError("x0 and t0 must be finite")
     vals = np.empty(len(traj.times))
     for k, (t, frame) in enumerate(zip(traj.times, traj.frames)):
         vals[k] = huisken_functional(frame, t, x0, t0)

@@ -53,6 +53,12 @@ def classify(A: float, B: float) -> str:
     return "expanding" if B > 0 else "shrinking"
 
 
+def _check_finite(A, B, x0, y0):
+    # DOP853 keeps shrinking its step on a non-finite right-hand side
+    if not all(map(np.isfinite, (A, B, x0, y0))):
+        raise ValueError("A, B, x0 and y0 must be finite")
+
+
 @dataclass(frozen=True)
 class CsfSolitonSpec:
     A: float
@@ -63,6 +69,7 @@ class CsfSolitonSpec:
     n: int = 1024
 
     def __post_init__(self):
+        _check_finite(self.A, self.B, self.x0, self.y0)
         a, b = self.s_range
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError("s_range must be a finite nonempty interval")
@@ -233,6 +240,7 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
     # that is positive unless A = B = 0, when f vanishes identically and
     # never crosses zero.  So f crosses zero at most once, and no profile
     # shows the two radius minima a closure needs.
+    _check_finite(A, B, x0, y0)
     if B >= 0.0:
         return ClosureData(False, None, None, float("nan"), float("nan"))
 

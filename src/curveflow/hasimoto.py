@@ -179,7 +179,7 @@ def nlcse_residual(prev: FilamentFunction, now: FilamentFunction,
 
 @dataclass
 class FrameState:
-    """Tangent, complex normal pair N + iB, and position at one sample."""
+    """T, N + iB and position: shape (3,) in a seed, (n, 3) from ``reconstruct_frame``."""
 
     T: np.ndarray
     N_complex: np.ndarray
@@ -237,7 +237,7 @@ def reconstruct_frame(psi: FilamentFunction, seed: FrameState | None = None):
     Each segment applies one exact rotation, the fourth-order Magnus step
     through its two Gauss points, so every frame is orthonormal to
     rounding.  Returns (curve, frames): positions by trapezoid integration
-    of T, one FrameState per sample.
+    of T, and one FrameState whose fields hold a row per sample.
     """
     if seed is None:
         seed = standard_seed()
@@ -260,7 +260,6 @@ def reconstruct_frame(psi: FilamentFunction, seed: FrameState | None = None):
     for j in range(n - 1):
         np.matmul(rotations[j], rows[j], out=rows[j + 1])
     tangents = rows[:, 0]
-    normals = rows[:, 1] + 1j * rows[:, 2]
 
     positions = np.empty((n, 3))
     positions[0] = seed.position
@@ -268,9 +267,7 @@ def reconstruct_frame(psi: FilamentFunction, seed: FrameState | None = None):
         0.5 * h * (tangents[:-1] + tangents[1:]), axis=0
     )
     curve = SampledCurve(3, False, positions)
-    frames = [FrameState(tangents[k].copy(), normals[k].copy(), positions[k].copy())
-              for k in range(n)]
-    return curve, frames
+    return curve, FrameState(tangents, rows[:, 1] + 1j * rows[:, 2], positions)
 
 
 # ---------------------------------------------------------------------------

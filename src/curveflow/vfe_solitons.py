@@ -40,7 +40,6 @@ W_FLOOR = 1e-9
 class VfeRotatingSpec:
     case: str                      # "transverse-axis" | "x-axis" | "planar"
     C1: float
-    C2: float = 0.0
     lam: float = 0.0
     sign: int = 1
     z0: float = 0.0

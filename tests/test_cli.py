@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import circle2, circle3
-from curveflow import __version__, cli
+from curveflow import __version__, cli, csf_solitons
 from curveflow.storage import file_sha256, read_curve, read_filament
 
 
@@ -18,6 +18,11 @@ def run(*argv):
 def last_stderr_token(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     return err[-1] if err else ""
+
+
+def manifest_command(out):
+    lines = (out / "manifest.jsonl").read_text().splitlines()
+    return json.loads(lines[-1])["command"]
 
 
 @pytest.fixture
@@ -135,6 +140,31 @@ def test_non_finite_range_exits_two(tmp_path, capsys, argv):
     assert last_stderr_token(capsys) == "invalid-range"
 
 
+def test_non_finite_inputs_exit_two(tmp_path, circle_file, capsys):
+    traj = tmp_path / "traj"
+    evolve = ("csf", "evolve", "--input", circle_file, "--stop-time", "0.01", "--n", "64")
+    assert run(*evolve, "--out", traj) == 0
+    cases = [(("diagnose", "huisken", "--trajectory", traj, "--t0", "nan"),
+              "invalid-parameter"),
+             (("diagnose", "huisken", "--trajectory", traj, "--x0", "nan,0"),
+              "invalid-range"),
+             ((*evolve, "--rescale", "--lambdas", "nan"), "invalid-range")]
+    for k, (argv, token) in enumerate(cases):
+        assert run(*argv, "--out", tmp_path / f"o{k}") == 2
+        assert last_stderr_token(capsys) == token
+        assert not (tmp_path / f"o{k}").exists()
+
+
+def test_csf_soliton_non_finite_parameter_exits_two(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated a non-finite profile")
+
+    monkeypatch.setattr(csf_solitons, "_solve_from_origin", fail)
+    for a in ("nan", "inf"):
+        assert run("csf", "soliton", "--A", a, "--B=-1", "--out", tmp_path / a) == 2
+        assert last_stderr_token(capsys) == "invalid-parameter"
+
+
 def test_failed_run_leaves_no_empty_directory(tmp_path, capsys):
     bad = ("csf", "soliton", "--A", "0", "--B", "-1", "--s=nan:1:64")
     assert run(*bad, "--out", tmp_path / "new") == 2
@@ -232,6 +262,7 @@ def test_vfe_soliton_profile_report(tmp_path):
     assert record["admissible_band"]["z_squared_high"] == pytest.approx(0.5)
     assert record["sign_schedule"][0]["sign"] in (-1, 1)
     assert read_curve(out / "profile.curve").n == 1024
+    assert manifest_command(out) == "vfe soliton"
 
 
 def test_vfe_soliton_planar_profile(tmp_path, capsys):
@@ -274,6 +305,7 @@ def test_vfe_evolve_with_residual_table(tmp_path, circle3_file):
     assert res_lines[0].split(",")[0] == "time"
     assert len(res_lines) > 1
     assert (r_out / "commutator_residual.csv").is_file()
+    assert manifest_command(r_out) == "diagnose residuals"
 
 
 def test_biot_savart_reports_log_slope(tmp_path, circle3_file, capsys):
@@ -351,6 +383,7 @@ def test_hasimoto_soliton_artifacts(tmp_path):
     fil = read_filament(out / "soliton_filament.json")
     assert fil.values.size == 257
     assert read_curve(out / "soliton.curve").n == 257
+    assert manifest_command(out) == "hasimoto soliton"
 
 
 def test_dilating_residual_check(tmp_path, capsys):
@@ -389,6 +422,7 @@ def test_diagnose_subcommands(tmp_path, circle_file, capsys):
                "--out", r_out) == 0
     assert (r_out / "arclength_residual.csv").is_file()
     assert (r_out / "curvature_residual.csv").is_file()
+    assert manifest_command(r_out) == "diagnose residuals"
 
     # exactly one of --input and --trajectory
     for sources in ([], ["--input", circle_file, "--trajectory", traj]):

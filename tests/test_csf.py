@@ -22,6 +22,7 @@ from curveflow.csf_solitons import grim_reaper
 from curveflow.errors import CurveFlowError
 from curveflow.flow import StepOptions
 from curveflow.geometry import SampledCurve, resample_arclength, total_length
+from curveflow.storage import read_trajectory, write_trajectory
 
 CIRCLE_HUISKEN = np.sqrt(2.0 * np.pi) * np.exp(-0.5)
 
@@ -111,6 +112,23 @@ def test_arclength_rate_on_circle():
     assert (res.values / bend).max() < 1e-3
 
 
+def test_arclength_residual_reads_stored_frames(tmp_path):
+    # storage keeps points and times but no bending; the residual measures
+    # both terms on the frames, as evolve's records do
+    traj = evolve(ellipse2(1.5, 1.0, 128),
+                  StepOptions(stop_time=0.02, cfl=0.25, record_every=20))
+    write_trajectory(tmp_path, traj)
+    in_memory = arclength_rate_residual(traj)
+    stored = arclength_rate_residual(read_trajectory(tmp_path))
+    assert np.array_equal(stored.times, in_memory.times)
+    assert np.array_equal(stored.values, in_memory.values)
+    t = np.array(traj.times)
+    length = np.array([r.length for r in traj.records])
+    bending = np.array([r.bending for r in traj.records])
+    rate = (length[2:] - length[:-2]) / (t[2:] - t[:-2])
+    assert np.array_equal(in_memory.values, np.abs(rate + bending[1:-1]))
+
+
 def test_curvature_law_on_circle():
     # kappa_t = kappa^3 exactly; spatial terms vanish
     traj = evolve(circle2(512), StepOptions(stop_time=0.1, dt=2e-5,
@@ -173,6 +191,13 @@ def test_huisken_series_monotone(deep_ellipse_run):
     series = huisken_series(traj, x0, t0)
     diffs = np.diff(series.values)
     assert (diffs <= 1e-6 * series.values[:-1]).all()
+
+
+def test_huisken_series_rejects_non_finite_centre():
+    traj = evolve(circle2(64), StepOptions(stop_time=0.01, cfl=0.25))
+    for x0, t0 in (([np.nan, 0.0], 0.5), ([0.0, np.inf], 0.5), ([0.0, 0.0], np.nan)):
+        with pytest.raises(ValueError):
+            huisken_series(traj, np.array(x0), t0)
 
 
 def test_distance_ratio_on_circles():

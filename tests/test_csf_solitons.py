@@ -154,6 +154,26 @@ def test_non_negative_dilation_returns_open_without_integrating(monkeypatch, A, 
     assert np.isnan(c.delta_phi) and np.isnan(c.period)
 
 
+@pytest.mark.parametrize("A, B, x0, y0", [
+    (float("nan"), -1.0, 1.0, 0.0),
+    (float("inf"), -1.0, 1.0, 0.0),
+    (0.5, float("nan"), 1.0, 0.0),
+    (0.5, -1.0, float("nan"), 0.0),
+    (0.5, -1.0, 1.0, -float("inf")),
+], ids=["nan-A", "inf-A", "nan-B", "nan-x0", "inf-y0"])
+def test_non_finite_parameters_are_rejected_before_integrating(monkeypatch, A, B, x0, y0):
+    # DOP853 shrinks its step without end on a NaN right-hand side, so an
+    # unchecked parameter would hang instead of failing this test
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated a non-finite profile")
+
+    monkeypatch.setattr(csf_solitons, "_solve_from_origin", fail)
+    with pytest.raises(ValueError):
+        CsfSolitonSpec(A, B, x0, y0)
+    with pytest.raises(ValueError):
+        detect_closure(A, B, x0, y0)
+
+
 def _reference_profile(spec: CsfSolitonSpec, s: np.ndarray) -> np.ndarray:
     rhs = lambda _s, u: (u[0] * u[1] + spec.A, -u[0] ** 2 - spec.B, u[0])
     out = np.empty((3, s.size))

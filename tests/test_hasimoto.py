@@ -146,7 +146,7 @@ def test_reconstruct_straight_line_from_zero():
     curve, frames = reconstruct_frame(psi)
     assert np.abs(curve.points[:, 1:]).max() < 1e-14
     assert np.allclose(curve.points[-1], [199 * 0.05, 0.0, 0.0])
-    assert np.allclose(frames[-1].T, [1.0, 0.0, 0.0])
+    assert np.allclose(frames.T[-1], [1.0, 0.0, 0.0])
 
 
 def test_reconstruct_circle_from_constant():
@@ -199,8 +199,7 @@ def test_kink_frames_match_the_closed_form():
     exact = (fr.normal + 1j * fr.binormal) * np.exp(1j * spec.tau0 * s)[:, None]
     seed = FrameState(T=fr.tangent[0], N_complex=exact[0], position=curve.points[0])
     rebuilt, frames = reconstruct_frame(hasimoto_soliton_filament(spec, 0.0, s), seed)
-    tangents = np.array([f.T for f in frames])
-    normals = np.array([f.N_complex for f in frames])
+    tangents, normals = frames.T, frames.N_complex
     rows = np.stack([tangents, normals.real, normals.imag], axis=1)
     assert np.abs(rows @ rows.transpose(0, 2, 1) - np.eye(3)).max() < 1e-12
     assert np.abs(tangents - fr.tangent).max() < 7.5e-6
