@@ -6,7 +6,7 @@ family of both flows and checks the evolutions against them.
 """
 
 from .errors import ConfigError, CurveFlowError
-from .flow import DiagnosticRecord, FlowTrajectory, ScalarSeries, StepOptions
+from .flow import FlowTrajectory, ScalarSeries, StepOptions, frame_measures
 from .geometry import (FrenetData, SampledCurve, curve_diameter, enclosed_area,
                        frenet, hausdorff_distance, integrate_along,
                        isoperimetric_ratio, resample_arclength, segment_lengths,

@@ -27,13 +27,16 @@ import numpy as np
 
 from . import __version__, csf, csf_solitons, hasimoto, vfe, vfe_solitons
 from .errors import ConfigError, CurveFlowError
-from .flow import StepOptions
+from .flow import StepOptions, frame_measures
 from .geometry import SampledCurve, frenet, resample_arclength, total_length
-from .storage import (CSF_COLUMNS, VFE_COLUMNS, RunManifest, append_run_manifest,
-                      artifact_records, dump_json, prepare_out_dir, read_curve,
-                      read_filament, read_trajectory, write_curve,
-                      write_diagnostics, write_filament, write_frenet,
+from .storage import (RunManifest, append_run_manifest, artifact_records,
+                      dump_json, prepare_out_dir, read_curve, read_filament,
+                      read_trajectory, write_curve, write_filament, write_frenet,
                       write_table, write_trajectory)
+
+CSF_COLUMNS = ("time", "length", "bending", "huisken",
+               "distance_ratio", "max_curvature")
+VFE_COLUMNS = ("time", "length", "max_curvature", "max_torsion")
 
 
 def parse_range(text: str):
@@ -89,10 +92,13 @@ def _run_summary(traj) -> dict:
             "final_time": traj.final_time}
 
 
-def _write_run(out: Path, args, traj, columns, summary: dict) -> list[Path]:
+def _write_run(out: Path, args, traj, columns, summary: dict, **series) -> list[Path]:
+    # a column with no series reads NaN, which the table writes as an empty cell
+    measured = {**frame_measures(traj), **series}
+    missing = np.full(len(traj.times), np.nan)
+    rows = np.column_stack([measured.get(col, missing) for col in columns])
     return [*write_trajectory(out, traj),
-            write_diagnostics(out / _table_name("diagnostics", args.format),
-                              traj.records, columns, args.format),
+            _table(out, args, "diagnostics", columns, rows),
             dump_json(out / "summary.json", summary)]
 
 
@@ -116,14 +122,15 @@ def cmd_csf_evolve(args, out: Path) -> list[Path]:
             raise ConfigError("invalid-parameter", "--rescale needs a closed curve")
     traj = csf.evolve(curve, _step_options(args))
     summary = _run_summary(traj)
+    series = {}
     if traj.final.closed:
         x0 = csf.estimate_shrink_point(traj)
         t_sing = csf.estimate_singular_time(traj)
-        csf.huisken_series(traj, x0, t_sing)
-        csf.distance_ratio_series(traj)
+        series["huisken"] = csf.huisken_series(traj, x0, t_sing).values
+        series["distance_ratio"] = csf.distance_ratio_series(traj).values
         summary["shrink_point"] = [float(c) for c in x0]
         summary["singular_time_estimate"] = float(t_sing)
-    paths = _write_run(out, args, traj, CSF_COLUMNS, summary)
+    paths = _write_run(out, args, traj, CSF_COLUMNS, summary, **series)
     if args.rescale:
         rows = []
         for rt in csf.parabolic_rescale(traj, x0, t_sing, lambdas):

@@ -8,7 +8,8 @@ resamples when the spacing drifts to hold the arclength gauge.
 Diagnostics cover the arclength decay law dL/dt = -int kappa^2 ds, the
 curvature evolution law kappa_t = kappa_ss + kappa^3, the backwards-heat
 kernel monotone functional, the chord/arc distance ratio, and parabolic
-rescaling about an estimated shrink point.
+rescaling about an estimated shrink point.  None of them writes into the
+trajectory it reads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.spatial.distance import pdist
 
 from . import flow
 from .errors import CurveFlowError
-from .flow import (DiagnosticRecord, FlowTrajectory, ScalarSeries, StepOptions,
+from .flow import (FlowTrajectory, ScalarSeries, StepOptions, frame_measures,
                    interior_frames)
 from .geometry import (
     SampledCurve,
@@ -28,7 +29,6 @@ from .geometry import (
     _signed_curvature,
     cumulative_arclength,
     enclosed_area,
-    frenet,
     integrate_along,
     isoperimetric_ratio,
     resample_arclength,
@@ -45,15 +45,10 @@ def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
     return d2, kappa
 
 
-def _record(frame: SampledCurve, kappa: np.ndarray) -> dict:
-    return {"max_curvature": float(np.abs(kappa).max()),
-            "bending": integrate_along(frame, kappa**2)}
-
-
 def _spec() -> flow.FlowSpec:
-    # built per call, so a rebinding of _velocity or _record takes effect
+    # built per call, so a rebinding of _velocity takes effect
     return flow.FlowSpec(dimension=2, step_factor=0.5, fixed_limit=1.0,
-                         velocity=_velocity, advance=flow.euler, record=_record)
+                         velocity=_velocity, advance=flow.euler)
 
 
 def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:
@@ -68,14 +63,14 @@ def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:
 def arclength_rate_residual(traj: FlowTrajectory) -> ScalarSeries:
     """|dL/dt + int kappa^2 ds| at interior frames (central difference).
 
-    Length and bending are measured on the frames, with the stencil that
-    ``evolve`` records, so a stored trajectory gives the same values.
+    Length and bending come from ``frame_measures``, so a stored
+    trajectory gives the same values.
     """
-    t, _ = interior_frames(traj)
-    length = np.array([total_length(f) for f in traj.frames])
-    bending = np.array([integrate_along(f, frenet(f).curvature**2) for f in traj.frames])
+    t, _ = interior_frames(traj, 2)
+    m = frame_measures(traj)
+    length = m["length"]
     rate = (length[2:] - length[:-2]) / (t[2:] - t[:-2])
-    return ScalarSeries(t[1:-1], np.abs(rate + bending[1:-1]))
+    return ScalarSeries(t[1:-1], np.abs(rate + m["bending"][1:-1]))
 
 
 def curvature_evolution_residual(traj: FlowTrajectory) -> ScalarSeries:
@@ -88,7 +83,7 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> ScalarSeries:
     fixed-fraction observer against a material point.  The defect is read
     on the samples ``flow.interior_frames`` keeps.
     """
-    times, keep = interior_frames(traj)
+    times, keep = interior_frames(traj, 2)
     frames = traj.frames
     n = frames[0].n
     closed = frames[0].closed
@@ -153,13 +148,11 @@ def huisken_functional(curve: SampledCurve, t: float, x0: np.ndarray, t0: float)
 
 
 def huisken_series(traj: FlowTrajectory, x0: np.ndarray, t0: float) -> ScalarSeries:
-    """Kernel functional along a trajectory; also fills the records."""
+    """Kernel functional along a trajectory."""
     if not (np.isfinite(t0) and np.all(np.isfinite(x0))):
         raise ValueError("x0 and t0 must be finite")
-    vals = np.empty(len(traj.times))
-    for k, (t, frame) in enumerate(zip(traj.times, traj.frames)):
-        vals[k] = huisken_functional(frame, t, x0, t0)
-        traj.records[k].huisken = float(vals[k])
+    vals = np.array([huisken_functional(frame, t, x0, t0)
+                     for t, frame in zip(traj.times, traj.frames)])
     return ScalarSeries(np.array(traj.times), vals)
 
 
@@ -183,10 +176,7 @@ def distance_ratio(curve: SampledCurve) -> float:
 
 
 def distance_ratio_series(traj: FlowTrajectory) -> ScalarSeries:
-    vals = np.empty(len(traj.times))
-    for k, frame in enumerate(traj.frames):
-        vals[k] = distance_ratio(frame)
-        traj.records[k].distance_ratio = float(vals[k])
+    vals = np.array([distance_ratio(frame) for frame in traj.frames])
     return ScalarSeries(np.array(traj.times), vals)
 
 
@@ -238,19 +228,7 @@ def parabolic_rescale(traj: FlowTrajectory, x0: np.ndarray, T: float,
         sub = FlowTrajectory(stop_reason="rescaled")
         for idx in np.nonzero(keep)[0]:
             frame = traj.frames[idx]
-            pts = lam * (frame.points - x0)
-            rframe = SampledCurve(frame.dimension, frame.closed, pts, frame.label)
-            r = traj.records[idx]
-            sub.append(
-                float(tau[idx]),
-                rframe,
-                DiagnosticRecord(
-                    time=float(tau[idx]),
-                    length=r.length * lam,
-                    max_curvature=r.max_curvature / lam,
-                    bending=r.bending / lam,
-                ),
-            )
+            sub.append(float(tau[idx]), frame.with_points(lam * (frame.points - x0)))
         k_half = int(np.argmin(np.abs(np.array(sub.times) + 0.5)))
         frame_half = sub.frames[k_half]
         iso = isoperimetric_ratio(frame_half)

@@ -195,6 +195,9 @@ def abresch_langer_partner(B: float, r_min: float) -> float:
     The weight function increases on (0, 1/sqrt(-B)] and decreases on
     [1/sqrt(-B), inf); the partner is the root on the outer branch.
     """
+    # NaN fails the branch checks below without raising, so reject it first
+    if not (np.isfinite(B) and np.isfinite(r_min)):
+        raise ValueError("B and r_min must be finite")
     if B >= 0.0:
         raise CurveFlowError("outside-annulus-branch", "needs B < 0")
     r_star = 1.0 / np.sqrt(-B)

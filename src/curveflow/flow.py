@@ -2,9 +2,8 @@
 
 ``evolve`` runs explicit, CFL-guarded stepping with a singularity guard and
 arclength resampling when the spacing drifts.  An engine describes itself
-with a ``FlowSpec``: its dimension, its step-size constants, its velocity,
-its time integrator (``euler`` or ``rk4``) and the diagnostics it records
-per frame.  Everything else is shared.
+with a ``FlowSpec``: its dimension, its step-size constants, its velocity
+and its time integrator (``euler`` or ``rk4``).  Everything else is shared.
 
 The driver works on the raw ``(n, d)`` point array, resamples it as such,
 and builds a validated ``SampledCurve`` only for the frames it records.
@@ -31,8 +30,9 @@ Frames are recorded every ``record_every`` steps and at the stop.  A frame
 due on a resampling step is recorded before the resampling pass, so stored
 geometry is the raw evolved state, not the smoothed restart data.
 
-``interior_frames`` validates a trajectory for the evolution-law residuals
-of both engines and gives the samples they read.
+A trajectory holds only its frames and their times: ``frame_measures``
+reads the per-frame diagnostics from the frames, and ``interior_frames``
+validates a trajectory for the evolution-law residuals of both engines.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CurveFlowError
-from .geometry import SampledCurve, chord_lengths, resample_points
+from .geometry import (SampledCurve, chord_lengths, frenet, integrate_along,
+                       resample_points, total_length)
 
 # relative chord-length spread, max h / min h - 1, above which a check
 # resamples the curve
@@ -93,32 +94,17 @@ class StepOptions:
 
 
 @dataclass
-class DiagnosticRecord:
-    """Scalar diagnostics attached to one recorded frame."""
-
-    time: float
-    length: float
-    max_curvature: float
-    bending: float = float("nan")        # integral of kappa^2 ds
-    huisken: float = float("nan")
-    distance_ratio: float = float("nan")
-    max_torsion: float = float("nan")
-
-
-@dataclass
 class FlowTrajectory:
-    """Recorded history of one flow run."""
+    """Recorded history of one flow run: its frames and their times."""
 
     times: list[float] = field(default_factory=list)
     frames: list[SampledCurve] = field(default_factory=list)
-    records: list[DiagnosticRecord] = field(default_factory=list)
     stop_reason: str = ""
     steps_taken: int = 0
 
-    def append(self, time: float, frame: SampledCurve, record: DiagnosticRecord):
+    def append(self, time: float, frame: SampledCurve):
         self.times.append(time)
         self.frames.append(frame)
-        self.records.append(record)
 
     @property
     def final(self) -> SampledCurve:
@@ -137,17 +123,39 @@ class ScalarSeries:
     values: np.ndarray
 
 
+def frame_measures(traj: FlowTrajectory) -> dict[str, np.ndarray]:
+    """Per-frame ``time``, ``length``, ``max_curvature``, ``bending`` and ``max_torsion``.
+
+    Bending is the integral of kappa^2 ds.  Every value is measured on the
+    frame's points with the engines' stencil, so a stored trajectory gives
+    the numbers of the one ``evolve`` returned.  ``max_torsion`` is NaN for
+    planar frames and where the torsion is defined nowhere.
+    """
+    rows = []
+    for f in traj.frames:
+        fr = frenet(f)
+        tau = np.nan
+        if fr.torsion is not None and fr.torsion_defined.any():
+            tau = np.nanmax(np.abs(fr.torsion[fr.torsion_defined]))
+        rows.append((total_length(f), np.abs(fr.curvature).max(),
+                     integrate_along(f, fr.curvature**2), tau))
+    length, kappa, bending, torsion = np.array(rows, dtype=float).reshape(-1, 4).T
+    return {"time": np.array(traj.times, dtype=float), "length": length,
+            "max_curvature": kappa, "bending": bending, "max_torsion": torsion}
+
+
 # fraction of an open curve's samples that the evolution-law checks skip at
 # each pinned end, where the one-sided stencils are least accurate
 END_TRIM = 0.1
 
 
-def interior_frames(traj: FlowTrajectory) -> tuple[np.ndarray, slice]:
+def interior_frames(traj: FlowTrajectory, dimension: int) -> tuple[np.ndarray, slice]:
     """Recorded times and the sample slice the evolution-law checks read.
 
     The checks difference frames in time at fixed sample index, so they
-    need at least 3 frames of one sample count.  The slice keeps every
-    sample of a closed curve and drops ``END_TRIM`` at each open end.
+    need at least 3 frames of one sample count, all in R^``dimension``
+    (the flow whose laws they check).  The slice keeps every sample of a
+    closed curve and drops ``END_TRIM`` at each open end.
     """
     frames = traj.frames
     if len(frames) < 3:
@@ -155,6 +163,8 @@ def interior_frames(traj: FlowTrajectory) -> tuple[np.ndarray, slice]:
     n = frames[0].n
     if any(f.n != n for f in frames):
         raise CurveFlowError("unaligned-trajectory", "frames have mixed sample counts")
+    if any(f.dimension != dimension for f in frames):
+        raise ValueError(f"these residuals need frames in R^{dimension}")
     cut = 0 if frames[0].closed else int(n * END_TRIM)
     return np.array(traj.times), slice(cut, n - cut)
 
@@ -168,8 +178,7 @@ class FlowSpec:
     ``velocity(pts, h, closed)`` returns the velocity (zero at pinned open
     ends) and the curvature the singularity guard reads.
     ``advance(velocity, pts, closed, dt, k1)`` integrates one step from
-    the velocity ``k1`` at ``pts``.  ``record(frame, kappa)`` returns the
-    ``DiagnosticRecord`` fields besides time and length.
+    the velocity ``k1`` at ``pts``.
     """
 
     dimension: int
@@ -177,7 +186,6 @@ class FlowSpec:
     fixed_limit: float
     velocity: Callable
     advance: Callable
-    record: Callable
 
 
 def euler(velocity, pts, closed, dt, k1):
@@ -219,9 +227,7 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
     def record():
         nonlocal last_recorded
         if steps != last_recorded:
-            frame = curve.with_points(pts)
-            traj.append(t, frame, DiagnosticRecord(
-                time=t, length=float(h.sum()), **spec.record(frame, kappa)))
+            traj.append(t, curve.with_points(pts))
             last_recorded = steps
 
     h = chord_lengths(pts, closed)

@@ -1,8 +1,8 @@
-"""Reading and writing curve, filament, trajectory, and diagnostics files.
+"""Reading and writing curve, filament, trajectory, and table files.
 
-Curves and filament functions are JSON, diagnostics are CSV (or a
-fixed-width text table), trajectories are numbered curve files plus a
-JSON index.  Floats are written with full repr precision so a
+Curves and filament functions are JSON, tables are CSV (or fixed-width
+text), trajectories are numbered curve files plus a JSON index of their
+times.  Floats are written with full repr precision so a
 write-then-read round trip stays below 1e-12.  Nothing here stamps
 dates or hostnames: a rerun with the same configuration produces
 byte-identical artifacts.
@@ -20,13 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .flow import DiagnosticRecord, FlowTrajectory
-from .geometry import FrenetData, SampledCurve, total_length
+from .flow import FlowTrajectory
+from .geometry import FrenetData, SampledCurve
 from .hasimoto import FilamentFunction
-
-CSF_COLUMNS = ("time", "length", "bending", "huisken",
-               "distance_ratio", "max_curvature")
-VFE_COLUMNS = ("time", "length", "max_curvature", "max_torsion")
 
 
 def dump_json(path, payload) -> Path:
@@ -134,12 +130,6 @@ def write_table(path, columns, rows, output_format: str = "csv") -> Path:
     return path
 
 
-def write_diagnostics(path, records: list[DiagnosticRecord],
-                      columns=CSF_COLUMNS, output_format: str = "csv") -> Path:
-    rows = [[getattr(rec, col) for col in columns] for rec in records]
-    return write_table(path, columns, rows, output_format)
-
-
 def write_trajectory(out_dir, traj: FlowTrajectory) -> list[Path]:
     """Write numbered curve files plus an index of times and file names."""
     out = Path(out_dir)
@@ -166,9 +156,7 @@ def read_trajectory(out_dir) -> FlowTrajectory:
         raise ConfigError("invalid-input", f"bad trajectory index: {exc}") from exc
     traj = FlowTrajectory(stop_reason=reason)
     for t, name in zip(times, files):
-        frame = read_curve(Path(out_dir) / name)
-        traj.append(float(t), frame,
-                    DiagnosticRecord(float(t), total_length(frame), float("nan")))
+        traj.append(float(t), read_curve(Path(out_dir) / name))
     return traj
 
 

@@ -26,7 +26,6 @@ from .geometry import (
     _dot,
     _lagrange_d1_d2,
     frenet,
-    integrate_along,
     segment_lengths,
 )
 
@@ -55,18 +54,10 @@ def binormal_velocity(curve: SampledCurve) -> np.ndarray:
     return _velocity(curve.points, segment_lengths(curve), curve.closed)[0]
 
 
-def _record(frame: SampledCurve, kappa: np.ndarray) -> dict:
-    fr = frenet(frame)
-    tau = np.abs(fr.torsion[fr.torsion_defined])
-    return {"max_curvature": float(np.abs(fr.curvature).max()),
-            "bending": integrate_along(frame, fr.curvature**2),
-            "max_torsion": float(np.nanmax(tau)) if tau.size else float("nan")}
-
-
 def _spec() -> flow.FlowSpec:
-    # built per call, so a rebinding of _velocity or _record takes effect
+    # built per call, so a rebinding of _velocity takes effect
     return flow.FlowSpec(dimension=3, step_factor=1.0, fixed_limit=STABILITY_FACTOR,
-                         velocity=_velocity, advance=flow.rk4, record=_record)
+                         velocity=_velocity, advance=flow.rk4)
 
 
 def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:
@@ -104,7 +95,7 @@ def frenet_evolution_residuals(traj: FlowTrajectory) -> FrenetResidualSeries:
     curvature below ``KAPPA_REL_FLOOR`` times the frame maximum are
     excluded.
     """
-    times, keep = interior_frames(traj)
+    times, keep = interior_frames(traj, 3)
     frames = traj.frames
     n = frames[0].n
     closed = frames[0].closed
@@ -157,7 +148,7 @@ def frenet_evolution_residuals(traj: FlowTrajectory) -> FrenetResidualSeries:
 
 def commutator_residual(traj: FlowTrajectory) -> ScalarSeries:
     """Max norm of d/dt(gamma_s) - d/ds(gamma_t) per interior frame."""
-    times, keep = interior_frames(traj)
+    times, keep = interior_frames(traj, 3)
     frames = traj.frames
     closed = frames[0].closed
     d1s = []

@@ -60,6 +60,8 @@ class VfeRotatingSpec:
 
 def z_bounds(lam: float, C1: float) -> tuple[float, float]:
     """Admissible open interval for z^2 in the x-axis/planar families."""
+    if not (np.isfinite(lam) and np.isfinite(C1)):
+        raise ValueError("lambda and C1 must be finite")
     p = 1.0 + lam**2
     hi = 2.0 / p - 2.0 * C1
     if hi <= 0.0:
@@ -84,6 +86,8 @@ def _band_profile(p: float, C1: float, z0: float, sign: int,
     first-order form happens automatically; z'^2 - R(z) is an exact
     invariant of the integration.  Truncates at vertical tangents.
     """
+    if not np.isfinite(z0):
+        raise ValueError("z0 must be finite")
     lo, hi = z_bounds(np.sqrt(p - 1.0), C1)
     if not lo <= z0**2 <= hi:
         raise CurveFlowError("outside-admissible-band",

@@ -23,7 +23,7 @@ from curveflow.csf_solitons import (
     reconstruct_curve,
     soliton_residual,
 )
-from curveflow.flow import StepOptions
+from curveflow.flow import StepOptions, frame_measures
 from curveflow.geometry import (
     curve_diameter,
     frenet,
@@ -91,7 +91,7 @@ def _relative_length_rate_defect(n: int, dt: float) -> float:
     base = resample_arclength(ellipse2(2.0, 1.0, n), n)
     traj = csf.evolve(base, StepOptions(stop_time=0.5, dt=dt, record_every=10))
     series = csf.arclength_rate_residual(traj)
-    bending = np.array([r.bending for r in traj.records])
+    bending = frame_measures(traj)["bending"]
     return float((series.values / bending[1:-1]).max())
 
 

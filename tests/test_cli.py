@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import circle2, circle3
-from curveflow import __version__, cli, csf_solitons
-from curveflow.storage import file_sha256, read_curve, read_filament
+from curveflow import __version__, cli, csf, csf_solitons
+from curveflow.flow import frame_measures
+from curveflow.geometry import SampledCurve
+from curveflow.storage import (file_sha256, read_curve, read_filament,
+                               read_trajectory, write_curve)
 
 
 def run(*argv):
@@ -177,6 +180,71 @@ def test_failed_run_leaves_no_empty_directory(tmp_path, capsys):
     (tmp_path / "full" / "keep.txt").write_text("x")
     assert run(*bad, "--out", tmp_path / "full", "--force") == 2
     assert (tmp_path / "full" / "keep.txt").read_text() == "x"
+
+
+def _csv_columns(path) -> dict:
+    header, *rows = path.read_text().splitlines()
+    cells = np.array([row.split(",") for row in rows])
+    return {col: np.array([float(c) if c else np.nan for c in cells[:, j]])
+            for j, col in enumerate(header.split(","))}
+
+
+def test_diagnostics_table_matches_frame_measures(tmp_path, circle_file):
+    out = tmp_path / "closed"
+    assert run("csf", "evolve", "--input", circle_file, "--stop-time", "0.02",
+               "--n", "128", "--out", out) == 0
+    table = _csv_columns(out / "diagnostics.csv")
+    assert list(table) == list(cli.CSF_COLUMNS)
+    traj = read_trajectory(out)
+    summary = json.loads((out / "summary.json").read_text())
+    want = {**frame_measures(traj),
+            "huisken": csf.huisken_series(traj, np.array(summary["shrink_point"]),
+                                          summary["singular_time_estimate"]).values,
+            "distance_ratio": csf.distance_ratio_series(traj).values}
+    for col in cli.CSF_COLUMNS:
+        assert np.array_equal(table[col], want[col]), col
+
+    # an open curve has no Huisken or distance-ratio series: empty cells
+    xs = np.linspace(-1.0, 1.0, 48)
+    parabola = write_curve(tmp_path / "parabola.curve",
+                           SampledCurve(2, False, np.column_stack([xs, xs**2])))
+    out = tmp_path / "open"
+    assert run("csf", "evolve", "--input", parabola, "--stop-time", "0.005",
+               "--out", out) == 0
+    table = _csv_columns(out / "diagnostics.csv")
+    assert np.isnan(table["huisken"]).all() and np.isnan(table["distance_ratio"]).all()
+    measured = frame_measures(read_trajectory(out))
+    assert np.array_equal(table["bending"], measured["bending"])
+
+
+def test_residuals_reject_the_other_flows_trajectory(tmp_path, circle_file,
+                                                     circle3_file, capsys):
+    # ten steps recorded every second one: enough frames for every residual
+    for flow_name, curve_file in (("csf", circle_file), ("vfe", circle3_file)):
+        assert run(flow_name, "evolve", "--input", curve_file, "--stop-time", "1e-3",
+                   "--dt", "1e-4", "--n", "64", "--record-every", "2",
+                   "--out", tmp_path / flow_name) == 0
+    capsys.readouterr()
+    for flow_name, other, dimension in (("vfe", "csf", 3), ("csf", "vfe", 2)):
+        out = tmp_path / f"{flow_name}-on-{other}"
+        assert run("diagnose", "residuals", "--trajectory", tmp_path / other,
+                   "--flow", flow_name, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"need frames in R^{dimension}" in err
+        assert err.strip().splitlines()[-1] == "invalid-parameter"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("csf", "soliton", "--abresch-langer", "--B=nan", "--r-min", "0.5"),
+    ("csf", "soliton", "--abresch-langer", "--B=-1", "--r-min", "nan"),
+    ("vfe", "soliton", "--case", "x-axis", "--C1", "nan", "--z0", "0.3"),
+    ("vfe", "soliton", "--case", "x-axis", "--C1", "0.25", "--lam", "nan", "--z0", "0.3"),
+    ("vfe", "soliton", "--case", "planar", "--C1", "0.25", "--z0", "nan"),
+], ids=["al-B", "al-r-min", "x-axis-C1", "x-axis-lam", "planar-z0"])
+def test_non_finite_soliton_parameters_exit_two(tmp_path, capsys, argv):
+    assert run(*argv, "--out", tmp_path / "o") == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
 
 
 def test_structured_text_format(tmp_path, circle_file):

@@ -1,7 +1,7 @@
 """The shared time-stepping driver, pinned by a golden table of short runs.
 
 The table holds, for each run, the stop reason, the step count and one row
-of scalars per recorded frame: time, the record fields, the coordinate sums
+of scalars per recorded frame: time, the frame measures, the coordinate sums
 and the sum of squared coordinates.  Any change to stepping, guards,
 recording or resampling order moves these numbers.
 """
@@ -51,11 +51,13 @@ RUNS = {
 
 
 def summarize(traj) -> dict:
+    m = flow.frame_measures(traj)
+    measured = np.column_stack([m[key] for key in ("time", "length", "max_curvature",
+                                                   "bending", "max_torsion")])
     rows = []
-    for t, frame, rec in zip(traj.times, traj.frames, traj.records):
+    for t, frame, row in zip(traj.times, traj.frames, measured):
         pts = frame.points
-        rows.append([t, rec.time, rec.length, rec.max_curvature, rec.bending,
-                     rec.max_torsion, *pts.sum(axis=0), float((pts**2).sum())])
+        rows.append([t, *row.tolist(), *pts.sum(axis=0), float((pts**2).sum())])
     return {"stop_reason": traj.stop_reason, "steps_taken": traj.steps_taken,
             "frames": rows}
 

@@ -16,7 +16,7 @@ from conftest import helix3
 from curveflow import storage
 from curveflow.cli import parse_range
 from curveflow.errors import ConfigError
-from curveflow.flow import DiagnosticRecord, FlowTrajectory
+from curveflow.flow import FlowTrajectory
 from curveflow.geometry import (KAPPA_FLOOR_SCALE, SampledCurve, _cross,
                                 _lagrange_d1_d2, chord_lengths, curve_diameter,
                                 frenet, hausdorff_distance, resample_arclength)
@@ -134,7 +134,7 @@ def test_storage_round_trips(curve, scalars, m, step):
                            gauge_A=scalars[0, 1], time=scalars[1, 0])
     traj = FlowTrajectory(stop_reason="stop-time")
     for t in scalars[:, 1]:
-        traj.append(float(t), curve, DiagnosticRecord(float(t), 1.0, 1.0))
+        traj.append(float(t), curve)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         back = storage.read_curve(storage.write_curve(out / "c.curve", curve))

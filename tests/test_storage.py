@@ -9,7 +9,7 @@ import pytest
 from conftest import circle2, helix3
 from curveflow import storage
 from curveflow.errors import ConfigError
-from curveflow.flow import DiagnosticRecord, FlowTrajectory
+from curveflow.flow import FlowTrajectory
 from curveflow.geometry import frenet
 from curveflow.hasimoto import FilamentFunction
 
@@ -97,20 +97,11 @@ def test_table_csv_and_structured_text(tmp_path):
     assert err.value.token == "invalid-format"
 
 
-def test_diagnostics_table_uses_record_fields(tmp_path):
-    records = [DiagnosticRecord(time=0.0, length=2 * np.pi, max_curvature=1.0,
-                                bending=2 * np.pi, huisken=1.0, distance_ratio=1.0)]
-    path = storage.write_diagnostics(tmp_path / "d.csv", records)
-    header, row = path.read_text().splitlines()
-    assert header == ",".join(storage.CSF_COLUMNS)
-    assert row.split(",")[0] == "0.0"
-
-
 def test_trajectory_round_trip(tmp_path):
     traj = FlowTrajectory(stop_reason="reached-stop-time")
     for k, t in enumerate((0.0, 0.1, 0.2)):
         frame = circle2(32, radius=1.0 - t)
-        traj.append(t, frame, DiagnosticRecord(t, 2 * np.pi * (1 - t), 1.0 / (1 - t)))
+        traj.append(t, frame)
     files = storage.write_trajectory(tmp_path, traj)
     assert [p.name for p in files] == [
         "frame_00000.curve", "frame_00001.curve", "frame_00002.curve",

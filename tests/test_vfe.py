@@ -6,7 +6,7 @@ import pytest
 from conftest import circle3, helix3
 from curveflow.csf import curvature_evolution_residual
 from curveflow.errors import CurveFlowError
-from curveflow.flow import DiagnosticRecord, FlowTrajectory, StepOptions
+from curveflow.flow import FlowTrajectory, StepOptions, frame_measures
 from curveflow.geometry import SampledCurve, hausdorff_distance
 from curveflow.vfe import (
     BiotSavartOptions,
@@ -59,8 +59,8 @@ def test_circle_translates_along_its_axis():
     t = traj.final_time
     target = SampledCurve(3, True, c.points + np.array([0.0, 0.0, t]))
     assert hausdorff_distance(traj.final, target) < 2e-4
-    assert traj.records[-1].length == pytest.approx(traj.records[0].length,
-                                                    rel=1e-9)
+    length = frame_measures(traj)["length"]
+    assert length[-1] == pytest.approx(length[0], rel=1e-9)
 
 
 def test_helix_moves_rigidly():
@@ -131,7 +131,7 @@ def test_residuals_need_three_aligned_frames(residual):
     def trajectory(sizes):
         traj = FlowTrajectory()
         for k, n in enumerate(sizes):
-            traj.append(0.1 * k, circle3(n), DiagnosticRecord(0.1 * k, 2 * np.pi, 1.0))
+            traj.append(0.1 * k, circle3(n))
         return traj
 
     with pytest.raises(ValueError):
