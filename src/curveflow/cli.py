@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import math
 import sys
 import time
@@ -143,8 +144,7 @@ def cmd_csf_evolve(args, out: Path) -> list[Path]:
     return paths
 
 
-def _soliton_member(params):
-    A, B, x0, y0, s_range, n = params
+def _soliton_member(A, B, x0, y0, s_range, n):
     try:
         profile = csf_solitons.integrate_profile(
             csf_solitons.CsfSolitonSpec(A, B, x0, y0, s_range=s_range, n=n))
@@ -185,9 +185,10 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
         b_vals = parse_range(args.B_range) if args.B_range else [args.B]
         x_vals = parse_range(args.x0_range) if args.x0_range else [args.x0]
         y_vals = parse_range(args.y0_range) if args.y0_range else [args.y0]
-        members = [(float(a), float(b), float(x), float(y), s_range, n)
-                   for a in a_vals for b in b_vals for x in x_vals for y in y_vals]
-        results = [_soliton_member(member) for member in members]
+        # every member is computed before any file is written, so a member
+        # that raises leaves no partial sweep behind
+        results = [_soliton_member(*map(float, member), s_range, n)
+                   for member in itertools.product(a_vals, b_vals, x_vals, y_vals)]
         paths, atlas = [], []
         for k, (record, curve) in enumerate(results):
             if curve is not None:
@@ -198,8 +199,7 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
         paths.append(dump_json(out / "atlas.json", atlas))
         return paths
 
-    record, curve = _soliton_member(
-        (args.A, args.B, args.x0, args.y0, s_range, n))
+    record, curve = _soliton_member(args.A, args.B, args.x0, args.y0, s_range, n)
     if curve is None:
         raise CurveFlowError(record["error"], "profile integration failed")
     record["file"] = "soliton.curve"
@@ -300,8 +300,7 @@ def cmd_vfe_biot_savart(args, out: Path) -> list[Path]:
 def cmd_hasimoto_transform(args, out: Path) -> list[Path]:
     curve = read_curve(args.input)
     curve = resample_arclength(curve, curve.n)
-    fil = hasimoto.hasimoto_transform(frenet(curve), gauge_A=args.gauge_A,
-                                      periodic=args.periodic)
+    fil = hasimoto.hasimoto_transform(frenet(curve), gauge_A=args.gauge_A)
     return [write_filament(out / "filament.json", fil)]
 
 
@@ -484,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(has_group, "transform", cmd_hasimoto_transform)
     p.add_argument("--input", required=True)
     p.add_argument("--gauge-A", dest="gauge_A", type=float, default=0.0)
-    p.add_argument("--periodic", action="store_true")
     p = command(has_group, "evolve", cmd_hasimoto_evolve)
     p.add_argument("--input", required=True)
     p.add_argument("--dt", type=float, required=True)

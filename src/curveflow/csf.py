@@ -186,6 +186,10 @@ def distance_ratio_series(traj: FlowTrajectory) -> ScalarSeries:
 # earliest rescaled time lam^2 (t - T) that a rescaled trajectory keeps
 RESCALE_WINDOW = -4.0
 
+# centroid distance from the shrink point, in rescaled units, above which
+# a rescaled frame counts as drifting
+DRIFT_LIMIT = 0.1
+
 
 def estimate_shrink_point(traj: FlowTrajectory) -> np.ndarray:
     """Centroid of the final frame (converges to the blow-up point)."""
@@ -199,14 +203,23 @@ def estimate_singular_time(traj: FlowTrajectory) -> float:
 
 @dataclass
 class RescaledTrajectory:
-    """One parabolic rescaling lam * (curve - x0) on rescaled time lam^2 (t-T)."""
+    """One parabolic rescaling lam * (curve - x0) on rescaled time lam^2 (t-T).
+
+    A skipped lam has no trajectory and NaN measures.
+    """
 
     lam: float
     trajectory: FlowTrajectory | None
     iso_at_half: float = float("nan")   # isoperimetric ratio nearest rescaled t = -1/2
     centroid_drift: float = float("nan")
-    drift_flagged: bool = False
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        return self.trajectory is None
+
+    @property
+    def drift_flagged(self) -> bool:
+        return self.centroid_drift > DRIFT_LIMIT
 
 
 def parabolic_rescale(traj: FlowTrajectory, x0: np.ndarray, T: float,
@@ -223,25 +236,16 @@ def parabolic_rescale(traj: FlowTrajectory, x0: np.ndarray, T: float,
         tau = lam**2 * (times - T)
         keep = (tau >= RESCALE_WINDOW) & (tau < 0.0)
         if not np.any(keep) or tau[keep].min() > -0.5 or tau[keep].max() < -0.5:
-            out.append(RescaledTrajectory(lam, None, skipped=True))
+            out.append(RescaledTrajectory(lam, None))
             continue
         sub = FlowTrajectory(stop_reason="rescaled")
         for idx in np.nonzero(keep)[0]:
             frame = traj.frames[idx]
             sub.append(float(tau[idx]), frame.with_points(lam * (frame.points - x0)))
-        k_half = int(np.argmin(np.abs(np.array(sub.times) + 0.5)))
-        frame_half = sub.frames[k_half]
-        iso = isoperimetric_ratio(frame_half)
-        drift = float(np.linalg.norm(frame_half.points.mean(axis=0)))
-        out.append(
-            RescaledTrajectory(
-                lam,
-                sub,
-                iso_at_half=iso,
-                centroid_drift=drift,
-                drift_flagged=drift > 0.1,
-            )
-        )
+        frame_half = sub.frames[int(np.argmin(np.abs(np.array(sub.times) + 0.5)))]
+        out.append(RescaledTrajectory(
+            lam, sub, isoperimetric_ratio(frame_half),
+            float(np.linalg.norm(frame_half.points.mean(axis=0)))))
     return out
 
 

@@ -32,18 +32,10 @@ ESCAPE_LIMIT = 1e8
 # arclength over which detect_closure looks for two radius minima
 CLOSURE_MAX_S = 400.0
 
-SOLITON_CLASSES = (
-    "rotating",
-    "rotating-expanding",
-    "rotating-shrinking",
-    "shrinking",
-    "expanding",
-    "stationary-line",
-)
-
 
 def classify(A: float, B: float) -> str:
-    """Sign-dispatch on (rotation, dilation) rates."""
+    """Sign-dispatch on (rotation, dilation) rates: "rotating", "rotating-expanding",
+    "rotating-shrinking", "expanding", "shrinking" or "stationary-line"."""
     if A != 0.0:
         if B == 0.0:
             return "rotating"
@@ -86,10 +78,6 @@ class SolitonProfile:
     escaped: bool = False
 
 
-def soliton_ode_rhs(x: float, y: float, A: float, B: float):
-    return (x * y + A, -x * x - B)
-
-
 def _escape(_s, u):
     return max(abs(u[0]), abs(u[1])) - ESCAPE_LIMIT
 
@@ -100,7 +88,7 @@ _escape.terminal = True
 def _solve_from_origin(A: float, B: float, x0: float, y0: float, s_end: float,
                        events=_escape):
     """The profile (x, y, theta) from (x0, y0, 0) at s = 0 to ``s_end``."""
-    rhs = lambda s, u: (*soliton_ode_rhs(u[0], u[1], A, B), u[0])
+    rhs = lambda s, u: (u[0] * u[1] + A, -u[0] * u[0] - B, u[0])
     return solve_ivp(
         rhs,
         (0.0, s_end),

@@ -62,12 +62,11 @@ class FilamentFunction:
         return self.grid_start + self.grid_step * np.arange(self.n)
 
 
-def hasimoto_transform(fr: FrenetData, gauge_A: float = 0.0,
-                       periodic: bool = False) -> FilamentFunction:
+def hasimoto_transform(fr: FrenetData, gauge_A: float = 0.0) -> FilamentFunction:
     """psi = kappa exp(i int_0^s tau), phase integrated from the first sample.
 
     Planar data (torsion absent) maps to the real signed curvature.
-    3-D data must have torsion defined everywhere.
+    3-D data must have torsion defined everywhere.  Set ``periodic`` per NLS run.
     """
     s = fr.arclength
     steps = np.diff(s)
@@ -86,7 +85,7 @@ def hasimoto_transform(fr: FrenetData, gauge_A: float = 0.0,
             [[0.0], np.cumsum(0.5 * (fr.torsion[:-1] + fr.torsion[1:]) * steps)]
         )
         values = fr.curvature * np.exp(1j * phase)
-    return FilamentFunction(0.0, ds, values, gauge_A, periodic=periodic)
+    return FilamentFunction(0.0, ds, values, gauge_A)
 
 
 # ---------------------------------------------------------------------------

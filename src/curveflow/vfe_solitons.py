@@ -77,18 +77,18 @@ def slope_radicand(z, lam: float, C1: float):
     return (4.0 - p**2 * w**2) / (p**3 * w**2)
 
 
-def _band_profile(p: float, C1: float, z0: float, sign: int,
+def _band_profile(lam: float, C1: float, z0: float, sign: int,
                   x_range: tuple[float, float], n: int):
     """Integrate the oscillatory band profile as (z, z').
 
-    Differentiating z'^2 = R(z) gives z'' = -8 z / (p^3 (z^2+2C1)^3),
-    which is regular at turning points, so the sign switching of the
-    first-order form happens automatically; z'^2 - R(z) is an exact
-    invariant of the integration.  Truncates at vertical tangents.
+    Differentiating z'^2 = R(z) gives z'' = -8 z / (p^3 (z^2+2C1)^3), with
+    p = 1 + lambda^2, which is regular at turning points, so the sign
+    switching of the first-order form happens automatically; z'^2 - R(z)
+    is an exact invariant of the integration.  Truncates at vertical tangents.
     """
     if not np.isfinite(z0):
         raise ValueError("z0 must be finite")
-    lo, hi = z_bounds(np.sqrt(p - 1.0), C1)
+    lo, hi = z_bounds(lam, C1)
     if not lo <= z0**2 <= hi:
         raise CurveFlowError("outside-admissible-band",
                              f"z0^2 must lie in [{lo:g}, {hi:g}]")
@@ -96,8 +96,8 @@ def _band_profile(p: float, C1: float, z0: float, sign: int,
     if abs(w0) < W_FLOOR:
         raise CurveFlowError("outside-admissible-band",
                              "initial value sits on the vertical-tangent locus")
-    rad0 = (4.0 - p**2 * w0**2) / (p**3 * w0**2)
-    zp0 = sign * np.sqrt(max(rad0, 0.0))
+    zp0 = sign * np.sqrt(max(slope_radicand(z0, lam, C1), 0.0))
+    p = 1.0 + lam**2
 
     def rhs(_x, u):
         w = u[0] ** 2 + 2.0 * C1
@@ -118,15 +118,18 @@ def _band_profile(p: float, C1: float, z0: float, sign: int,
 
 def xaxis_rotation_profile(spec: VfeRotatingSpec) -> SampledCurve:
     """Profile curve (x, lambda*z, z) rotating about the x-axis."""
-    p = 1.0 + spec.lam**2
-    x, z, _, _ = _band_profile(p, spec.C1, spec.z0, spec.sign, spec.x_range, spec.n)
+    x, z, _, _ = _band_profile(spec.lam, spec.C1, spec.z0, spec.sign, spec.x_range, spec.n)
     pts = np.column_stack([x, spec.lam * z, z])
     return SampledCurve(3, False, pts, label="x-axis rotating profile")
 
 
+def _band_rotation_law(C1: float, z0: float) -> np.ndarray:
+    return np.array([-np.sign(z0**2 + 2.0 * C1), 0.0, 0.0])
+
+
 def xaxis_rotation_law(spec: VfeRotatingSpec) -> np.ndarray:
     """Unit-speed angular velocity of the x-axis profile."""
-    return np.array([-np.sign(spec.z0**2 + 2.0 * spec.C1), 0.0, 0.0])
+    return _band_rotation_law(spec.C1, spec.z0)
 
 
 def planar_rotation_profile(C1: float, f0: float, x_range: tuple[float, float],
@@ -136,10 +139,10 @@ def planar_rotation_profile(C1: float, f0: float, x_range: tuple[float, float],
     The lambda = 0 reduction of the x-axis family; the emitted curve
     rotates out of its initial plane about (+-1, 0, 0).
     """
-    x, f, _, _ = _band_profile(1.0, C1, f0, sign, x_range, n)
+    x, f, _, _ = _band_profile(0.0, C1, f0, sign, x_range, n)
     pts = np.column_stack([x, f, np.zeros_like(x)])
-    omega = np.array([-np.sign(f0**2 + 2.0 * C1), 0.0, 0.0])
-    return SampledCurve(3, False, pts, label="planar rotating profile"), omega
+    return (SampledCurve(3, False, pts, label="planar rotating profile"),
+            _band_rotation_law(C1, f0))
 
 
 def transverse_rotation_profile(C1: float, C2: float,

@@ -363,7 +363,7 @@ def test_criterion_13_rotating_vfe_families():
         p = 1.0 + lam * lam
         C1 = 0.5 / p
         z0 = 0.5 * np.sqrt(vs.z_bounds(lam, C1)[1])
-        _, z, zp, _ = vs._band_profile(p, C1, z0, 1, (0.0, 4.0), 2048)
+        _, z, zp, _ = vs._band_profile(lam, C1, z0, 1, (0.0, 4.0), 2048)
         defects[f"x-axis lam={lam:g}"] = float(
             np.abs(zp**2 - vs.slope_radicand(z, lam, C1)).max())
         spec = vs.VfeRotatingSpec("x-axis", C1, lam=lam, z0=z0,

@@ -403,8 +403,7 @@ def test_biot_savart_rejects_bad_parameters(tmp_path, capsys, flags):
 
 def test_hasimoto_pipeline_round_trip(tmp_path, circle3_file):
     t_out = tmp_path / "t"
-    assert run("hasimoto", "transform", "--input", circle3_file,
-               "--periodic", "--out", t_out) == 0
+    assert run("hasimoto", "transform", "--input", circle3_file, "--out", t_out) == 0
     fil = read_filament(t_out / "filament.json")
     # the 256-gon's measured curvature carries an O(h^2) bias near 1.5e-4
     np.testing.assert_allclose(np.abs(fil.values), 1.0, atol=3e-4)

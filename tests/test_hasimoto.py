@@ -54,8 +54,7 @@ def test_transform_of_planar_circle_is_signed_curvature():
 
 
 def test_transform_of_space_circle():
-    fil = hasimoto_transform(frenet(circle3(512)), periodic=True)
-    assert fil.periodic
+    fil = hasimoto_transform(frenet(circle3(512)))
     assert np.abs(np.abs(fil.values) - 1.0).max() < 1e-4
     # zero torsion: the phase stays put
     assert np.abs(np.angle(fil.values)).max() < 1e-6

@@ -61,10 +61,9 @@ def test_empty_band_is_rejected():
 def test_band_profile_energy_invariant(lam):
     # zp^2 - R(z) is conserved exactly by the second-order form, so the
     # defect measures only integrator tolerance
-    p = 1.0 + lam**2
-    C1 = 0.5 / p
+    C1 = 0.5 / (1.0 + lam**2)
     z0 = 0.5 * np.sqrt(z_bounds(lam, C1)[1])
-    x, z, zp, truncated = _band_profile(p, C1, z0, 1, (0.0, 4.0), 2048)
+    x, z, zp, truncated = _band_profile(lam, C1, z0, 1, (0.0, 4.0), 2048)
     assert not truncated
     defect = np.abs(zp**2 - slope_radicand(z, lam, C1)).max()
     assert defect < 1e-8
