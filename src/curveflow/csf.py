@@ -47,7 +47,7 @@ def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
 
 def _spec() -> flow.FlowSpec:
     # built per call, so a rebinding of _velocity takes effect
-    return flow.FlowSpec(dimension=2, step_factor=0.5, fixed_limit=1.0,
+    return flow.FlowSpec(dimension=2, step_factor=0.5, max_cfl=1.0,
                          velocity=_velocity, advance=flow.euler)
 
 

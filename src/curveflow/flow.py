@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CurveFlowError
+from .errors import ConfigError, CurveFlowError
 from .geometry import (SampledCurve, chord_lengths, frenet, integrate_along,
                        resample_points, total_length)
 
@@ -58,13 +58,13 @@ SINGULAR_LENGTH_FRACTION = 0.01
 class StepOptions:
     """Time-stepping controls shared by the flow engines.
 
-    Exactly one of ``dt`` (fixed step) or ``cfl`` (step chosen at each
-    spacing check from the current spacing) must be set.  The spacing is
-    checked every ``resample_every`` steps, and the curve is resampled
-    only when its chord lengths spread by more than ``SPACING_TOL``;
-    resampling keeps the input's sample count.  The run stops at
-    ``stop_time``, or earlier when the length drops below ``stop_length``,
-    when the singularity proxies fire, or after ``max_steps``.
+    Exactly one of ``dt`` (fixed step) or ``cfl`` (step chosen at each spacing
+    check) must be set, and the step must stay within the engine's stability
+    bound.  The spacing is checked every ``resample_every`` steps, and the
+    curve is resampled only when its chord lengths spread by more than
+    ``SPACING_TOL``; resampling keeps the input's sample count.  The run
+    stops at ``stop_time``, or earlier when the length drops below
+    ``stop_length``, when the singularity proxies fire, or after ``max_steps``.
     """
 
     stop_time: float
@@ -173,8 +173,8 @@ def interior_frames(traj: FlowTrajectory, dimension: int) -> tuple[np.ndarray, s
 class FlowSpec:
     """What one flow engine supplies to the driver.
 
-    The step is ``cfl * step_factor * min_h**2`` under a CFL number; a
-    fixed ``dt`` may be at most ``fixed_limit * step_factor * min_h**2``.
+    The step, ``cfl * step_factor * min_h**2`` or the fixed ``dt``, may be
+    at most the stability bound ``max_cfl * step_factor * min_h**2``.
     ``velocity(pts, h, closed)`` returns the velocity (zero at pinned open
     ends) and the curvature the singularity guard reads.
     ``advance(velocity, pts, closed, dt, k1)`` integrates one step from
@@ -183,7 +183,7 @@ class FlowSpec:
 
     dimension: int
     step_factor: float
-    fixed_limit: float
+    max_cfl: float
     velocity: Callable
     advance: Callable
 
@@ -215,14 +215,11 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
 
     def base_dt(h):
         bound = spec.step_factor * h.min() ** 2
-        if opts.dt is None:
-            return opts.cfl * bound
-        if opts.dt > spec.fixed_limit * bound:
-            raise CurveFlowError(
-                "cfl-violation",
-                f"dt={opts.dt:g} exceeds stability bound {spec.fixed_limit * bound:g}",
-            )
-        return opts.dt
+        dt = opts.cfl * bound if opts.dt is None else opts.dt
+        if dt > spec.max_cfl * bound:
+            raise ConfigError("cfl-violation",
+                              f"dt={dt:g} exceeds stability bound {spec.max_cfl * bound:g}")
+        return dt
 
     def record():
         nonlocal last_recorded

@@ -3,7 +3,8 @@
 The velocity is gamma_s x gamma_ss = kappa B, which preserves arclength
 pointwise; samples therefore track material points and resampling is a
 near-identity cleanup.  Time stepping is classical RK4 under the
-dispersive bound dt <= cfl * ds^2 on the shared driver in ``flow``.
+dispersive bound dt <= cfl * ds^2 on the shared driver in ``flow``, with
+cfl at most ``STABILITY_FACTOR``.
 
 Also here: residual checks for the curvature/torsion/frame evolution
 laws, the tangent/time commutator, a rigid-motion fitter for detecting
@@ -56,7 +57,7 @@ def binormal_velocity(curve: SampledCurve) -> np.ndarray:
 
 def _spec() -> flow.FlowSpec:
     # built per call, so a rebinding of _velocity takes effect
-    return flow.FlowSpec(dimension=3, step_factor=1.0, fixed_limit=STABILITY_FACTOR,
+    return flow.FlowSpec(dimension=3, step_factor=1.0, max_cfl=STABILITY_FACTOR,
                          velocity=_velocity, advance=flow.rk4)
 
 

@@ -123,6 +123,18 @@ def test_runtime_failure_exits_three(tmp_path, capsys):
     assert last_stderr_token(capsys) == "at-singularity"
 
 
+def test_step_above_the_stability_bound_exits_two(tmp_path, capsys):
+    cases = [("csf", circle2(64), ("--dt", "1.0")),
+             ("vfe", circle3(48), ("--cfl", "0.9"))]
+    for flow, curve, step in cases:
+        path = write_curve(tmp_path / f"{flow}.curve", curve)
+        out = tmp_path / f"{flow}_out"
+        assert run(flow, "evolve", "--input", path, "--stop-time", "3",
+                   *step, "--out", out) == 2
+        assert last_stderr_token(capsys) == "cfl-violation"
+        assert not out.exists()
+
+
 def test_bad_range_exits_two(tmp_path, capsys):
     assert run("csf", "soliton", "--grim-reaper", "--x", "0:1",
                "--out", tmp_path / "o") == 2

@@ -5,10 +5,11 @@ import pytest
 
 from conftest import circle3, helix3
 from curveflow.csf import curvature_evolution_residual
-from curveflow.errors import CurveFlowError
+from curveflow.errors import ConfigError, CurveFlowError
 from curveflow.flow import FlowTrajectory, StepOptions, frame_measures
 from curveflow.geometry import SampledCurve, hausdorff_distance
 from curveflow.vfe import (
+    STABILITY_FACTOR,
     BiotSavartOptions,
     biot_savart_velocity,
     binormal_velocity,
@@ -45,6 +46,15 @@ def test_evolve_rejects_unstable_dt():
     with pytest.raises(CurveFlowError) as err:
         evolve(circle3(256), StepOptions(stop_time=0.1, dt=0.1))
     assert err.value.token == "cfl-violation"
+
+
+def test_cfl_above_the_rk4_bound_is_rejected():
+    # StepOptions admits cfl up to 1, but RK4 is stable only to STABILITY_FACTOR
+    with pytest.raises(ConfigError) as err:
+        evolve(circle3(48), StepOptions(stop_time=3.0, cfl=0.9))
+    assert err.value.token == "cfl-violation"
+    traj = evolve(circle3(48), StepOptions(stop_time=1e-3, cfl=STABILITY_FACTOR))
+    assert traj.stop_reason == "stop-time"
 
 
 def test_first_frame_is_the_input():
