@@ -54,10 +54,11 @@ def write_curve(path, curve: SampledCurve) -> Path:
 def read_curve(path) -> SampledCurve:
     payload = _load_json(path, "curve")
     try:
+        label = payload.get("label")
         return SampledCurve(int(payload["dimension"]), bool(payload["closed"]),
                             np.asarray(payload["points"], dtype=float),
-                            label=str(payload.get("label", "")))
-    except (KeyError, TypeError, ValueError) as exc:
+                            label=None if label is None else str(label))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("invalid-input",
                           f"bad curve file {path}: {exc}") from exc
 

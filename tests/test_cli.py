@@ -135,6 +135,16 @@ def test_step_above_the_stability_bound_exits_two(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_frames_of_an_unlabeled_input_keep_a_null_label(tmp_path):
+    path = write_curve(tmp_path / "in.curve", SampledCurve(2, True, circle2(64).points))
+    out = tmp_path / "run"
+    assert run("csf", "evolve", "--input", path, "--stop-time", "0.01",
+               "--out", out) == 0
+    index = json.loads((out / "frame_index.json").read_text())
+    for name in (index["files"][0], index["files"][-1]):
+        assert json.loads((out / name).read_text())["label"] is None
+
+
 def test_bad_range_exits_two(tmp_path, capsys):
     assert run("csf", "soliton", "--grim-reaper", "--x", "0:1",
                "--out", tmp_path / "o") == 2

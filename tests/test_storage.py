@@ -10,7 +10,7 @@ from conftest import circle2, helix3
 from curveflow import storage
 from curveflow.errors import ConfigError
 from curveflow.flow import FlowTrajectory
-from curveflow.geometry import frenet
+from curveflow.geometry import SampledCurve, frenet
 from curveflow.hasimoto import FilamentFunction
 
 
@@ -39,6 +39,22 @@ def test_curve_read_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         storage.read_curve(malformed)
     assert err.value.token == "invalid-input"
+
+    not_an_object = tmp_path / "list.curve"
+    not_an_object.write_text(json.dumps([[0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ConfigError) as err:
+        storage.read_curve(not_an_object)
+    assert err.value.token == "invalid-input"
+
+
+def test_unlabeled_curve_round_trips_byte_for_byte(tmp_path):
+    first = storage.write_curve(tmp_path / "a.curve",
+                                SampledCurve(2, True, circle2(16).points))
+    back = storage.read_curve(first)
+    assert back.label is None
+    second = storage.write_curve(tmp_path / "b.curve", back)
+    assert second.read_bytes() == first.read_bytes()
+    assert json.loads(first.read_text())["label"] is None
 
 
 def test_filament_round_trip(tmp_path):
