@@ -269,6 +269,36 @@ def test_non_finite_soliton_parameters_exit_two(tmp_path, capsys, argv):
     assert last_stderr_token(capsys) == "invalid-parameter"
 
 
+def test_csf_evolve_rescale_report(tmp_path):
+    path = write_curve(tmp_path / "gon.curve", circle2(64))
+    out = tmp_path / "run"
+    assert run("csf", "evolve", "--input", path, "--stop-time", "1", "--rescale",
+               "--lambdas", "0.5,4", "--out", out) == 0
+    report = _csv_columns(out / "rescaled_report.csv")
+    np.testing.assert_array_equal(report["lam"], [0.5, 4.0])
+    # lam = 0.5 maps the run into rescaled times above -1/2 and is skipped
+    np.testing.assert_array_equal(report["skipped"], [1.0, 0.0])
+    assert np.isnan(report["iso_at_half"][0]) and report["iso_at_half"][1] < 1.05
+    np.testing.assert_array_equal(report["drift_flagged"], [0.0, 0.0])
+    assert not (out / "rescaled_0.5").exists()
+    rescaled = read_trajectory(out / "rescaled_4")
+    assert len(rescaled.frames) > 0
+    assert -4.0 <= min(rescaled.times) and max(rescaled.times) < 0.0
+
+
+def test_distance_ratio_of_a_trajectory_matches_the_run(tmp_path, circle_file):
+    traj = tmp_path / "traj"
+    assert run("csf", "evolve", "--input", circle_file, "--stop-time", "0.02",
+               "--n", "128", "--out", traj) == 0
+    out = tmp_path / "d"
+    assert run("diagnose", "distance-ratio", "--trajectory", traj, "--out", out) == 0
+    series = _csv_columns(out / "distance_ratio.csv")
+    diagnostics = _csv_columns(traj / "diagnostics.csv")
+    assert len(series["time"]) > 2
+    np.testing.assert_array_equal(series["time"], diagnostics["time"])
+    np.testing.assert_array_equal(series["distance_ratio"], diagnostics["distance_ratio"])
+
+
 def test_structured_text_format(tmp_path, circle_file):
     out = tmp_path / "run"
     assert run("csf", "evolve", "--input", circle_file, "--stop-time", "0.01",
@@ -374,6 +404,18 @@ def test_vfe_soliton_planar_profile(tmp_path, capsys):
             "--out", tmp_path / "o")
     assert exc.value.code == 2
     assert last_stderr_token(capsys) == "invalid-arguments"
+
+
+def test_vfe_soliton_transverse_profile(tmp_path):
+    out = tmp_path / "transverse"
+    C1, C2 = 0.3, 0.1
+    assert run("vfe", "soliton", "--case", "transverse-axis", "--C1", C1, "--C2", C2,
+               "--x=-1.1:1.1:512", "--out", out) == 0
+    record = json.loads((out / "profile.json").read_text())
+    assert record["admissible_band"]["x_squared_below"] == 2.0 / (1.0 + C1**2) - 2.0 * C2
+    assert record["omega"] == [0.0, 1.0, 0.0]
+    assert record["rotation_residual_max"] < 1e-3
+    assert read_curve(out / "profile.curve").n == 512
 
 
 def test_vfe_soliton_outside_band_exits_three(tmp_path, capsys):

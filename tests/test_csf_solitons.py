@@ -78,6 +78,20 @@ def test_residual_is_rotation_invariant():
     assert np.abs(d).max() < 1e-9
 
 
+def test_profile_escape_truncates_or_fails():
+    # with A = x0 = y0 = 0, x stays 0 and y = -B s, which leaves
+    # |y| < ESCAPE_LIMIT = 1e8 at |s| = 0.1 for B = -1e9
+    profile = integrate_profile(CsfSolitonSpec(0.0, -1e9, 0.0, 0.0, s_range=(-1.0, 1.0)))
+    assert profile.escaped
+    assert profile.s[0] == pytest.approx(-0.1, rel=1e-6)
+    assert profile.s[-1] == pytest.approx(0.1, rel=1e-6)
+    assert np.all(profile.x == 0.0)
+    np.testing.assert_allclose(profile.y, 1e9 * profile.s, rtol=1e-9, atol=1e-3)
+    with pytest.raises(CurveFlowError) as err:
+        integrate_profile(CsfSolitonSpec(0.0, -1e9, 0.0, 0.0, s_range=(0.5, 1.0)))
+    assert err.value.token == "profile-escape"
+
+
 def test_scaling_functions():
     assert scaling_functions(0.7, 0.0, 2.0) == (1.4, 1.0)   # pure rotation
     f, g = scaling_functions(0.5, -1.0, 0.3)
