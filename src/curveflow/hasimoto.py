@@ -66,7 +66,7 @@ def hasimoto_transform(fr: FrenetData, gauge_A: float = 0.0) -> FilamentFunction
     """psi = kappa exp(i int_0^s tau), phase integrated from the first sample.
 
     Planar data (torsion absent) maps to the real signed curvature.
-    3-D data must have torsion defined everywhere.  Set ``periodic`` per NLS run.
+    3-D data must have torsion defined everywhere.  Periodicity is set per NLS run.
     """
     s = fr.arclength
     steps = np.diff(s)
