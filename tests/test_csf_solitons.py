@@ -79,8 +79,8 @@ def test_residual_is_rotation_invariant():
 
 
 def test_profile_escape_truncates_or_fails():
-    # with A = x0 = y0 = 0, x stays 0 and y = -B s, which leaves
-    # |y| < ESCAPE_LIMIT = 1e8 at |s| = 0.1 for B = -1e9
+    # with A = x0 = y0 = 0, x stays 0 and y = -B s, which reaches
+    # ESCAPE_LIMIT = 1e8 at |s| = 0.1 for B = -1e9
     profile = integrate_profile(CsfSolitonSpec(0.0, -1e9, 0.0, 0.0, s_range=(-1.0, 1.0)))
     assert profile.escaped
     assert profile.s[0] == pytest.approx(-0.1, rel=1e-6)
