@@ -1,9 +1,13 @@
-"""Curve shortening flow: explicit stepping and the classical diagnostics.
+"""Curve shortening flow: linearly implicit stepping and the classical diagnostics.
 
 The flow moves each point by the discrete curvature vector (the second
-arclength derivative).  Stepping is explicit Euler under the parabolic
-bound dt <= cfl * ds^2 / 2 on the shared driver in ``flow``, which
-resamples when the spacing drifts to hold the arclength gauge.
+arclength derivative, the chord-slope stencil of ``geometry``).  Each step
+solves that stencil implicitly in time with variable-step BDF2 (Dziuk,
+M3AS 1994; Deckelnick, Dziuk and Elliott, Acta Numerica 2005), with the
+matrix taken at the chord lengths extrapolated to the new time, so the
+step follows the curvature rather than the squared spacing.  It runs on
+the shared driver in ``flow``, which resamples when the spacing drifts to
+hold the arclength gauge.
 
 Diagnostics cover the arclength decay law dL/dt = -int kappa^2 ds, the
 curvature evolution law kappa_t = kappa_ss + kappa^3, the backwards-heat
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.spatial.distance import pdist
 
 from . import flow
@@ -37,18 +42,96 @@ from .geometry import (
 )
 
 
+# step, in units of 1/max kappa^2, that cfl = 1 gives where the spacing term
+# cfl * h_min^2 / 2 is smaller; at cfl = 0.25 the shrinking circle keeps its
+# radius law to about 1e-4 (criterion 1)
+ACCURACY_FACTOR = 0.012
+
+# largest step, in units of 1/max kappa^2: half of it is the lifetime of the
+# osculating circle at the sharpest point.  While the singularity guard holds
+# (max kappa times the longest chord at most 1), every cfl step is within it.
+MAX_STEP_FACTOR = 0.5
+
+# largest ratio of consecutive steps the BDF2 weights take; variable-step
+# BDF2 is zero-stable only below 1 + sqrt(2) (Hairer, Norsett and Wanner,
+# Solving ODEs I, section III.5)
+MAX_STEP_RATIO = 2.0
+
+
 def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
     d1, d2 = _lagrange_d1_d2(pts, h, closed)
-    kappa = _signed_curvature(d1, d2)
+    return d2, _signed_curvature(d1, d2)
+
+
+def _step_limits(h: np.ndarray, kappa: np.ndarray):
+    # the floor keeps a straight curve's step finite
+    inv_k2 = 1.0 / max(float(np.abs(kappa).max()) ** 2, np.finfo(float).tiny)
+    return (max(ACCURACY_FACTOR * inv_k2, 0.5 * float(h.min()) ** 2),
+            MAX_STEP_FACTOR * inv_k2)
+
+
+def _implicit_solve(a: float, h: np.ndarray, rhs: np.ndarray, closed: bool) -> np.ndarray:
+    """Solve (a I - D2(h)) x = rhs, D2 the chord-slope second-derivative matrix.
+
+    Row i of D2 is the three-point stencil of ``geometry._lagrange_d1_d2``
+    on the chords h- and h+ beside sample i; the end rows of an open curve
+    are zero.  The matrix is tridiagonal, and cyclic for a closed curve,
+    whose two corners are folded in by Sherman-Morrison: one banded solve
+    takes the right-hand sides and the correction column together.
+    """
+    hm, hp = (np.roll(h, 1), h) if closed else (h[:-1], h[1:])
+    hs = hm + hp
+    lo, up = 2.0 / (hm * hs), 2.0 / (hp * hs)
     if not closed:
-        d2[[0, -1]] = 0.0
-    return d2, kappa
+        lo, up = np.pad(lo, 1), np.pad(up, 1)
+    n = len(rhs)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -up[:-1]
+    ab[1] = a + lo + up
+    ab[2, :-1] = -lo[1:]
+    if not closed:
+        return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
+    # corners M[0, n-1] = alpha and M[n-1, 0] = beta; with gamma = -M[0, 0],
+    # M = B + u v^T for u = (gamma, 0, ..., 0, beta), v = (1, 0, ..., 0, alpha/gamma)
+    alpha, beta, gamma = -lo[0], -up[-1], -ab[1, 0]
+    ab[1, 0] -= gamma
+    ab[1, -1] -= alpha * beta / gamma
+    cols = np.zeros((n, rhs.shape[1] + 1))
+    cols[:, :-1] = rhs
+    cols[0, -1], cols[-1, -1] = gamma, beta
+    sol = solve_banded((1, 1), ab, cols, overwrite_ab=True, overwrite_b=True,
+                       check_finite=False)
+    y, z = sol[:, :-1], sol[:, -1]
+    ratio = alpha / gamma
+    return y - np.outer(z, (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]))
+
+
+def _step(velocity, pts, h, vel, closed, dt, last):
+    """One linearly implicit BDF2 step; backward Euler when ``last`` is None.
+
+    With w = dt / dt_prev (at most ``MAX_STEP_RATIO``), the step solves
+    (a I - D2(h*)) x' = ((1+w) x - w^2/(1+w) x_prev) / dt with
+    a = (1+2w) / ((1+w) dt), at the extrapolated chords h* = (1+w) h - w h_prev.
+    w = 0 is backward Euler.  Pinned open ends are copied, not solved.
+    """
+    if last is None:
+        a, rhs, h_star = 1.0 / dt, pts / dt, h
+    else:
+        pts_prev, h_prev, dt_prev = last
+        w = min(dt / dt_prev, MAX_STEP_RATIO)
+        a = (1.0 + 2.0 * w) / ((1.0 + w) * dt)
+        rhs = ((1.0 + w) * pts - (w * w / (1.0 + w)) * pts_prev) / dt
+        h_star = (1.0 + w) * h - w * h_prev
+    new = _implicit_solve(a, h_star, rhs, closed)
+    if not closed:
+        new[[0, -1]] = pts[[0, -1]]
+    return new
 
 
 def _spec() -> flow.FlowSpec:
-    # built per call, so a rebinding of _velocity takes effect
-    return flow.FlowSpec(dimension=2, step_factor=0.5, max_cfl=1.0,
-                         velocity=_velocity, advance=flow.euler)
+    # built per call, so a rebinding of _velocity or _step takes effect
+    return flow.FlowSpec(dimension=2, velocity=_velocity, step_limits=_step_limits,
+                         step=_step)
 
 
 def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:

@@ -1,14 +1,16 @@
 """The one time-stepping driver for both flow engines.
 
-``evolve`` runs explicit, CFL-guarded stepping with a singularity guard and
+``evolve`` runs step-size-guarded stepping with a singularity guard and
 arclength resampling when the spacing drifts.  An engine describes itself
-with a ``FlowSpec``: its dimension, its step-size constants, its velocity
-and its time integrator (``euler`` or ``rk4``).  Everything else is shared.
+with a ``FlowSpec``: its dimension, its velocity, its step-size rule and its
+time step (the curve shortening engine solves a linearly implicit BDF2
+step; the binormal engine takes explicit ``rk4`` steps).  Everything else is
+shared.
 
 The driver works on the raw ``(n, d)`` point array, resamples it as such,
 and builds a validated ``SampledCurve`` only for the frames it records.
-Each step measures the chord lengths and the velocity once; the first RK4
-stage reuses that velocity.
+Each step measures the chord lengths and the velocity once; the step
+receives both, and the first RK4 stage reuses that velocity.
 
 Stop reasons, checked in this order before every step:
 
@@ -21,10 +23,12 @@ Stop reasons, checked in this order before every step:
 * ``blow-up-detected``: a step produced a non-finite point.  The last
   finite state is recorded as a frame before the run stops.
 
-Every ``resample_every`` steps the driver checks the chord lengths: it
-refreshes the CFL step from the shortest one, and resamples only when the
-longest exceeds the shortest by more than ``SPACING_TOL``.  A uniformly
-spaced curve that keeps its spacing is never resampled.
+The step is sized at the start and every ``resample_every`` steps.  At
+each of these spacing checks after the start, the driver also resamples
+the curve when its longest chord exceeds the shortest by more than
+``SPACING_TOL``; a uniformly spaced curve that keeps its spacing is never
+resampled.  A resample clears the step history, so a multistep scheme
+starts again from one step.
 
 Frames are recorded every ``record_every`` steps and at the stop.  A frame
 due on a resampling step is recorded before the resampling pass, so stored
@@ -58,9 +62,11 @@ SINGULAR_LENGTH_FRACTION = 0.01
 class StepOptions:
     """Time-stepping controls shared by the flow engines.
 
-    Exactly one of ``dt`` (fixed step) or ``cfl`` (step chosen at each spacing
-    check) must be set, and the step must stay within the engine's stability
-    bound.  The spacing is checked every ``resample_every`` steps, and the
+    Exactly one of ``dt`` (fixed step) or ``cfl`` must be set.  ``cfl`` is
+    the step-size number of both engines: at each spacing check the step is
+    ``cfl`` times the engine's unit step (``FlowSpec.step_limits``).  Either
+    way the step must stay within the engine's largest allowed step.  The
+    spacing is checked every ``resample_every`` steps, and the
     curve is resampled only when its chord lengths spread by more than
     ``SPACING_TOL``; resampling keeps the input's sample count.  The run
     stops at ``stop_time``, or earlier when the length drops below
@@ -173,26 +179,26 @@ def interior_frames(traj: FlowTrajectory, dimension: int) -> tuple[np.ndarray, s
 class FlowSpec:
     """What one flow engine supplies to the driver.
 
-    The step, ``cfl * step_factor * min_h**2`` or the fixed ``dt``, may be
-    at most the stability bound ``max_cfl * step_factor * min_h**2``.
-    ``velocity(pts, h, closed)`` returns the velocity (zero at pinned open
-    ends) and the curvature the singularity guard reads.
-    ``advance(velocity, pts, closed, dt, k1)`` integrates one step from
-    the velocity ``k1`` at ``pts``.
+    ``velocity(pts, h, closed)`` returns the velocity, which the step may
+    read, and the curvature the singularity guard reads.
+    ``step_limits(h, kappa)`` returns ``(unit, limit)`` for the current
+    chord lengths and curvature: a ``cfl`` step is ``cfl * unit``, and no
+    step, fixed or not, may exceed ``limit``.
+    ``step(velocity, pts, h, vel, closed, dt, last)`` returns the points one
+    step ``dt`` on from ``pts``, given the chord lengths ``h`` and the
+    velocity ``vel`` at ``pts``.  ``last`` is the history: ``(points, h,
+    dt)`` of the state the previous step started from, or None at the start
+    and after a resample.
     """
 
     dimension: int
-    step_factor: float
-    max_cfl: float
     velocity: Callable
-    advance: Callable
+    step_limits: Callable
+    step: Callable
 
 
-def euler(velocity, pts, closed, dt, k1):
-    return pts + dt * k1
-
-
-def rk4(velocity, pts, closed, dt, k1):
+def rk4(velocity, pts, h, k1, closed, dt, last):
+    """One classical Runge-Kutta step from the velocity ``k1`` at ``pts``."""
     def f(p):
         return velocity(p, chord_lengths(p, closed), closed)[0]
 
@@ -213,12 +219,12 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
     last_recorded = -1
     eps = 1e-12 * max(1.0, opts.stop_time)
 
-    def base_dt(h):
-        bound = spec.step_factor * h.min() ** 2
-        dt = opts.cfl * bound if opts.dt is None else opts.dt
-        if dt > spec.max_cfl * bound:
+    def step_size(h, kappa):
+        unit, limit = spec.step_limits(h, kappa)
+        dt = opts.cfl * unit if opts.dt is None else opts.dt
+        if dt > limit:
             raise ConfigError("cfl-violation",
-                              f"dt={dt:g} exceeds stability bound {spec.max_cfl * bound:g}")
+                              f"dt={dt:g} exceeds the largest allowed step {limit:g}")
         return dt
 
     def record():
@@ -228,9 +234,9 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
             last_recorded = steps
 
     h = chord_lengths(pts, closed)
-    dt_base = base_dt(h)
     vel, kappa = spec.velocity(pts, h, closed)
     length0 = float(h.sum())
+    last = None
     while True:
         length = float(h.sum())
         stop = ""
@@ -249,19 +255,21 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
         if stop:
             break
 
-        if steps > 0 and steps % opts.resample_every == 0:
-            if h.max() > (1.0 + SPACING_TOL) * h.min():
+        if steps % opts.resample_every == 0:
+            if steps > 0 and h.max() > (1.0 + SPACING_TOL) * h.min():
                 pts = resample_points(pts, closed, n)
                 h = chord_lengths(pts, closed)
                 vel, kappa = spec.velocity(pts, h, closed)
-            dt_base = base_dt(h)
+                last = None
+            dt_base = step_size(h, kappa)
 
         dt = min(dt_base, opts.stop_time - t)
-        new_pts = spec.advance(spec.velocity, pts, closed, dt, vel)
+        new_pts = spec.step(spec.velocity, pts, h, vel, closed, dt, last)
         if not np.isfinite(new_pts).all():
             record()
             stop = "blow-up-detected"
             break
+        last = (pts, h, dt)
         pts = new_pts
         t += dt
         steps += 1

@@ -55,10 +55,15 @@ def binormal_velocity(curve: SampledCurve) -> np.ndarray:
     return _velocity(curve.points, segment_lengths(curve), curve.closed)[0]
 
 
+def _step_limits(h: np.ndarray, kappa: np.ndarray):
+    unit = h.min() ** 2
+    return unit, STABILITY_FACTOR * unit
+
+
 def _spec() -> flow.FlowSpec:
     # built per call, so a rebinding of _velocity takes effect
-    return flow.FlowSpec(dimension=3, step_factor=1.0, max_cfl=STABILITY_FACTOR,
-                         velocity=_velocity, advance=flow.rk4)
+    return flow.FlowSpec(dimension=3, velocity=_velocity, step_limits=_step_limits,
+                         step=flow.rk4)
 
 
 def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:

@@ -289,7 +289,7 @@ def test_csf_evolve_rescale_report(tmp_path):
 def test_distance_ratio_of_a_trajectory_matches_the_run(tmp_path, circle_file):
     traj = tmp_path / "traj"
     assert run("csf", "evolve", "--input", circle_file, "--stop-time", "0.02",
-               "--n", "128", "--out", traj) == 0
+               "--n", "128", "--record-every", "2", "--out", traj) == 0
     out = tmp_path / "d"
     assert run("diagnose", "distance-ratio", "--trajectory", traj, "--out", out) == 0
     series = _csv_columns(out / "distance_ratio.csv")

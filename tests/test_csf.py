@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import circle2, ellipse2
+from curveflow import csf
 from curveflow.csf import (
     arclength_rate_residual,
     backwards_heat_kernel,
@@ -21,7 +22,8 @@ from curveflow.csf import (
 from curveflow.csf_solitons import grim_reaper
 from curveflow.errors import CurveFlowError
 from curveflow.flow import StepOptions, frame_measures
-from curveflow.geometry import SampledCurve, resample_arclength, total_length
+from curveflow.geometry import (SampledCurve, _lagrange_d1_d2, chord_lengths,
+                                resample_arclength, total_length)
 from curveflow.storage import read_trajectory, write_trajectory
 
 CIRCLE_HUISKEN = np.sqrt(2.0 * np.pi) * np.exp(-0.5)
@@ -82,6 +84,64 @@ def test_open_curve_ends_stay_pinned():
     assert np.array_equal(traj.final.points[-1], c.points[-1])
 
 
+def test_open_ends_are_bit_exact_after_many_steps():
+    # solving for the end points would round them; the step copies them
+    xs = np.linspace(-1.0, 1.0, 64)
+    c = SampledCurve(2, False, np.column_stack([xs, np.sin(3.0 * xs)]))
+    traj = evolve(c, StepOptions(stop_time=0.05, cfl=0.25, record_every=1))
+    assert traj.steps_taken >= 100
+    for frame in traj.frames:
+        assert np.array_equal(frame.points[[0, -1]], c.points[[0, -1]])
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+def test_implicit_solve_matches_the_dense_stencil_matrix(closed):
+    # the dense matrix is the explicit stencil applied to the unit vectors,
+    # with the pinned end rows of an open curve zeroed
+    rng = np.random.default_rng(5)
+    n = 24
+    th = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    pts = np.column_stack([(2.0 + np.cos(3.0 * th)) * np.cos(th), np.sin(th)])
+    h = chord_lengths(pts, closed)
+    d2 = _lagrange_d1_d2(np.eye(n), h, closed)[1]
+    if not closed:
+        d2[[0, -1]] = 0.0
+    a = 1.0 / 3e-3
+    rhs = rng.standard_normal((n, 2))
+    want = np.linalg.solve(a * np.eye(n) - d2, rhs)
+    got = csf._implicit_solve(a, h, rhs, closed)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fixed_step_is_second_order_on_the_shrinking_circle():
+    stop = 0.3
+    ref = evolve(circle2(64), StepOptions(stop_time=stop, dt=stop / 1000)).final.points
+    err = [np.abs(evolve(circle2(64), StepOptions(stop_time=stop, dt=stop / k)).final.points
+                  - ref).max() for k in (20, 40)]
+    assert 3.5 < err[0] / err[1] < 4.5
+
+
+def test_step_ratio_is_capped_after_a_step_size_jump():
+    c = ellipse2(2.0, 1.0, 64)
+    step0 = evolve(c, StepOptions(stop_time=1e-4, dt=1e-4)).final.points
+    h0, h1 = chord_lengths(c.points, True), chord_lengths(step0, True)
+    dt = 8e-3
+
+    def bdf2(dt_prev):
+        return csf._step(None, step0, h1, None, True, dt, (c.points, h0, dt_prev))
+
+    capped = bdf2(dt / csf.MAX_STEP_RATIO)
+    assert np.array_equal(bdf2(dt / 80.0), capped)
+    assert not np.array_equal(bdf2(dt / 1.5), capped)
+
+
+@pytest.mark.parametrize("cfl", [0.95, 0.99, 1.0])
+def test_cfl_up_to_one_reaches_the_stop_time(cfl):
+    traj = evolve(ellipse2(2.0, 1.0, 64), StepOptions(stop_time=0.9, cfl=cfl))
+    assert traj.stop_reason == "stop-time"
+    assert traj.final_time == pytest.approx(0.9, abs=1e-12)
+
+
 def test_stop_length():
     traj = evolve(circle2(256),
                   StepOptions(stop_time=10.0, cfl=0.25, stop_length=4.0))
@@ -116,7 +176,7 @@ def test_arclength_residual_reads_stored_frames(tmp_path):
     # storage keeps points and times only; the residual measures both
     # terms on the frames, so a stored trajectory gives the same numbers
     traj = evolve(ellipse2(1.5, 1.0, 128),
-                  StepOptions(stop_time=0.02, cfl=0.25, record_every=20))
+                  StepOptions(stop_time=0.02, cfl=0.25, record_every=5))
     write_trajectory(tmp_path, traj)
     back = read_trajectory(tmp_path)
     in_memory = arclength_rate_residual(traj)

@@ -192,19 +192,31 @@ def test_step_options_reject_non_finite_and_out_of_range(kwargs):
         StepOptions(**kwargs)
 
 
-@pytest.mark.parametrize("engine, curve", [(csf, circle2(16)), (vfe, circle3(16))],
+@pytest.mark.parametrize("engine, curve, hook",
+                         [(csf, circle2(16), "step"), (vfe, circle3(16), "velocity")],
                          ids=["csf", "vfe"])
-def test_blow_up_records_the_last_finite_frame(engine, curve):
-    # translate along x at unit speed; the velocity turns non-finite once
-    # the curve has moved past 4.75 steps
+def test_blow_up_records_the_last_finite_frame(engine, curve, hook):
+    # translate along x at unit speed; the speed turns non-finite once the
+    # curve has moved past 4.75 steps.  The binormal engine's RK4 stages read
+    # the velocity, so the NaN enters there; the curve shortening step does
+    # not read the velocity, so the NaN enters through the step itself
     dt, start = 0.01, curve.points[0, 0]
+
+    def speed(pts):
+        return np.nan if pts[0, 0] - start > 4.75 * dt else 1.0
 
     def velocity(pts, h, closed):
         vel = np.zeros_like(pts)
-        vel[:, 0] = np.nan if pts[0, 0] - start > 4.75 * dt else 1.0
+        vel[:, 0] = speed(pts)
         return vel, np.zeros(len(pts))
 
-    spec = dataclasses.replace(engine._spec(), velocity=velocity)
+    def step(velocity, pts, h, vel, closed, dt, last):
+        moved = pts.copy()
+        moved[:, 0] += dt * speed(pts)
+        return moved
+
+    hooks = {"step": step, "velocity": velocity}
+    spec = dataclasses.replace(engine._spec(), **{hook: hooks[hook]})
     traj = flow.evolve(curve, StepOptions(stop_time=1.0, dt=dt, record_every=3), spec)
     assert traj.stop_reason == "blow-up-detected"
     # the blow-up step is off the record cadence, so this frame exists only
@@ -232,9 +244,10 @@ def test_uniform_circle_is_never_resampled(monkeypatch):
     # CSF moves a uniformly sampled circle's points along their radii, so
     # the spacing stays uniform and no spacing check may resample it
     calls = _count_resamples(monkeypatch)
-    traj = csf.evolve(circle2(64), StepOptions(stop_time=0.1, cfl=0.25))
+    opts = StepOptions(stop_time=0.3, cfl=0.25)
+    traj = csf.evolve(circle2(64), opts)
     assert traj.stop_reason == "stop-time"
-    assert traj.steps_taken >= 50          # five checks at resample_every = 10
+    assert traj.steps_taken // opts.resample_every >= 5    # five spacing checks
     assert calls == []
 
 
