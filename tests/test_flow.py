@@ -71,71 +71,71 @@ NAN = float("nan")
 # the end stencil applied to d2 amplifies that rounding to up to 1.8e-11
 # relative.  csf-closed-dt, csf-open-dt and vfe-closed-cfl were regenerated
 # when the driver began to resample only on spacing drift: they skip
-# resamples that the fixed cadence made.
+# resamples that the fixed cadence made.  All seven csf rows were regenerated
+# when the curve shortening step became linearly implicit BDF2.
 GOLDEN = {
     "csf-closed-cfl": {
         "stop_reason": "stop-time", "steps_taken": 24,
         "frames": [
-            [0.0, 0.0, 9.684557854680218, 2.0048268947365786, 6.687207444412131, NAN, -4.6629367034256575e-15, -3.594347042223944e-15, 160.0],
-            [0.012125134034088204, 0.012125134034088204, 9.604988793440526, 1.9131426346283398, 6.6053484413571955, NAN, 8.43769498715119e-15, -4.288236432614667e-15, 158.0572784463802],
-            [0.04012609784419542, 0.04012609784419542, 9.42199582989065, 1.8060715618045124, 6.53639616911056, NAN, 1.3766765505351941e-14, 5.773159728050814e-15, 138.8197650069759],
-            [0.05, 0.05, 9.358754205867672, 1.7789119272613307, 6.513605527811204, NAN, -8.881784197001252e-15, -2.067790383364354e-14, 136.19509588896858],
+            [0.0, 0.0, 9.684557854680218, 2.0048268947365444, 6.6872074444122145, NAN, -4.6629367034256575e-15, -3.594347042223944e-15, 160.0],
+            [0.012125134034088204, 0.012125134034088204, 9.605007317688216, 1.9156641263190781, 6.6064444585092685, NAN, -1.354472090042691e-14, 8.923417560424696e-15, 158.05639834640948],
+            [0.04012591101845939, 0.04012591101845939, 9.422025740789493, 1.8114315856029646, 6.5399059152289585, NAN, -2.2648549702353193e-14, 1.4710455076283324e-14, 138.81454585048976],
+            [0.05, 0.05, 9.358915948011727, 1.7849705127466393, 6.517906732765646, NAN, 1.1546319456101628e-14, 1.3711254354120683e-14, 136.19414856688113],
         ],
     },
     "csf-closed-dt": {
         "stop_reason": "stop-time", "steps_taken": 40,
         "frames": [
             [0.0, 0.0, 9.684557854680218, 2.0048268947365444, 6.6872074444122145, NAN, -4.6629367034256575e-15, -3.594347042223944e-15, 160.0],
-            [0.005000000000000001, 0.005000000000000001, 9.651630781782977, 1.9622471510879087, 6.650327556174021, NAN, -1.0436096431476471e-14, 1.8041124150158794e-15, 159.200456836789],
-            [0.010000000000000005, 0.010000000000000005, 9.616558418179952, 1.9401861798923907, 6.68062105196441, NAN, 1.199040866595169e-14, -9.131584377541913e-15, 143.09760324235035],
-            [0.01500000000000001, 0.01500000000000001, 9.584008113340378, 1.911616363824922, 6.652415835417052, NAN, 1.2212453270876722e-14, -1.1185496973098452e-14, 142.19048823420954],
-            [0.02, 0.02, 9.551569776586572, 1.8870385463101276, 6.624927966663463, NAN, 1.0880185641326534e-14, -1.7513768213461844e-14, 141.5454914523367],
+            [0.005000000000000001, 0.005000000000000001, 9.651635148646932, 1.9629334226847153, 6.650578090071287, NAN, -1.7319479184152442e-14, -1.249000902703301e-16, 159.20030065670315],
+            [0.010000000000000005, 0.010000000000000005, 9.61656510480141, 1.9411002641419668, 6.681035026870521, NAN, 8.881784197001252e-15, 1.4210854715202004e-14, 143.09746015526787],
+            [0.01500000000000001, 0.01500000000000001, 9.584016415022766, 1.9126696222690533, 6.652936158205781, NAN, -1.2434497875801753e-14, 1.0436096431476471e-14, 142.19036795631845],
+            [0.02, 0.02, 9.551570011328646, 1.888095142460723, 6.625477203958157, NAN, -3.219646771412954e-14, 9.020562075079397e-15, 141.5451131112174],
         ],
     },
     "csf-max-steps": {
         "stop_reason": "max-steps", "steps_taken": 17,
         "frames": [
-            [0.0, 0.0, 9.684557854680218, 2.0048268947365786, 6.687207444412131, NAN, -4.6629367034256575e-15, -3.594347042223944e-15, 160.0],
-            [0.006062567017044102, 0.006062567017044102, 9.644663418115087, 1.9533848331172723, 6.642852584296985, NAN, -5.329070518200751e-15, -1.5543122344752192e-15, 159.03067735099486],
-            [0.012125134034088204, 0.012125134034088204, 9.604988793440526, 1.9131426346283398, 6.6053484413571955, NAN, 8.43769498715119e-15, -4.288236432614667e-15, 158.0572784463802],
-            [0.02612561593914181, 0.02612561593914181, 9.511962863910838, 1.8561201355463939, 6.593724079644879, NAN, 1.9095836023552692e-14, 9.076073226310655e-15, 140.64440274017028],
-            [0.031725808701163254, 0.031725808701163254, 9.475904336161788, 1.834525929639143, 6.568983000891333, NAN, 1.7541523789077473e-14, -6.661338147750939e-16, 139.91720860573332],
+            [0.0, 0.0, 9.684557854680218, 2.0048268947365444, 6.6872074444122145, NAN, -4.6629367034256575e-15, -3.594347042223944e-15, 160.0],
+            [0.006062567017044102, 0.006062567017044102, 9.644704153092526, 1.9556841301123444, 6.643765771986328, NAN, -7.105427357601002e-15, -2.373101715136272e-15, 159.0306077333728],
+            [0.012125134034088204, 0.012125134034088204, 9.605007317688216, 1.9156641263190781, 6.6064444585092685, NAN, -1.354472090042691e-14, 8.923417560424696e-15, 158.05639834640948],
+            [0.026125522526273794, 0.026125522526273794, 9.512132453355354, 1.8620061172119295, 6.597210705735698, NAN, -1.3988810110276972e-14, 1.5792922525292852e-14, 140.64290627543033],
+            [0.03172567792314803, 0.03172567792314803, 9.476019015220645, 1.8401735155672256, 6.572501041063562, NAN, -2.1094237467877974e-14, 9.381384558082573e-15, 139.91421436386665],
         ],
     },
     "csf-open-cfl": {
-        "stop_reason": "stop-time", "steps_taken": 16,
+        "stop_reason": "stop-time", "steps_taken": 7,
         "frames": [
-            [0.0, 0.0, 2.9576157739833464, 1.9945864406281444, 2.626149644652026, NAN, -4.6629367034256575e-15, 16.680851063829785, 27.109214721208208],
-            [0.002263467632412851, 0.002263467632412851, 2.95171657100007, 1.961732593539906, 2.603321127814731, NAN, -2.886579864025407e-15, 16.760834833926054, 27.09117681738507],
-            [0.005, 0.005, 2.9444853887953117, 1.923025648361881, 2.583699328393867, NAN, -8.881784197001252e-16, 20.450017173822197, 33.704001928189626],
+            [0.0, 0.0, 2.9576157739833464, 1.9945864406281448, 2.626149644652032, NAN, -4.6629367034256575e-15, 16.680851063829785, 27.109214721208208],
+            [0.005, 0.005, 2.9446549917681444, 1.9280400347798825, 2.579845670909288, NAN, -3.1086244689504383e-15, 16.857671551520145, 27.070481970149654],
         ],
     },
     "csf-open-dt": {
         "stop_reason": "stop-time", "steps_taken": 30,
         "frames": [
             [0.0, 0.0, 2.9576157739833464, 1.9945864406281448, 2.626149644652032, NAN, -4.6629367034256575e-15, 16.680851063829785, 27.109214721208208],
-            [0.0010000000000000002, 0.0010000000000000002, 2.955003794620728, 1.9795774532682602, 2.6155490195931446, NAN, -8.881784197001252e-16, 16.71617309956776, 27.101153246728636],
-            [0.0020000000000000005, 0.0020000000000000005, 2.9522398682379616, 1.9605942830901726, 2.60998323620113, NAN, 5.440092820663267e-15, 20.348363533829655, 33.69923019071363],
-            [0.0029999999999999988, 0.0029999999999999988, 2.9496471541450715, 1.9476461131074971, 2.6007266477465607, NAN, 8.104628079763643e-15, 20.376739645901438, 33.69103014210954],
+            [0.0010000000000000002, 0.0010000000000000002, 2.9550040634681434, 1.979649168860841, 2.615578614818774, NAN, 3.6637359812630166e-15, 16.71617324953506, 27.101157041678597],
+            [0.0020000000000000005, 0.0020000000000000005, 2.952240383993746, 1.9607273280351594, 2.610039963396999, NAN, -2.4424906541753444e-15, 20.348360375622576, 33.69923255902988],
+            [0.0029999999999999988, 0.0029999999999999988, 2.9496476968032788, 1.947801848059932, 2.6007764024016327, NAN, 3.4416913763379853e-15, 20.37673823806004, 33.69103422567582],
         ],
     },
     "csf-singular": {
-        "stop_reason": "approaching-singularity", "steps_taken": 196,
+        "stop_reason": "approaching-singularity", "steps_taken": 193,
         "frames": [
-            [0.0, 0.0, 6.242890304516104, 1.0395661298965815, 6.746677433345592, NAN, -5.551115123125783e-16, -1.1102230246251565e-16, 16.0],
-            [0.45809911482378457, 0.45809911482378457, 1.9189267779587325, 3.3820453118791582, 21.949126782802473, NAN, -1.4432899320127035e-15, 1.1102230246251565e-15, 1.5116991939918594],
-            [0.5013808687392536, 0.5013808687392536, 0.5898357650947863, 11.002888765471498, 71.40761823685338, NAN, -1.0269562977782698e-15, 1.5890067039947553e-15, 0.14282715331972706],
-            [0.50547018077104, 0.50547018077104, 0.18130250397310047, 35.795960734208066, 232.31210939359067, NAN, -8.326672684688674e-16, 1.3426759704060487e-15, 0.01349448078459893],
-            [0.5058468205712414, 0.5058468205712414, 0.062076377577157296, 104.54697207755318, 678.4991131929323, NAN, -8.344019919448442e-16, 1.3856103764364747e-15, 0.0015819811593680319],
+            [0.0, 0.0, 6.242890304516104, 1.0395661298965806, 6.746677433345597, NAN, -5.551115123125783e-16, -1.1102230246251565e-16, 16.0],
+            [0.45527257084143735, 0.45527257084143735, 1.889092438338544, 3.43545777936764, 22.295768212049097, NAN, -7.216449660063518e-16, -1.8318679906315083e-15, 1.4650585932739646],
+            [0.4968985631167555, 0.4968985631167555, 0.570911746389612, 11.367601655205325, 73.77456744003892, NAN, -3.3306690738754696e-15, 2.0122792321330962e-16, 0.13380937189050263],
+            [0.5007004232650469, 0.5007004232650469, 0.17253799525677715, 37.614308103998944, 244.11299710332327, NAN, -2.8033131371785203e-15, 5.169475958410885e-16, 0.012221318715807979],
+            [0.5010326632813016, 0.5010326632813016, 0.06234819987962473, 104.09117385529554, 675.5410295349228, NAN, -2.688821387764051e-15, 7.016956460326185e-16, 0.001595865966012207],
         ],
     },
     "csf-stop-length": {
         "stop_reason": "stop-length", "steps_taken": 27,
         "frames": [
-            [0.0, 0.0, 6.273096981091879, 1.0097005565352746, 6.395392348350602, NAN, -2.3314683517128287e-15, 2.248201624865942e-15, 32.0],
-            [0.048036798991923535, 0.048036798991923535, 5.964945901758076, 1.061862021437848, 6.725780433568017, NAN, -5.551115123125783e-16, -6.106226635438361e-16, 28.933368172272875],
-            [0.09147012371226074, 0.09147012371226074, 5.671932016697026, 1.1167181648796847, 7.0732364766069455, NAN, -3.885780586188048e-15, -4.3576253716537394e-15, 26.16061855600916],
-            [0.1189598319171226, 0.1189598319171226, 5.478378333913167, 1.1561723427896102, 7.323137247565677, NAN, -2.7755575615628914e-15, -3.0531133177191805e-16, 24.405629674247756],
+            [0.0, 0.0, 6.273096981091879, 1.0097005565352672, 6.395392348350594, NAN, -2.3314683517128287e-15, 2.248201624865942e-15, 32.0],
+            [0.048036798991923535, 0.048036798991923535, 5.96449810509584, 1.0619417428596127, 6.726285385028478, NAN, -3.9968028886505635e-15, 2.525757381022231e-15, 28.929024200144415],
+            [0.09146360275863635, 0.09146360275863635, 5.670756930200576, 1.116949569690741, 7.074702182997145, NAN, -5.551115123125783e-15, 2.3592239273284576e-15, 26.149779989848493],
+            [0.11894192174422233, 0.11894192174422233, 5.476759860476904, 1.1565140109058512, 7.325301356164033, NAN, -5.773159728050814e-15, -5.273559366969494e-16, 24.39121152850919],
         ],
     },
     "vfe-closed-cfl": {
