@@ -79,18 +79,24 @@ def _implicit_solve(a: float, h: np.ndarray, rhs: np.ndarray, closed: bool) -> n
     whose two corners are folded in by Sherman-Morrison: one banded solve
     takes the right-hand sides and the correction column together.
     """
-    hm, hp = (np.roll(h, 1), h) if closed else (h[:-1], h[1:])
+    if closed:
+        hm, hp = np.concatenate([h[-1:], h[:-1]]), h
+    else:
+        hm, hp = h[:-1], h[1:]
     hs = hm + hp
     lo, up = 2.0 / (hm * hs), 2.0 / (hp * hs)
-    if not closed:
-        lo, up = np.pad(lo, 1), np.pad(up, 1)
     n = len(rhs)
+    # solve_banded's layout: row 0 holds M[j-1, j], row 1 M[j, j], row 2 M[j+1, j]
     ab = np.zeros((3, n))
+    if not closed:
+        ab[0, 2:] = -up
+        ab[1, [0, -1]] = a
+        ab[1, 1:-1] = a + lo + up
+        ab[2, :-2] = -lo
+        return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
     ab[0, 1:] = -up[:-1]
     ab[1] = a + lo + up
     ab[2, :-1] = -lo[1:]
-    if not closed:
-        return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
     # corners M[0, n-1] = alpha and M[n-1, 0] = beta; with gamma = -M[0, 0],
     # M = B + u v^T for u = (gamma, 0, ..., 0, beta), v = (1, 0, ..., 0, alpha/gamma)
     alpha, beta, gamma = -lo[0], -up[-1], -ab[1, 0]
@@ -101,9 +107,9 @@ def _implicit_solve(a: float, h: np.ndarray, rhs: np.ndarray, closed: bool) -> n
     cols[0, -1], cols[-1, -1] = gamma, beta
     sol = solve_banded((1, 1), ab, cols, overwrite_ab=True, overwrite_b=True,
                        check_finite=False)
-    y, z = sol[:, :-1], sol[:, -1]
+    y, z = sol[:, :-1], sol[:, -1:]
     ratio = alpha / gamma
-    return y - np.outer(z, (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]))
+    return y - z * ((y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]))
 
 
 def _step(velocity, pts, h, vel, closed, dt, last):
