@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.spatial.distance import pdist
 
 from . import flow
@@ -32,6 +31,7 @@ from .geometry import (
     SampledCurve,
     _lagrange_d1_d2,
     _signed_curvature,
+    _solve_tridiagonal,
     cumulative_arclength,
     enclosed_area,
     integrate_along,
@@ -76,8 +76,8 @@ def _implicit_solve(a: float, h: np.ndarray, rhs: np.ndarray, closed: bool) -> n
     Row i of D2 is the three-point stencil of ``geometry._lagrange_d1_d2``
     on the chords h- and h+ beside sample i; the end rows of an open curve
     are zero.  The matrix is tridiagonal, and cyclic for a closed curve,
-    whose two corners are folded in by Sherman-Morrison: one banded solve
-    takes the right-hand sides and the correction column together.
+    whose two corners are folded in by Sherman-Morrison: one tridiagonal
+    solve takes the right-hand sides and the correction column together.
     """
     if closed:
         hm, hp = np.concatenate([h[-1:], h[:-1]]), h
@@ -85,34 +85,27 @@ def _implicit_solve(a: float, h: np.ndarray, rhs: np.ndarray, closed: bool) -> n
         hm, hp = h[:-1], h[1:]
     hs = hm + hp
     lo, up = 2.0 / (hm * hs), 2.0 / (hp * hs)
-    n = len(rhs)
-    # solve_banded's layout: row 0 holds M[j-1, j], row 1 M[j, j], row 2 M[j+1, j]
-    ab = np.zeros((3, n))
     if not closed:
-        ab[0, 2:] = -up
-        ab[1, [0, -1]] = a
-        ab[1, 1:-1] = a + lo + up
-        ab[2, :-2] = -lo
-        return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
-    ab[0, 1:] = -up[:-1]
-    ab[1] = a + lo + up
-    ab[2, :-1] = -lo[1:]
+        # the pinned end rows are a x = rhs
+        dl, du = np.concatenate([-lo, [0.0]]), np.concatenate([[0.0], -up])
+        d = np.concatenate([[a], a + lo + up, [a]])
+        return _solve_tridiagonal(dl, d, du, rhs, overwrite_bands=True)
+    dl, d, du = -lo[1:], a + lo + up, -up[:-1]
     # corners M[0, n-1] = alpha and M[n-1, 0] = beta; with gamma = -M[0, 0],
     # M = B + u v^T for u = (gamma, 0, ..., 0, beta), v = (1, 0, ..., 0, alpha/gamma)
-    alpha, beta, gamma = -lo[0], -up[-1], -ab[1, 0]
-    ab[1, 0] -= gamma
-    ab[1, -1] -= alpha * beta / gamma
-    cols = np.zeros((n, rhs.shape[1] + 1))
+    alpha, beta, gamma = -lo[0], -up[-1], -d[0]
+    d[0] -= gamma
+    d[-1] -= alpha * beta / gamma
+    cols = np.zeros((len(rhs), rhs.shape[1] + 1))
     cols[:, :-1] = rhs
     cols[0, -1], cols[-1, -1] = gamma, beta
-    sol = solve_banded((1, 1), ab, cols, overwrite_ab=True, overwrite_b=True,
-                       check_finite=False)
+    sol = _solve_tridiagonal(dl, d, du, cols, overwrite_bands=True, overwrite_b=True)
     y, z = sol[:, :-1], sol[:, -1:]
     ratio = alpha / gamma
     return y - z * ((y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]))
 
 
-def _step(velocity, pts, h, vel, closed, dt, last):
+def _step(pts, h, vel, closed, dt, last):
     """One linearly implicit BDF2 step; backward Euler when ``last`` is None.
 
     With w = dt / dt_prev (at most ``MAX_STEP_RATIO``), the step solves

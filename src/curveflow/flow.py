@@ -4,13 +4,14 @@
 arclength resampling when the spacing drifts.  An engine describes itself
 with a ``FlowSpec``: its dimension, its velocity, its step-size rule and its
 time step (the curve shortening engine solves a linearly implicit BDF2
-step; the binormal engine takes explicit ``rk4`` steps).  Everything else is
+step; the binormal engine takes explicit RK4 steps).  Everything else is
 shared.
 
 The driver works on the raw ``(n, d)`` point array, resamples it as such,
 and builds a validated ``SampledCurve`` only for the frames it records.
 Each step measures the chord lengths and the velocity once; the step
-receives both, and the first RK4 stage reuses that velocity.
+receives both, and the binormal engine's first RK4 stage reuses that
+velocity.
 
 Stop reasons, checked in this order before every step:
 
@@ -179,33 +180,24 @@ def interior_frames(traj: FlowTrajectory, dimension: int) -> tuple[np.ndarray, s
 class FlowSpec:
     """What one flow engine supplies to the driver.
 
-    ``velocity(pts, h, closed)`` returns the velocity, which the step may
-    read, and the curvature the singularity guard reads.
+    ``velocity(pts, h, closed)`` returns the velocity at the state the
+    driver holds, which the step receives as ``vel``, and the curvature the
+    singularity guard reads.
     ``step_limits(h, kappa)`` returns ``(unit, limit)`` for the current
     chord lengths and curvature: a ``cfl`` step is ``cfl * unit``, and no
     step, fixed or not, may exceed ``limit``.
-    ``step(velocity, pts, h, vel, closed, dt, last)`` returns the points one
-    step ``dt`` on from ``pts``, given the chord lengths ``h`` and the
-    velocity ``vel`` at ``pts``.  ``last`` is the history: ``(points, h,
-    dt)`` of the state the previous step started from, or None at the start
-    and after a resample.
+    ``step(pts, h, vel, closed, dt, last)`` returns the points one step
+    ``dt`` on from ``pts``, given the chord lengths ``h`` and the velocity
+    ``vel`` at ``pts``; a step that needs the velocity elsewhere, as RK4's
+    later stages do, computes it itself.  ``last`` is the history:
+    ``(points, h, dt)`` of the state the previous step started from, or None
+    at the start and after a resample.
     """
 
     dimension: int
     velocity: Callable
     step_limits: Callable
     step: Callable
-
-
-def rk4(velocity, pts, h, k1, closed, dt, last):
-    """One classical Runge-Kutta step from the velocity ``k1`` at ``pts``."""
-    def f(p):
-        return velocity(p, chord_lengths(p, closed), closed)[0]
-
-    k2 = f(pts + 0.5 * dt * k1)
-    k3 = f(pts + 0.5 * dt * k2)
-    k4 = f(pts + dt * k3)
-    return pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajectory:
@@ -264,7 +256,7 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
             dt_base = step_size(h, kappa)
 
         dt = min(dt_base, opts.stop_time - t)
-        new_pts = spec.step(spec.velocity, pts, h, vel, closed, dt, last)
+        new_pts = spec.step(pts, h, vel, closed, dt, last)
         if not np.isfinite(new_pts).all():
             record()
             stop = "blow-up-detected"

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv, zgtsv
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import pdist
 
@@ -267,21 +269,15 @@ def resample_arclength(curve: SampledCurve, n: int) -> SampledCurve:
 # derivatives and the Frenet frame
 
 
-def _lagrange_d1_d2(values: np.ndarray, h: np.ndarray, closed: bool):
-    """First and second derivative of samples w.r.t. arclength.
+def _chord_slope(values: np.ndarray, h: np.ndarray):
+    """Slopes and derivatives of the three-point stencil, without ends or wrap.
 
-    ``h`` holds the segment lengths (with wrap entry for closed curves).
-    Every sample with two neighbours takes the three-point stencil in its
-    chord-slope form: with the slopes t = dv/h of the segments before (-)
-    and after (+) the sample, d1 = (h- t+ + h+ t-)/(h- + h+) and
-    d2 = 2 (t+ - t-)/(h- + h+).  Closed curves wrap, so that is every
-    sample.  Each end of an open curve takes the derivatives of the cubic
-    through its four nearest samples, in Newton form from the end slope
-    and the d2 of the next two samples (Fornberg, Math. Comp. 1988).
+    ``values`` holds m rows and ``h`` the m - 1 segment lengths between
+    them.  Returns the segment slopes t = dv/h (m - 1 rows) and d1 and d2 at
+    the m - 2 samples with two neighbours, in the chord-slope form: with the
+    slopes of the segments before (-) and after (+) the sample,
+    d1 = (h- t+ + h+ t-)/(h- + h+) and d2 = 2 (t+ - t-)/(h- + h+).
     """
-    if closed:
-        values = np.concatenate([values[-1:], values, values[:1]])
-        h = np.concatenate([h[-1:], h])
     # h per column: same-shape operands are far cheaper than broadcasting
     # over a short last axis
     d = values.shape[1]
@@ -289,8 +285,23 @@ def _lagrange_d1_d2(values: np.ndarray, h: np.ndarray, closed: bool):
     t = (values[1:] - values[:-1]) / h
     hm, hp = h[:-1], h[1:]
     hs = hm + hp
-    d1 = (hm * t[1:] + hp * t[:-1]) / hs
-    d2 = 2.0 * (t[1:] - t[:-1]) / hs
+    return t, (hm * t[1:] + hp * t[:-1]) / hs, 2.0 * (t[1:] - t[:-1]) / hs
+
+
+def _lagrange_d1_d2(values: np.ndarray, h: np.ndarray, closed: bool):
+    """First and second derivative of samples w.r.t. arclength.
+
+    ``h`` holds the segment lengths (with wrap entry for closed curves).
+    Every sample with two neighbours takes the three-point stencil of
+    ``_chord_slope``.  Closed curves wrap, so that is every sample.  Each
+    end of an open curve takes the derivatives of the cubic through its
+    four nearest samples, in Newton form from the end slope and the d2 of
+    the next two samples (Fornberg, Math. Comp. 1988).
+    """
+    if closed:
+        values = np.concatenate([values[-1:], values, values[:1]])
+        h = np.concatenate([h[-1:], h])
+    t, d1, d2 = _chord_slope(values, h)
     if closed:
         return d1, d2
 
@@ -298,14 +309,32 @@ def _lagrange_d1_d2(values: np.ndarray, h: np.ndarray, closed: bool):
     # the next one inward; near and far are d2 at the next two samples, twice
     # the cubic's second divided differences, so c/2 is its third.  The end
     # runs backwards from its last sample, which flips the sign in d1.
-    h0, h1 = h[[0, -1]], h[[1, -2]]
+    h0, h1, h2 = h[[0, -1]][:, None], h[[1, -2]][:, None], h[[2, -3]][:, None]
     near, far = d2[[0, -1]], d2[[1, -2]]
-    c = (far - near) / (h0 + h1 + h[[2, -3]])
+    c = (far - near) / (h0 + h1 + h2)
     sign = np.array([[1.0], [-1.0]])
     e1 = t[[0, -1]] - sign * (0.5 * h0) * (near - c * (h0 + h1))
     e2 = near - c * (h0 + h0 + h1)
     return (np.concatenate([e1[:1], d1, e1[1:]]),
             np.concatenate([e2[:1], d2, e2[1:]]))
+
+
+def _solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray,
+                       overwrite_bands: bool = False, overwrite_b: bool = False):
+    """Solve the tridiagonal system with sub-, main and super-diagonal dl, d, du.
+
+    This is LAPACK's ?gtsv with the arguments ``scipy.linalg.solve_banded``
+    passes it for (1, 1) bands, so the bits match, without that function's
+    per-call checks; ``info`` is checked as it checks it.
+    """
+    gtsv = zgtsv if b.dtype.kind == "c" else dgtsv
+    *_, x, info = gtsv(dl, d, du, b, overwrite_bands, overwrite_bands,
+                       overwrite_bands, overwrite_b)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
 
 
 def _signed_curvature(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:

@@ -22,11 +22,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.spatial.transform import Rotation
 
 from .errors import CurveFlowError
-from .geometry import FrenetData, SampledCurve
+from .geometry import FrenetData, SampledCurve, _solve_tridiagonal
 
 
 @dataclass
@@ -92,59 +91,69 @@ def hasimoto_transform(fr: FrenetData, gauge_A: float = 0.0) -> FilamentFunction
 # NLS stepping
 
 
-def _linear_step_periodic(values: np.ndarray, ds: float, dt: float) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.fftfreq(values.size, d=ds)
-    return np.fft.ifft(np.exp(-1j * k**2 * dt) * np.fft.fft(values))
-
-
 @functools.lru_cache(maxsize=8)
-def _clamped_bands(n: int, ds: float, dt: float) -> np.ndarray:
-    # the implicit half of the Crank-Nicolson step, in solve_banded's (3, n)
-    # layout; read-only, since every step with this grid and dt shares it
+def _clamped_bands(n: int, ds: float, dt: float):
+    # the implicit half of the Crank-Nicolson step as its sub-, main and
+    # super-diagonal; read-only, since every step with this grid and dt
+    # shares them
     c = 1j * dt / (2.0 * ds**2)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[1, :] = 1.0 + 2.0 * c
-    ab[0, 2:] = -c
-    ab[2, :-2] = -c
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
-    ab.flags.writeable = False
-    return ab
+    d = np.full(n, 1.0 + 2.0 * c)
+    d[0] = d[-1] = 1.0
+    dl, du = np.full(n - 1, -c), np.full(n - 1, -c)
+    dl[-1] = du[0] = 0.0
+    for band in (dl, d, du):
+        band.flags.writeable = False
+    return dl, d, du
 
 
-def _linear_step_clamped(values: np.ndarray, ds: float, dt: float) -> np.ndarray:
-    # Crank-Nicolson for psi_t = i psi_ss with endpoints held fixed
+def _dispersion(n: int, ds: float, dt: float, periodic: bool):
+    """The step of psi_t = i psi_ss over dt, as a function of the values.
+
+    Periodic: exact, in Fourier space.  Clamped: Crank-Nicolson with the
+    endpoints held fixed.
+    """
+    if periodic:
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=ds)
+        factor = np.exp(-1j * k**2 * dt)
+        return lambda values: np.fft.ifft(factor * np.fft.fft(values))
     c = 1j * dt / (2.0 * ds**2)
-    rhs = values.copy()
-    rhs[1:-1] = values[1:-1] + c * (values[2:] - 2.0 * values[1:-1] + values[:-2])
-    return solve_banded((1, 1), _clamped_bands(values.size, ds, dt), rhs,
-                        overwrite_b=True)
+    bands = _clamped_bands(n, ds, dt)
+
+    def crank_nicolson(values):
+        rhs = values.copy()
+        rhs[1:-1] = values[1:-1] + c * (values[2:] - 2.0 * values[1:-1] + values[:-2])
+        return _solve_tridiagonal(*bands, rhs, overwrite_b=True)
+
+    return crank_nicolson
 
 
 def nlcse_step(psi: FilamentFunction, dt: float) -> FilamentFunction:
     """One Strang split step: half nonlinear, full dispersion, half nonlinear."""
-    if not psi.periodic and dt > 10.0 * psi.grid_step**2:
-        warnings.warn("accuracy-degraded: dt above 10*ds^2 in clamped mode",
-                      RuntimeWarning, stacklevel=2)
-    vals = psi.values * np.exp(
-        0.25j * dt * (np.abs(psi.values) ** 2 + psi.gauge_A)
-    )
-    if psi.periodic:
-        vals = _linear_step_periodic(vals, psi.grid_step, dt)
-    else:
-        vals = _linear_step_clamped(vals, psi.grid_step, dt)
-    vals = vals * np.exp(0.25j * dt * (np.abs(vals) ** 2 + psi.gauge_A))
-    return FilamentFunction(psi.grid_start, psi.grid_step, vals, psi.gauge_A,
-                            psi.time + dt, psi.periodic)
+    return nlcse_evolve(psi, dt, 1)
 
 
 def nlcse_evolve(psi: FilamentFunction, dt: float, n_steps: int) -> FilamentFunction:
+    """``n_steps`` Strang split steps of ``dt``.
+
+    The steps run on the raw values; a result that is not finite raises
+    ``ValueError`` when the returned ``FilamentFunction`` is built.
+    """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
+    if n_steps == 0:
+        return psi
+    if not psi.periodic and dt > 10.0 * psi.grid_step**2:
+        warnings.warn("accuracy-degraded: dt above 10*ds^2 in clamped mode",
+                      RuntimeWarning, stacklevel=2)
+    dispersion = _dispersion(psi.n, psi.grid_step, dt, psi.periodic)
+    vals, gauge, time = psi.values, psi.gauge_A, psi.time
     for _ in range(n_steps):
-        psi = nlcse_step(psi, dt)
-    return psi
+        vals = vals * np.exp(0.25j * dt * (np.abs(vals) ** 2 + gauge))
+        vals = dispersion(vals)
+        vals = vals * np.exp(0.25j * dt * (np.abs(vals) ** 2 + gauge))
+        time += dt
+    return FilamentFunction(psi.grid_start, psi.grid_step, vals, gauge, time,
+                            psi.periodic)
 
 
 def nlcse_residual(prev: FilamentFunction, now: FilamentFunction,

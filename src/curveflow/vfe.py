@@ -23,9 +23,11 @@ from .errors import CurveFlowError
 from .flow import FlowTrajectory, ScalarSeries, StepOptions, interior_frames
 from .geometry import (
     SampledCurve,
+    _chord_slope,
     _cross,
     _dot,
     _lagrange_d1_d2,
+    chord_lengths,
     frenet,
     segment_lengths,
 )
@@ -39,20 +41,39 @@ STABILITY_FACTOR = 0.7
 KAPPA_REL_FLOOR = 1e-2
 
 
+def _binormal(pts: np.ndarray, h: np.ndarray, closed: bool):
+    """d1 x d2 at every sample, and d1 at the samples that move.
+
+    A pinned open end does not move, so its velocity is 0 and the Newton
+    end rows of ``_lagrange_d1_d2`` are never formed.
+    """
+    if closed:
+        d1, d2 = _lagrange_d1_d2(pts, h, True)
+        vel = np.empty_like(pts)
+        _cross(d1.T, d2.T, vel.T)
+    else:
+        _, d1, d2 = _chord_slope(pts, h)
+        vel = np.zeros_like(pts)
+        _cross(d1.T, d2.T, vel[1:-1].T)
+    return vel, d1
+
+
 def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
-    d1, d2 = _lagrange_d1_d2(pts, h, closed)
-    vel = np.empty_like(d1)
-    _cross(d1.T, d2.T, vel.T)
-    if not closed:
-        vel[0] = vel[-1] = 0.0
-    return vel, np.sqrt(_dot(vel.T, vel.T)) / np.sqrt(_dot(d1.T, d1.T)) ** 3
+    """The binormal velocity and the curvature |d1 x d2| / |d1|^3 the guard reads.
+
+    Both are 0 at a pinned open end.
+    """
+    vel, d1 = _binormal(pts, h, closed)
+    kappa = np.sqrt(_dot(vel.T, vel.T))
+    kappa[slice(None) if closed else slice(1, -1)] /= np.sqrt(_dot(d1.T, d1.T)) ** 3
+    return vel, kappa
 
 
 def binormal_velocity(curve: SampledCurve) -> np.ndarray:
     """Discrete gamma_s x gamma_ss per sample (zero at pinned open ends)."""
     if curve.dimension != 3:
         raise ValueError("binormal flow needs a space curve")
-    return _velocity(curve.points, segment_lengths(curve), curve.closed)[0]
+    return _binormal(curve.points, segment_lengths(curve), curve.closed)[0]
 
 
 def _step_limits(h: np.ndarray, kappa: np.ndarray):
@@ -60,10 +81,25 @@ def _step_limits(h: np.ndarray, kappa: np.ndarray):
     return unit, STABILITY_FACTOR * unit
 
 
+def _step(pts, h, k1, closed, dt, last):
+    """One classical Runge-Kutta step from the velocity ``k1`` at ``pts``.
+
+    The later stages need only the velocity, so they skip the curvature
+    that ``_velocity`` returns for the driver's guard.
+    """
+    def f(p):
+        return _binormal(p, chord_lengths(p, closed), closed)[0]
+
+    k2 = f(pts + 0.5 * dt * k1)
+    k3 = f(pts + 0.5 * dt * k2)
+    k4 = f(pts + dt * k3)
+    return pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _spec() -> flow.FlowSpec:
-    # built per call, so a rebinding of _velocity takes effect
+    # built per call, so a rebinding of _velocity or _step takes effect
     return flow.FlowSpec(dimension=3, velocity=_velocity, step_limits=_step_limits,
-                         step=flow.rk4)
+                         step=_step)
 
 
 def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:
@@ -166,7 +202,7 @@ def commutator_residual(traj: FlowTrajectory) -> ScalarSeries:
         dt2 = times[k + 1] - times[k - 1]
         lhs = (d1s[k + 1] - d1s[k - 1]) / dt2
         h = segment_lengths(frames[k])
-        vel = _velocity(frames[k].points, h, closed)[0]
+        vel = _binormal(frames[k].points, h, closed)[0]
         rhs = _lagrange_d1_d2(vel, h, closed)[0]
         vals[k - 1] = np.linalg.norm((lhs - rhs)[keep], axis=1).max()
     return ScalarSeries(times[1:-1], vals)

@@ -128,7 +128,7 @@ def test_step_ratio_is_capped_after_a_step_size_jump():
     dt = 8e-3
 
     def bdf2(dt_prev):
-        return csf._step(None, step0, h1, None, True, dt, (c.points, h0, dt_prev))
+        return csf._step(step0, h1, None, True, dt, (c.points, h0, dt_prev))
 
     capped = bdf2(dt / csf.MAX_STEP_RATIO)
     assert np.array_equal(bdf2(dt / 80.0), capped)

@@ -192,31 +192,21 @@ def test_step_options_reject_non_finite_and_out_of_range(kwargs):
         StepOptions(**kwargs)
 
 
-@pytest.mark.parametrize("engine, curve, hook",
-                         [(csf, circle2(16), "step"), (vfe, circle3(16), "velocity")],
+@pytest.mark.parametrize("engine, curve", [(csf, circle2(16)), (vfe, circle3(16))],
                          ids=["csf", "vfe"])
-def test_blow_up_records_the_last_finite_frame(engine, curve, hook):
+def test_blow_up_records_the_last_finite_frame(engine, curve):
     # translate along x at unit speed; the speed turns non-finite once the
-    # curve has moved past 4.75 steps.  The binormal engine's RK4 stages read
-    # the velocity, so the NaN enters there; the curve shortening step does
-    # not read the velocity, so the NaN enters through the step itself
+    # curve has moved past 4.75 steps.  The NaN enters through the step:
+    # the implicit curve shortening step reads no velocity, and RK4's later
+    # stages compute theirs without FlowSpec.velocity
     dt, start = 0.01, curve.points[0, 0]
 
-    def speed(pts):
-        return np.nan if pts[0, 0] - start > 4.75 * dt else 1.0
-
-    def velocity(pts, h, closed):
-        vel = np.zeros_like(pts)
-        vel[:, 0] = speed(pts)
-        return vel, np.zeros(len(pts))
-
-    def step(velocity, pts, h, vel, closed, dt, last):
+    def step(pts, h, vel, closed, dt, last):
         moved = pts.copy()
-        moved[:, 0] += dt * speed(pts)
+        moved[:, 0] += dt * (np.nan if pts[0, 0] - start > 4.75 * dt else 1.0)
         return moved
 
-    hooks = {"step": step, "velocity": velocity}
-    spec = dataclasses.replace(engine._spec(), **{hook: hooks[hook]})
+    spec = dataclasses.replace(engine._spec(), step=step)
     traj = flow.evolve(curve, StepOptions(stop_time=1.0, dt=dt, record_every=3), spec)
     assert traj.stop_reason == "blow-up-detected"
     # the blow-up step is off the record cadence, so this frame exists only

@@ -121,6 +121,21 @@ def test_clamped_mode_warns_on_coarse_dt():
         nlcse_step(psi, 1.0)
 
 
+def test_clamped_evolve_warns_once_per_call_on_coarse_dt():
+    psi = FilamentFunction(0.0, 0.05, np.ones(64, dtype=complex))
+    with pytest.warns(RuntimeWarning, match="accuracy-degraded") as record:
+        nlcse_evolve(psi, 1.0, 5)
+    assert len(record) == 1
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["clamped", "periodic"])
+def test_evolve_rejects_a_result_that_turns_non_finite(periodic):
+    # |psi|^2 overflows in the first nonlinear half step
+    psi = FilamentFunction(0.0, 0.1, np.full(16, 1e200, dtype=complex), periodic=periodic)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        nlcse_evolve(psi, 1e-3, 4)
+
+
 def test_soliton_filament_is_an_nlcse_solution():
     spec = HasimotoSolitonSpec(nu=1.0, tau0=0.4)
     s = np.linspace(-15.0, 15.0, 1024)

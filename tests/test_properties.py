@@ -10,19 +10,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_banded
 from scipy.spatial.transform import Rotation
 
 from conftest import helix3
-from curveflow import storage
+from curveflow import storage, vfe
 from curveflow.cli import parse_range
 from curveflow.errors import ConfigError
-from curveflow.flow import FlowTrajectory
+from curveflow.flow import FlowTrajectory, StepOptions
 from curveflow.geometry import (KAPPA_FLOOR_SCALE, SampledCurve, _cross,
                                 _lagrange_d1_d2, chord_lengths, curve_diameter,
                                 frenet, hausdorff_distance, resample_arclength)
 from curveflow.hasimoto import (FilamentFunction, FrameState, hasimoto_transform,
-                                reconstruct_frame)
-from curveflow.vfe import _velocity, binormal_velocity
+                                nlcse_evolve, nlcse_step, reconstruct_frame)
+from curveflow.vfe import STABILITY_FACTOR, _velocity, binormal_velocity
 from curveflow.vfe_solitons import rotation_residual
 
 BOUNDED = settings(max_examples=50, deadline=None)
@@ -267,3 +268,92 @@ def test_binormal_velocity_matches_the_numpy_reference(curve, omega):
     assert_same_bits(got_kappa, kappa)
     assert_same_bits(binormal_velocity(curve), vel)
     assert_same_bits(rotation_residual(curve, omega), residual)
+
+
+def _full_stencil_binormal(pts, closed):
+    # every RK4 stage's velocity, built from the whole derivative path
+    # (Newton ends included) and then zeroed at the pinned ends
+    d1, d2 = _lagrange_d1_d2(pts, chord_lengths(pts, closed), closed)
+    vel = np.cross(d1, d2)
+    if not closed:
+        vel[[0, -1]] = 0.0
+    return vel
+
+
+def _full_stencil_rk4(pts, closed, dt):
+    k1 = _full_stencil_binormal(pts, closed)
+    k2 = _full_stencil_binormal(pts + 0.5 * dt * k1, closed)
+    k3 = _full_stencil_binormal(pts + 0.5 * dt * k2, closed)
+    k4 = _full_stencil_binormal(pts + dt * k3, closed)
+    return pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@BOUNDED
+@given(space_curves(), st.floats(0.01, 0.99))
+def test_binormal_rk4_step_matches_the_full_stencil_reference(curve, frac):
+    pts, closed = curve.points, curve.closed
+    h = chord_lengths(pts, closed)
+    dt = frac * STABILITY_FACTOR * h.min() ** 2
+    got = vfe._step(pts, h, _velocity(pts, h, closed)[0], closed, dt, None)
+    assert_same_bits(got, _full_stencil_rk4(pts, closed, dt))
+
+
+@BOUNDED
+@given(smooth_curves(dim=3), st.floats(0.01, 0.99))
+def test_binormal_runs_match_the_full_stencil_reference(curve, frac):
+    # smooth curves keep the singularity guard quiet for the three steps
+    pts, closed = curve.points, curve.closed
+    dt = frac * STABILITY_FACTOR * chord_lengths(pts, closed).min() ** 2
+    want = [pts]
+    for _ in range(3):
+        want.append(_full_stencil_rk4(want[-1], closed, dt))
+    traj = vfe.evolve(curve, StepOptions(stop_time=1.0, dt=dt, max_steps=3,
+                                         record_every=1))
+    assert traj.stop_reason == "max-steps"
+    assert len(traj.frames) == len(want)
+    for frame, points in zip(traj.frames, want):
+        assert_same_bits(frame.points, points)
+
+
+def _per_step_nlcse(psi, dt):
+    # one Strang split step written out: scipy's solve_banded on the
+    # clamped Crank-Nicolson bands, and a validated FilamentFunction per step
+    ds, n, gauge = psi.grid_step, psi.n, psi.gauge_A
+    vals = psi.values * np.exp(0.25j * dt * (np.abs(psi.values) ** 2 + gauge))
+    if psi.periodic:
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=ds)
+        vals = np.fft.ifft(np.exp(-1j * k**2 * dt) * np.fft.fft(vals))
+    else:
+        c = 1j * dt / (2.0 * ds**2)
+        ab = np.zeros((3, n), dtype=complex)
+        ab[1, 1:-1] = 1.0 + 2.0 * c
+        ab[1, 0] = ab[1, -1] = 1.0
+        ab[0, 2:] = -c
+        ab[2, :-2] = -c
+        rhs = vals.copy()
+        rhs[1:-1] = vals[1:-1] + c * (vals[2:] - 2.0 * vals[1:-1] + vals[:-2])
+        vals = solve_banded((1, 1), ab, rhs)
+    vals = vals * np.exp(0.25j * dt * (np.abs(vals) ** 2 + gauge))
+    return FilamentFunction(psi.grid_start, ds, vals, gauge, psi.time + dt, psi.periodic)
+
+
+@BOUNDED
+@given(st.integers(8, 128).flatmap(lambda n: arrays(
+           complex, n, elements=st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                                   allow_infinity=False))),
+       st.booleans(), st.floats(0.05, 0.5), st.floats(0.01, 1.0),
+       st.floats(-2.0, 2.0), st.floats(0.0, 5.0), st.integers(1, 6))
+def test_nlcse_evolve_matches_the_per_step_reference(values, periodic, ds, frac,
+                                                     gauge, time, steps):
+    # frac <= 1 keeps dt within the clamped mode's 10 ds^2 warning bound
+    psi = FilamentFunction(-1.0, ds, values, gauge, time, periodic)
+    dt = frac * 10.0 * ds**2
+    want = psi
+    for _ in range(steps):
+        want = _per_step_nlcse(want, dt)
+    got = nlcse_evolve(psi, dt, steps)
+    assert_same_bits(got.values, want.values)
+    assert got.time == want.time
+    assert (got.grid_start, got.grid_step, got.gauge_A, got.periodic) == (
+        -1.0, ds, gauge, periodic)
+    assert_same_bits(nlcse_step(psi, dt).values, _per_step_nlcse(psi, dt).values)
