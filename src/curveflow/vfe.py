@@ -2,9 +2,12 @@
 
 The velocity is gamma_s x gamma_ss = kappa B, which preserves arclength
 pointwise; samples therefore track material points and resampling is a
-near-identity cleanup.  Time stepping is classical RK4 under the
-dispersive bound dt <= cfl * ds^2 on the shared driver in ``flow``, with
-cfl at most ``STABILITY_FACTOR``.
+near-identity cleanup.  Time stepping is classical RK4 (``_step``) under
+the dispersive bound dt <= cfl * ds^2 on the shared driver in ``flow``,
+with cfl at most ``STABILITY_FACTOR``.  The driver supplies the first
+stage's velocity; the other three stages take d1 x d2 from the chord-slope
+interior alone, since a pinned open end does not move and the guard's
+curvature is read only once per step.
 
 Also here: residual checks for the curvature/torsion/frame evolution
 laws, the tangent/time commutator, a rigid-motion fitter for detecting
