@@ -67,12 +67,9 @@ def parse_floats(text: str) -> list[float]:
     return values
 
 
-def _table_name(stem: str, output_format: str) -> str:
-    return f"{stem}.csv" if output_format == "csv" else f"{stem}.txt"
-
-
 def _table(out: Path, args, stem: str, columns, rows) -> Path:
-    return write_table(out / _table_name(stem, args.format), columns, rows, args.format)
+    name = f"{stem}.csv" if args.format == "csv" else f"{stem}.txt"
+    return write_table(out / name, columns, rows, args.format)
 
 
 def _series_table(out: Path, args, stem: str, series, name: str = "residual") -> Path:
@@ -145,13 +142,10 @@ def cmd_csf_evolve(args, out: Path) -> list[Path]:
 
 
 def _soliton_member(A, B, x0, y0, s_range, n):
-    try:
-        profile = csf_solitons.integrate_profile(
-            csf_solitons.CsfSolitonSpec(A, B, x0, y0, s_range=s_range, n=n))
-        curve = csf_solitons.reconstruct_curve(profile, A, B)
-        closure = csf_solitons.detect_closure(A, B, x0, y0)
-    except CurveFlowError as exc:
-        return {"A": A, "B": B, "x0": x0, "y0": y0, "error": exc.token}, None
+    profile = csf_solitons.integrate_profile(
+        csf_solitons.CsfSolitonSpec(A, B, x0, y0, s_range=s_range, n=n))
+    curve = csf_solitons.reconstruct_curve(profile, A, B)
+    closure = csf_solitons.detect_closure(A, B, x0, y0)
     record = {"A": A, "B": B, "x0": x0, "y0": y0,
               "class": csf_solitons.classify(A, B),
               "s_range": list(s_range), "escaped": bool(profile.escaped),
@@ -186,9 +180,16 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
         x_vals = parse_range(args.x0_range) if args.x0_range else [args.x0]
         y_vals = parse_range(args.y0_range) if args.y0_range else [args.y0]
         # every member is computed before any file is written, so a member
-        # that raises leaves no partial sweep behind
-        results = [_soliton_member(*map(float, member), s_range, n)
-                   for member in itertools.product(a_vals, b_vals, x_vals, y_vals)]
+        # that raises leaves no partial sweep behind; a member that fails at
+        # run time is listed with its error token and no curve
+        results = []
+        for member in itertools.product(a_vals, b_vals, x_vals, y_vals):
+            A, B, x0, y0 = map(float, member)
+            try:
+                results.append(_soliton_member(A, B, x0, y0, s_range, n))
+            except CurveFlowError as exc:
+                results.append(({"A": A, "B": B, "x0": x0, "y0": y0,
+                                 "error": exc.token}, None))
         paths, atlas = [], []
         for k, (record, curve) in enumerate(results):
             if curve is not None:
@@ -200,8 +201,6 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
         return paths
 
     record, curve = _soliton_member(args.A, args.B, args.x0, args.y0, s_range, n)
-    if curve is None:
-        raise CurveFlowError(record["error"], "profile integration failed")
     record["file"] = "soliton.curve"
     record["residual_max"] = float(
         csf_solitons.soliton_residual(curve, args.A, args.B).max())
@@ -260,6 +259,9 @@ def cmd_vfe_soliton(args, out: Path) -> list[Path]:
         profile = curve.points[:, 1 if args.case == "planar" else 2]
         record["sign_schedule"] = _sign_schedule(curve.points[:, 0], profile)
     record["omega"] = [float(c) for c in omega]
+    # a profile stops short of x_range at a vertical tangent or where |q| = 1;
+    # x is the first coordinate in every family
+    record["x_end"] = float(curve.points[-1, 0])
     record["rotation_residual_max"] = float(
         vfe_solitons.rotation_residual(curve, omega).max())
     record["file"] = "profile.curve"
@@ -521,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _manifest_parameters(args) -> dict:
     params = {}
     for key, value in sorted(vars(args).items()):
-        if key == "handler" or callable(value):
+        if callable(value):
             continue
         params[key] = value if isinstance(value, (int, float, str, bool,
                                                   type(None))) else str(value)

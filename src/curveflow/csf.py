@@ -52,9 +52,9 @@ ACCURACY_FACTOR = 0.012
 # (max kappa times the longest chord at most 1), every cfl step is within it.
 MAX_STEP_FACTOR = 0.5
 
-# largest ratio of consecutive steps the BDF2 weights take; variable-step
-# BDF2 is zero-stable only below 1 + sqrt(2) (Hairer, Norsett and Wanner,
-# Solving ODEs I, section III.5)
+# largest ratio of consecutive steps the BDF2 weights take, and a step past
+# it is backward Euler; variable-step BDF2 is zero-stable only below
+# 1 + sqrt(2) (Hairer, Norsett and Wanner, Solving ODEs I, section III.5)
 MAX_STEP_RATIO = 2.0
 
 
@@ -106,18 +106,19 @@ def _implicit_solve(a: float, h: np.ndarray, rhs: np.ndarray, closed: bool) -> n
 
 
 def _step(pts, h, vel, closed, dt, last):
-    """One linearly implicit BDF2 step; backward Euler when ``last`` is None.
+    """One linearly implicit BDF2 step, or backward Euler where BDF2 does not fit.
 
-    With w = dt / dt_prev (at most ``MAX_STEP_RATIO``), the step solves
+    With w = dt / dt_prev, the step solves
     (a I - D2(h*)) x' = ((1+w) x - w^2/(1+w) x_prev) / dt with
     a = (1+2w) / ((1+w) dt), at the extrapolated chords h* = (1+w) h - w h_prev.
-    w = 0 is backward Euler.  Pinned open ends are copied, not solved.
+    w = 0 is backward Euler: at the start, after a resample (``last`` is None)
+    and when dt exceeds ``MAX_STEP_RATIO`` dt_prev.  Pinned open ends are copied.
     """
-    if last is None:
+    if last is None or dt > MAX_STEP_RATIO * last[2]:
         a, rhs, h_star = 1.0 / dt, pts / dt, h
     else:
         pts_prev, h_prev, dt_prev = last
-        w = min(dt / dt_prev, MAX_STEP_RATIO)
+        w = dt / dt_prev
         a = (1.0 + 2.0 * w) / ((1.0 + w) * dt)
         rhs = ((1.0 + w) * pts - (w * w / (1.0 + w)) * pts_prev) / dt
         h_star = (1.0 + w) * h - w * h_prev

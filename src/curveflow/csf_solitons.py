@@ -121,8 +121,6 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
         if sol_bwd.status == 1:
             lo = float(sol_bwd.t[-1])
             escaped = True
-    lo = max(lo, a)
-    hi = min(hi, b)
     if not lo < hi:
         raise CurveFlowError("profile-escape", "profile escapes before s_range")
     s = np.linspace(lo, hi, spec.n)

@@ -22,7 +22,8 @@ Stop reasons, checked in this order before every step:
 * ``stop-time``: the time reaches ``stop_time``;
 * ``max-steps``: ``max_steps`` steps have been taken;
 * ``blow-up-detected``: a step produced a non-finite point.  The last
-  finite state is recorded as a frame before the run stops.
+  finite state is the last frame: the run records it before it stops,
+  unless the record cadence already has.
 
 The step is sized at the start and every ``resample_every`` steps.  At
 each of these spacing checks after the start, the driver also resamples
@@ -208,23 +209,7 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
     traj = FlowTrajectory()
     t = 0.0
     steps = 0
-    last_recorded = -1
     eps = 1e-12 * max(1.0, opts.stop_time)
-
-    def step_size(h, kappa):
-        unit, limit = spec.step_limits(h, kappa)
-        dt = opts.cfl * unit if opts.dt is None else opts.dt
-        if dt > limit:
-            raise ConfigError("cfl-violation",
-                              f"dt={dt:g} exceeds the largest allowed step {limit:g}")
-        return dt
-
-    def record():
-        nonlocal last_recorded
-        if steps != last_recorded:
-            traj.append(t, curve.with_points(pts))
-            last_recorded = steps
-
     h = chord_lengths(pts, closed)
     vel, kappa = spec.velocity(pts, h, closed)
     length0 = float(h.sum())
@@ -243,7 +228,7 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
             stop = "max-steps"
 
         if stop or steps % opts.record_every == 0:
-            record()
+            traj.append(t, curve.with_points(pts))
         if stop:
             break
 
@@ -253,12 +238,18 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
                 h = chord_lengths(pts, closed)
                 vel, kappa = spec.velocity(pts, h, closed)
                 last = None
-            dt_base = step_size(h, kappa)
+            unit, limit = spec.step_limits(h, kappa)
+            dt_base = opts.cfl * unit if opts.dt is None else opts.dt
+            if dt_base > limit:
+                raise ConfigError("cfl-violation", f"dt={dt_base:g} exceeds the "
+                                  f"largest allowed step {limit:g}")
 
         dt = min(dt_base, opts.stop_time - t)
         new_pts = spec.step(pts, h, vel, closed, dt, last)
         if not np.isfinite(new_pts).all():
-            record()
+            # a step on the record cadence has its frame from the top of the loop
+            if steps % opts.record_every:
+                traj.append(t, curve.with_points(pts))
             stop = "blow-up-detected"
             break
         last = (pts, h, dt)

@@ -384,15 +384,11 @@ def frenet(curve: SampledCurve) -> FrenetData:
 def integrate_along(curve: SampledCurve, values: np.ndarray) -> float:
     """Trapezoid-weight integral of a per-sample field over arclength."""
     h = segment_lengths(curve)
-    n = curve.n
-    if curve.closed:
-        weights = 0.5 * (h + np.roll(h, 1))
-    else:
-        weights = np.zeros(n)
-        weights[0] = 0.5 * h[0]
-        weights[-1] = 0.5 * h[-1]
-        weights[1:-1] = 0.5 * (h[:-1] + h[1:])
-    return float(np.sum(values * weights))
+    # each sample takes half of the segment before it and half of the one
+    # after it; an open curve has no segment before its first sample or
+    # after its last, so it is padded with zero lengths
+    h = np.concatenate([h[-1:], h] if curve.closed else [[0.0], h, [0.0]])
+    return float(np.sum(values * (0.5 * (h[:-1] + h[1:]))))
 
 
 # ---------------------------------------------------------------------------

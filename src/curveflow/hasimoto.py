@@ -16,7 +16,6 @@ the closed-form traveling kink, and the self-similar dilating filament family.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -91,38 +90,28 @@ def hasimoto_transform(fr: FrenetData, gauge_A: float = 0.0) -> FilamentFunction
 # NLS stepping
 
 
-@functools.lru_cache(maxsize=8)
-def _clamped_bands(n: int, ds: float, dt: float):
-    # the implicit half of the Crank-Nicolson step as its sub-, main and
-    # super-diagonal; read-only, since every step with this grid and dt
-    # shares them
-    c = 1j * dt / (2.0 * ds**2)
-    d = np.full(n, 1.0 + 2.0 * c)
-    d[0] = d[-1] = 1.0
-    dl, du = np.full(n - 1, -c), np.full(n - 1, -c)
-    dl[-1] = du[0] = 0.0
-    for band in (dl, d, du):
-        band.flags.writeable = False
-    return dl, d, du
-
-
 def _dispersion(n: int, ds: float, dt: float, periodic: bool):
     """The step of psi_t = i psi_ss over dt, as a function of the values.
 
     Periodic: exact, in Fourier space.  Clamped: Crank-Nicolson with the
-    endpoints held fixed.
+    endpoints held fixed, its bands built here once for every step.
     """
     if periodic:
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=ds)
         factor = np.exp(-1j * k**2 * dt)
         return lambda values: np.fft.ifft(factor * np.fft.fft(values))
     c = 1j * dt / (2.0 * ds**2)
-    bands = _clamped_bands(n, ds, dt)
+    # the implicit half as its sub-, main and super-diagonal; the solve
+    # leaves them as they are
+    d = np.full(n, 1.0 + 2.0 * c)
+    d[0] = d[-1] = 1.0
+    dl, du = np.full(n - 1, -c), np.full(n - 1, -c)
+    dl[-1] = du[0] = 0.0
 
     def crank_nicolson(values):
         rhs = values.copy()
         rhs[1:-1] = values[1:-1] + c * (values[2:] - 2.0 * values[1:-1] + values[:-2])
-        return _solve_tridiagonal(*bands, rhs, overwrite_b=True)
+        return _solve_tridiagonal(dl, d, du, rhs, overwrite_b=True)
 
     return crank_nicolson
 

@@ -6,8 +6,8 @@ near-identity cleanup.  Time stepping is classical RK4 (``_step``) under
 the dispersive bound dt <= cfl * ds^2 on the shared driver in ``flow``,
 with cfl at most ``STABILITY_FACTOR``.  The driver supplies the first
 stage's velocity; the other three stages take d1 x d2 from the chord-slope
-interior alone, since a pinned open end does not move and the guard's
-curvature is read only once per step.
+interior alone, padded with the wrap on a closed curve, since a pinned open
+end does not move and the guard's curvature is read only once per step.
 
 Also here: residual checks for the curvature/torsion/frame evolution
 laws, the tangent/time commutator, a rigid-motion fitter for detecting
@@ -47,17 +47,15 @@ KAPPA_REL_FLOOR = 1e-2
 def _binormal(pts: np.ndarray, h: np.ndarray, closed: bool):
     """d1 x d2 at every sample, and d1 at the samples that move.
 
-    A pinned open end does not move, so its velocity is 0 and the Newton
-    end rows of ``_lagrange_d1_d2`` are never formed.
+    Both come from the chord-slope interior, a closed curve padded with its
+    wrap as ``_lagrange_d1_d2`` pads it.  A pinned open end does not move, so
+    its velocity is 0 and the Newton end rows are never formed.
     """
+    vel = np.zeros_like(pts)
     if closed:
-        d1, d2 = _lagrange_d1_d2(pts, h, True)
-        vel = np.empty_like(pts)
-        _cross(d1.T, d2.T, vel.T)
-    else:
-        _, d1, d2 = _chord_slope(pts, h)
-        vel = np.zeros_like(pts)
-        _cross(d1.T, d2.T, vel[1:-1].T)
+        pts, h = np.concatenate([pts[-1:], pts, pts[:1]]), np.concatenate([h[-1:], h])
+    _, d1, d2 = _chord_slope(pts, h)
+    _cross(d1.T, d2.T, vel[slice(None) if closed else slice(1, -1)].T)
     return vel, d1
 
 
@@ -196,17 +194,14 @@ def commutator_residual(traj: FlowTrajectory) -> ScalarSeries:
     times, keep = interior_frames(traj, 3)
     frames = traj.frames
     closed = frames[0].closed
-    d1s = []
-    for f in frames:
-        h = segment_lengths(f)
-        d1s.append(_lagrange_d1_d2(f.points, h, closed)[0])
+    hs = [segment_lengths(f) for f in frames]
+    d1s = [_lagrange_d1_d2(f.points, h, closed)[0] for f, h in zip(frames, hs)]
     vals = np.empty(len(frames) - 2)
     for k in range(1, len(frames) - 1):
         dt2 = times[k + 1] - times[k - 1]
         lhs = (d1s[k + 1] - d1s[k - 1]) / dt2
-        h = segment_lengths(frames[k])
-        vel = _binormal(frames[k].points, h, closed)[0]
-        rhs = _lagrange_d1_d2(vel, h, closed)[0]
+        vel = _binormal(frames[k].points, hs[k], closed)[0]
+        rhs = _lagrange_d1_d2(vel, hs[k], closed)[0]
         vals[k - 1] = np.linalg.norm((lhs - rhs)[keep], axis=1).max()
     return ScalarSeries(times[1:-1], vals)
 

@@ -319,6 +319,21 @@ def test_csf_soliton_single_member(tmp_path, capsys):
     assert read_curve(out / "soliton.curve").n == 512
 
 
+def test_csf_soliton_single_member_keeps_the_library_message(tmp_path, capsys):
+    assert run("csf", "soliton", "--A=0", "--B=0", "--s=-6:6:256",
+               "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: (A, B) = (0, 0) has no reconstruction", "degenerate-family"]
+    # a sweep lists the same member with its token and no curve
+    out = tmp_path / "sweep"
+    assert run("csf", "soliton", "--B=0", "--A-range", "0:1:2",
+               "--s=-6:6:256", "--out", out) == 0
+    atlas = json.loads((out / "atlas.json").read_text())
+    assert atlas[0] == {"A": 0.0, "B": 0.0, "x0": 1.0, "y0": 0.0,
+                        "error": "degenerate-family"}
+    assert atlas[1]["file"] == "soliton_0001.curve"
+
+
 def test_csf_soliton_sweep(tmp_path):
     # a range alone selects the sweep
     out = tmp_path / "sweep"
@@ -416,6 +431,26 @@ def test_vfe_soliton_transverse_profile(tmp_path):
     assert record["omega"] == [0.0, 1.0, 0.0]
     assert record["rotation_residual_max"] < 1e-3
     assert read_curve(out / "profile.curve").n == 512
+
+
+def test_vfe_soliton_reports_where_a_cut_short_profile_ends(tmp_path):
+    # this profile reaches a vertical tangent near x = 1.456, well inside x_range
+    out = tmp_path / "short"
+    assert run("vfe", "soliton", "--case", "x-axis", "--lam", "0", "--C1=-0.2",
+               "--z0", "0.8", "--x=0:5:256", "--out", out) == 0
+    record = json.loads((out / "profile.json").read_text())
+    curve = read_curve(out / "profile.curve")
+    assert record["x_range"] == [0.0, 5.0]
+    assert record["x_end"] == curve.points[-1, 0]
+    assert record["x_end"] == pytest.approx(1.456, abs=1e-3)
+    assert curve.n == 256
+    # the transverse profile stops where |q| reaches 1
+    out = tmp_path / "transverse"
+    assert run("vfe", "soliton", "--case", "transverse-axis", "--C1", "0.3",
+               "--C2", "0.1", "--x=-1.1:3:512", "--out", out) == 0
+    record = json.loads((out / "profile.json").read_text())
+    assert record["x_end"] == read_curve(out / "profile.curve").points[-1, 0]
+    assert record["x_end"] == pytest.approx(1.2786, abs=1e-3)
 
 
 def test_vfe_soliton_outside_band_exits_three(tmp_path, capsys):

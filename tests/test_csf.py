@@ -121,18 +121,26 @@ def test_fixed_step_is_second_order_on_the_shrinking_circle():
     assert 3.5 < err[0] / err[1] < 4.5
 
 
-def test_step_ratio_is_capped_after_a_step_size_jump():
-    c = ellipse2(2.0, 1.0, 64)
-    step0 = evolve(c, StepOptions(stop_time=1e-4, dt=1e-4)).final.points
+@pytest.mark.parametrize("dt_prev", [1e-4, 1e-3])
+def test_step_after_a_step_size_jump_is_backward_euler(dt_prev):
+    # BDF2 weights for a ratio above MAX_STEP_RATIO would not be zero-stable,
+    # and weights capped at that ratio do not fit the step actually taken
+    c = circle2(256)
+    step0 = evolve(c, StepOptions(stop_time=dt_prev, dt=dt_prev)).final.points
     h0, h1 = chord_lengths(c.points, True), chord_lengths(step0, True)
     dt = 8e-3
 
-    def bdf2(dt_prev):
-        return csf._step(step0, h1, None, True, dt, (c.points, h0, dt_prev))
+    def step(last):
+        return csf._step(step0, h1, None, True, dt, last)
 
-    capped = bdf2(dt / csf.MAX_STEP_RATIO)
-    assert np.array_equal(bdf2(dt / 80.0), capped)
-    assert not np.array_equal(bdf2(dt / 1.5), capped)
+    jumped = step((c.points, h0, dt_prev))
+    assert np.array_equal(jumped, step(None))
+    # a step at the largest ratio still takes the BDF2 weights
+    at_ratio = (c.points, h0, dt / csf.MAX_STEP_RATIO)
+    assert not np.array_equal(step(at_ratio), step(None))
+    # the unit circle's radius is sqrt(1 - 2t)
+    radius = np.linalg.norm(jumped, axis=1)
+    assert np.abs(radius - np.sqrt(1.0 - 2.0 * (dt_prev + dt))).max() < 2e-4
 
 
 @pytest.mark.parametrize("cfl", [0.95, 0.99, 1.0])

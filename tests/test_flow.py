@@ -192,14 +192,12 @@ def test_step_options_reject_non_finite_and_out_of_range(kwargs):
         StepOptions(**kwargs)
 
 
-@pytest.mark.parametrize("engine, curve", [(csf, circle2(16)), (vfe, circle3(16))],
-                         ids=["csf", "vfe"])
-def test_blow_up_records_the_last_finite_frame(engine, curve):
+def _blow_up_run(engine, curve, dt, record_every):
     # translate along x at unit speed; the speed turns non-finite once the
-    # curve has moved past 4.75 steps.  The NaN enters through the step:
-    # the implicit curve shortening step reads no velocity, and RK4's later
-    # stages compute theirs without FlowSpec.velocity
-    dt, start = 0.01, curve.points[0, 0]
+    # curve has moved past 4.75 steps, so the sixth step blows up.  The NaN
+    # enters through the step: the implicit curve shortening step reads no
+    # velocity, and RK4's later stages compute theirs without FlowSpec.velocity
+    start = curve.points[0, 0]
 
     def step(pts, h, vel, closed, dt, last):
         moved = pts.copy()
@@ -207,7 +205,15 @@ def test_blow_up_records_the_last_finite_frame(engine, curve):
         return moved
 
     spec = dataclasses.replace(engine._spec(), step=step)
-    traj = flow.evolve(curve, StepOptions(stop_time=1.0, dt=dt, record_every=3), spec)
+    return flow.evolve(curve, StepOptions(stop_time=1.0, dt=dt,
+                                          record_every=record_every), spec)
+
+
+@pytest.mark.parametrize("engine, curve", [(csf, circle2(16)), (vfe, circle3(16))],
+                         ids=["csf", "vfe"])
+def test_blow_up_records_the_last_finite_frame(engine, curve):
+    dt = 0.01
+    traj = _blow_up_run(engine, curve, dt, 3)
     assert traj.stop_reason == "blow-up-detected"
     # the blow-up step is off the record cadence, so this frame exists only
     # because the driver records the last finite state before stopping
@@ -216,6 +222,21 @@ def test_blow_up_records_the_last_finite_frame(engine, curve):
     shift = np.zeros(curve.dimension)
     shift[0] = traj.final_time
     assert np.allclose(traj.final.points, curve.points + shift, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("engine, curve", [(csf, circle2(16)), (vfe, circle3(16))],
+                         ids=["csf", "vfe"])
+def test_blow_up_on_the_record_cadence_is_recorded_once(engine, curve):
+    dt = 0.01
+    traj = _blow_up_run(engine, curve, dt, 5)
+    assert traj.stop_reason == "blow-up-detected"
+    # the blow-up step is on the record cadence, so the top of the loop has
+    # already recorded its start
+    assert traj.steps_taken == 5
+    assert traj.times == pytest.approx([0.0, 5 * dt], rel=1e-12)
+    assert len(set(traj.times)) == len(traj.frames) == 2
+    assert np.allclose(traj.final.points[:, 0], curve.points[:, 0] + 5 * dt,
+                       rtol=0, atol=1e-12)
 
 
 def _count_resamples(monkeypatch) -> list:
