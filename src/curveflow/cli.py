@@ -231,9 +231,10 @@ def _sign_schedule(x, component) -> list[dict]:
 def cmd_vfe_soliton(args, out: Path) -> list[Path]:
     grid = parse_range(args.x)
     x_range, n = (float(grid[0]), float(grid[-1])), grid.size
-    record: dict = {"case": args.case, "C1": args.C1, "C2": args.C2,
-                    "lam": args.lam, "x_range": list(x_range), "n": n}
+    # each case records the parameters it reads; the planar profile has lam 0
+    record: dict = {"case": args.case, "C1": args.C1, "x_range": list(x_range), "n": n}
     if args.case == "transverse-axis":
+        record["C2"] = args.C2
         curve = vfe_solitons.transverse_rotation_profile(args.C1, args.C2, x_range, n)
         omega = vfe_solitons.TRANSVERSE_OMEGA
         half_width = 2.0 / (1.0 + args.C1**2) - 2.0 * args.C2
@@ -249,11 +250,11 @@ def cmd_vfe_soliton(args, out: Path) -> list[Path]:
                 args.C1, args.z0, x_range, n, sign=args.sign)
         else:
             spec = vfe_solitons.VfeRotatingSpec(
-                case="x-axis", C1=args.C1, lam=args.lam, sign=args.sign,
+                case="x-axis", C1=args.C1, lam=lam, sign=args.sign,
                 z0=args.z0, x_range=x_range, n=n)
             curve = vfe_solitons.xaxis_rotation_profile(spec)
             omega = vfe_solitons.xaxis_rotation_law(spec)
-        record["z0"] = args.z0
+        record.update(lam=lam, z0=args.z0)
         record["admissible_band"] = {"z_squared_low": lo, "z_squared_high": hi}
         # the planar profile is (x, f(x), 0), the x-axis one (x, y(x), z(x))
         profile = curve.points[:, 1 if args.case == "planar" else 2]

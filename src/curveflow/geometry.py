@@ -269,39 +269,29 @@ def resample_arclength(curve: SampledCurve, n: int) -> SampledCurve:
 # derivatives and the Frenet frame
 
 
-def _chord_slope(values: np.ndarray, h: np.ndarray):
-    """Slopes and derivatives of the three-point stencil, without ends or wrap.
-
-    ``values`` holds m rows and ``h`` the m - 1 segment lengths between
-    them.  Returns the segment slopes t = dv/h (m - 1 rows) and d1 and d2 at
-    the m - 2 samples with two neighbours, in the chord-slope form: with the
-    slopes of the segments before (-) and after (+) the sample,
-    d1 = (h- t+ + h+ t-)/(h- + h+) and d2 = 2 (t+ - t-)/(h- + h+).
-    """
-    # h per column: same-shape operands are far cheaper than broadcasting
-    # over a short last axis
-    d = values.shape[1]
-    h = np.repeat(h, d).reshape(-1, d)
-    t = (values[1:] - values[:-1]) / h
-    hm, hp = h[:-1], h[1:]
-    hs = hm + hp
-    return t, (hm * t[1:] + hp * t[:-1]) / hs, 2.0 * (t[1:] - t[:-1]) / hs
-
-
 def _lagrange_d1_d2(values: np.ndarray, h: np.ndarray, closed: bool):
     """First and second derivative of samples w.r.t. arclength.
 
     ``h`` holds the segment lengths (with wrap entry for closed curves).
-    Every sample with two neighbours takes the three-point stencil of
-    ``_chord_slope``.  Closed curves wrap, so that is every sample.  Each
-    end of an open curve takes the derivatives of the cubic through its
-    four nearest samples, in Newton form from the end slope and the d2 of
-    the next two samples (Fornberg, Math. Comp. 1988).
+    Every sample with two neighbours, so every sample of a closed curve,
+    takes the three-point stencil in chord-slope form: with the slopes
+    t = dv/h of the segments before (-) and after (+) it,
+    d1 = (h- t+ + h+ t-)/(h- + h+) and d2 = 2 (t+ - t-)/(h- + h+).  Each end
+    of an open curve takes the derivatives of the cubic through its four
+    nearest samples, in Newton form from the end slope and the d2 of the
+    next two samples (Fornberg, Math. Comp. 1988).
     """
     if closed:
         values = np.concatenate([values[-1:], values, values[:1]])
         h = np.concatenate([h[-1:], h])
-    t, d1, d2 = _chord_slope(values, h)
+    # h per column: same-shape operands are far cheaper than broadcasting
+    # over a short last axis
+    d = values.shape[1]
+    hc = np.repeat(h, d).reshape(-1, d)
+    t = (values[1:] - values[:-1]) / hc
+    hm, hp = hc[:-1], hc[1:]
+    hs = hm + hp
+    d1, d2 = (hm * t[1:] + hp * t[:-1]) / hs, 2.0 * (t[1:] - t[:-1]) / hs
     if closed:
         return d1, d2
 

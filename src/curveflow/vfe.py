@@ -4,10 +4,12 @@ The velocity is gamma_s x gamma_ss = kappa B, which preserves arclength
 pointwise; samples therefore track material points and resampling is a
 near-identity cleanup.  Time stepping is classical RK4 (``_step``) under
 the dispersive bound dt <= cfl * ds^2 on the shared driver in ``flow``,
-with cfl at most ``STABILITY_FACTOR``.  The driver supplies the first
-stage's velocity; the other three stages take d1 x d2 from the chord-slope
-interior alone, padded with the wrap on a closed curve, since a pinned open
-end does not move and the guard's curvature is read only once per step.
+with cfl at most ``STABILITY_FACTOR``.  With t- and t+ the unit chords on
+either side of a sample and h- and h+ their lengths, the chord-slope
+stencil's d1 x d2 is exactly 2 (t- x t+)/(h- + h+), which ``_binormal``
+evaluates without forming d1 or d2.  The driver supplies the first stage's
+velocity; the other three run on coordinate-major copies and skip the
+guard's curvature.  A pinned open end does not move.
 
 Also here: residual checks for the curvature/torsion/frame evolution
 laws, the tangent/time commutator, a rigid-motion fitter for detecting
@@ -26,11 +28,9 @@ from .errors import CurveFlowError
 from .flow import FlowTrajectory, ScalarSeries, StepOptions, interior_frames
 from .geometry import (
     SampledCurve,
-    _chord_slope,
     _cross,
     _dot,
     _lagrange_d1_d2,
-    chord_lengths,
     frenet,
     segment_lengths,
 )
@@ -44,19 +44,24 @@ STABILITY_FACTOR = 0.7
 KAPPA_REL_FLOOR = 1e-2
 
 
-def _binormal(pts: np.ndarray, h: np.ndarray, closed: bool):
-    """d1 x d2 at every sample, and d1 at the samples that move.
+def _binormal(p: np.ndarray, h: np.ndarray | None, closed: bool, vel: np.ndarray):
+    """Write 2 (t- x t+)/(h- + h+) into the moving samples of ``vel``.
 
-    Both come from the chord-slope interior, a closed curve padded with its
-    wrap as ``_lagrange_d1_d2`` pads it.  A pinned open end does not move, so
-    its velocity is 0 and the Newton end rows are never formed.
+    ``p`` and ``vel`` are coordinate-major, (3, n); a closed curve is padded
+    with its wrap as ``_lagrange_d1_d2`` pads it, and ``h`` is measured when
+    None.  Returns ``vel``, the unit chords and their lengths, padded alike.
     """
-    vel = np.zeros_like(pts)
     if closed:
-        pts, h = np.concatenate([pts[-1:], pts, pts[:1]]), np.concatenate([h[-1:], h])
-    _, d1, d2 = _chord_slope(pts, h)
-    _cross(d1.T, d2.T, vel[slice(None) if closed else slice(1, -1)].T)
-    return vel, d1
+        p = np.concatenate([p[:, -1:], p, p[:, :1]], axis=1)
+    seg = p[:, 1:] - p[:, :-1]
+    if h is None:
+        h = np.sqrt(_dot(seg, seg))
+    elif closed:
+        h = np.concatenate([h[-1:], h])
+    t = seg / h
+    moving = _cross(t[:, :-1], t[:, 1:], vel[:, slice(None) if closed else slice(1, -1)])
+    np.multiply(moving, 2.0 / (h[:-1] + h[1:]), out=moving)
+    return vel, t, h
 
 
 def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
@@ -64,17 +69,21 @@ def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
 
     Both are 0 at a pinned open end.
     """
-    vel, d1 = _binormal(pts, h, closed)
-    kappa = np.sqrt(_dot(vel.T, vel.T))
-    kappa[slice(None) if closed else slice(1, -1)] /= np.sqrt(_dot(d1.T, d1.T)) ** 3
-    return vel, kappa
+    # vel is the (3, n) view of a C-contiguous (n, 3) array
+    vel, t, h = _binormal(np.ascontiguousarray(pts.T), h, closed, np.zeros(pts.shape).T)
+    d1 = (h[:-1] * t[:, 1:] + h[1:] * t[:, :-1]) / (h[:-1] + h[1:])
+    speed2 = _dot(d1, d1)
+    kappa = np.sqrt(_dot(vel, vel))
+    kappa[slice(None) if closed else slice(1, -1)] /= speed2 * np.sqrt(speed2)
+    return vel.T, kappa
 
 
 def binormal_velocity(curve: SampledCurve) -> np.ndarray:
     """Discrete gamma_s x gamma_ss per sample (zero at pinned open ends)."""
     if curve.dimension != 3:
         raise ValueError("binormal flow needs a space curve")
-    return _binormal(curve.points, segment_lengths(curve), curve.closed)[0]
+    return _binormal(np.ascontiguousarray(curve.points.T), segment_lengths(curve),
+                     curve.closed, np.zeros(curve.points.shape).T)[0].T
 
 
 def _step_limits(h: np.ndarray, kappa: np.ndarray):
@@ -85,16 +94,18 @@ def _step_limits(h: np.ndarray, kappa: np.ndarray):
 def _step(pts, h, k1, closed, dt, last):
     """One classical Runge-Kutta step from the velocity ``k1`` at ``pts``.
 
-    The later stages need only the velocity, so they skip the curvature
-    that ``_velocity`` returns for the driver's guard.
+    The stages run on (3, n) copies of ``pts`` and ``k1``, where per-sample
+    scalars broadcast along the contiguous axis; the result is C-contiguous
+    (n, 3).
     """
     def f(p):
-        return _binormal(p, chord_lengths(p, closed), closed)[0]
+        return _binormal(p, None, closed, np.zeros(p.shape))[0]
 
-    k2 = f(pts + 0.5 * dt * k1)
-    k3 = f(pts + 0.5 * dt * k2)
-    k4 = f(pts + dt * k3)
-    return pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    p, k1 = np.ascontiguousarray(pts.T), np.ascontiguousarray(k1.T)
+    k2 = f(p + 0.5 * dt * k1)
+    k3 = f(p + 0.5 * dt * k2)
+    k4 = f(p + dt * k3)
+    return np.ascontiguousarray((p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).T)
 
 
 def _spec() -> flow.FlowSpec:
@@ -200,7 +211,7 @@ def commutator_residual(traj: FlowTrajectory) -> ScalarSeries:
     for k in range(1, len(frames) - 1):
         dt2 = times[k + 1] - times[k - 1]
         lhs = (d1s[k + 1] - d1s[k - 1]) / dt2
-        vel = _binormal(frames[k].points, hs[k], closed)[0]
+        vel = _velocity(frames[k].points, hs[k], closed)[0]
         rhs = _lagrange_d1_d2(vel, hs[k], closed)[0]
         vals[k - 1] = np.linalg.norm((lhs - rhs)[keep], axis=1).max()
     return ScalarSeries(times[1:-1], vals)

@@ -453,6 +453,27 @@ def test_vfe_soliton_reports_where_a_cut_short_profile_ends(tmp_path):
     assert record["x_end"] == pytest.approx(1.2786, abs=1e-3)
 
 
+def test_vfe_soliton_records_the_parameters_each_case_reads(tmp_path):
+    # the planar profile and its band use lam = 0 whatever --lam says
+    out = tmp_path / "planar"
+    assert run("vfe", "soliton", "--case", "planar", "--C1", "0.5", "--z0", "0.5",
+               "--lam", "2", "--x=0:4:64", "--out", out) == 0
+    record = json.loads((out / "profile.json").read_text())
+    assert record["lam"] == 0.0
+    assert record["admissible_band"]["z_squared_high"] == 1.0
+    assert "C2" not in record
+    out = tmp_path / "x-axis"
+    assert run("vfe", "soliton", "--case", "x-axis", "--lam", "1", "--C1", "0.25",
+               "--z0", "0.55", "--C2", "0.4", "--x=0:4:64", "--out", out) == 0
+    record = json.loads((out / "profile.json").read_text())
+    assert (record["lam"], "C2" in record) == (1.0, False)
+    out = tmp_path / "transverse"
+    assert run("vfe", "soliton", "--case", "transverse-axis", "--C1", "0.3",
+               "--C2", "0.1", "--lam", "2", "--x=-1.1:1.1:64", "--out", out) == 0
+    record = json.loads((out / "profile.json").read_text())
+    assert (record["C2"], "lam" in record) == (0.1, False)
+
+
 def test_vfe_soliton_outside_band_exits_three(tmp_path, capsys):
     assert run("vfe", "soliton", "--case", "x-axis", "--C1", "0.25",
                "--lam", "1.0", "--z0", "5.0", "--out", tmp_path / "o") == 3
