@@ -9,7 +9,8 @@ where x is the curvature, y the tangential support component, and theta
 the tangent angle.  The plane curve is recovered from a profile as
 X = e^{i theta} (x + i y) / (A - i B), which is arclength-parametrized.
 Profiles are integrated with the 8th-order Dormand-Prince pair (DOP853)
-at rtol = atol = 1e-11.
+at rtol = atol = 1e-11; the two halves of a range about the data at s = 0
+are integrated together, as one six-component system in r = |s|.
 The module also carries the two classical special cases: the translating
 grim reaper graph and the closed shrinkers confined to an annulus.
 """
@@ -65,8 +66,8 @@ class CsfSolitonSpec:
         a, b = self.s_range
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError("s_range must be a finite nonempty interval")
-        if self.n < 16:
-            raise ValueError("n must be at least 16")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 16:
+            raise ValueError("n must be an integer of at least 16")
 
 
 @dataclass
@@ -79,20 +80,29 @@ class SolitonProfile:
 
 
 def _escape(_s, u):
-    return max(abs(u[0]), abs(u[1])) - ESCAPE_LIMIT
+    # u[-3:] is the backward half of a joint state, else the state itself
+    return max(abs(u[0]), abs(u[1]), abs(u[-3]), abs(u[-2])) - ESCAPE_LIMIT
 
 
 _escape.terminal = True
 
 
-def _solve_from_origin(A: float, B: float, x0: float, y0: float, s_end: float,
+def _solve_from_origin(A: float, B: float, u0, s_end: float, s0: float = 0.0,
                        events=_escape):
-    """The profile (x, y, theta) from (x0, y0, 0) at s = 0 to ``s_end``."""
-    rhs = lambda s, u: (u[0] * u[1] + A, -u[0] * u[0] - B, u[0])
+    """The profile from the state u0 at ``s0`` (the origin by default) to ``s_end``.
+
+    u0 is (x, y, theta), or six components for both halves at once: u(r),
+    then v(r) = u(-r), which obeys v' = -f(v), over r in [0, s_end].
+    """
+    if len(u0) == 3:
+        rhs = lambda s, u: (u[0] * u[1] + A, -u[0] * u[0] - B, u[0])
+    else:
+        rhs = lambda r, u: (u[0] * u[1] + A, -u[0] * u[0] - B, u[0],
+                            -u[3] * u[4] - A, u[3] * u[3] + B, -u[3])
     return solve_ivp(
         rhs,
-        (0.0, s_end),
-        [x0, y0, 0.0],
+        (s0, s_end),
+        u0,
         method="DOP853",
         rtol=1e-11,
         atol=1e-11,
@@ -104,33 +114,49 @@ def _solve_from_origin(A: float, B: float, x0: float, y0: float, s_end: float,
 def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
     """Integrate the profile system over s_range (initial data sits at s=0).
 
-    The range is truncated where the state escapes ESCAPE_LIMIT, with
-    the escaped flag set.
+    When s_range straddles 0, both halves are one joint solve over
+    |s| <= min(b, -a); the longer half then continues alone to its end,
+    and if one half escapes, the other continues alone from there.  A
+    one-sided range takes one solve from s = 0.  The range is truncated
+    where the state escapes ESCAPE_LIMIT, with the escaped flag set.
     """
     a, b = spec.s_range
-    lo, hi = a, b
+    start = [spec.x0, spec.y0, 0.0]
+    ends = [b, a]                      # of the forward and backward halves
+    joint_end, states = 0.0, [start, start]     # both halves at |s| = joint_end
+    pieces = []                        # (s_lo, s_hi, values at s in between)
     escaped = False
-    sol_fwd = sol_bwd = None
-    if b > 0:
-        sol_fwd = _solve_from_origin(spec.A, spec.B, spec.x0, spec.y0, b)
-        if sol_fwd.status == 1:
-            hi = float(sol_fwd.t[-1])
+    if a < 0 < b:
+        joint = _solve_from_origin(spec.A, spec.B, start * 2, min(b, -a))
+        joint_end = float(joint.t[-1])
+        states = np.split(joint.y[:, -1], 2)
+        # one dense evaluation at |s| serves both halves
+        both = lambda s: np.where(s >= 0, *np.split(joint.sol(np.abs(s)), 2))
+        pieces = [(-joint_end, joint_end, both)]
+        if joint.status == 1:
+            # the half at the largest |x| or |y| escaped, and so did the
+            # other one if it is at the limit too
             escaped = True
-    if a < 0:
-        sol_bwd = _solve_from_origin(spec.A, spec.B, spec.x0, spec.y0, a)
-        if sol_bwd.status == 1:
-            lo = float(sol_bwd.t[-1])
-            escaped = True
+            reach = [max(abs(u[0]), abs(u[1])) for u in states]
+            for k, sign in enumerate((1.0, -1.0)):
+                if reach[k] >= min(max(reach), ESCAPE_LIMIT):
+                    ends[k] = sign * joint_end
+    for k, sign in enumerate((1.0, -1.0)):
+        if sign * ends[k] > joint_end:
+            sol = _solve_from_origin(spec.A, spec.B, states[k], ends[k], sign * joint_end)
+            if sol.status == 1:
+                ends[k] = float(sol.t[-1])
+                escaped = True
+            pieces.append((*sorted((sign * joint_end, ends[k])), sol.sol))
+    hi, lo = ends
     if not lo < hi:
         raise CurveFlowError("profile-escape", "profile escapes before s_range")
     s = np.linspace(lo, hi, spec.n)
     vals = np.empty((3, spec.n))
-    fwd = s >= 0
-    if np.any(fwd):
-        src = sol_fwd if sol_fwd is not None else sol_bwd
-        vals[:, fwd] = src.sol(s[fwd])
-    if np.any(~fwd):
-        vals[:, ~fwd] = sol_bwd.sol(s[~fwd])
+    for s_lo, s_hi, at in pieces:
+        inside = (s >= s_lo) & (s <= s_hi)
+        if inside.any():
+            vals[:, inside] = at(s[inside])
     return SolitonProfile(s, vals[0], vals[1], vals[2], escaped)
 
 
@@ -237,7 +263,7 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
         return A * u[0] - B * u[1]
 
     minimum.direction = 1.0
-    sol = _solve_from_origin(A, B, x0, y0, CLOSURE_MAX_S, events=(minimum, _escape))
+    sol = _solve_from_origin(A, B, [x0, y0, 0.0], CLOSURE_MAX_S, events=(minimum, _escape))
     hits = sol.t_events[0]
     if len(hits) < 2:
         return ClosureData(False, None, None, float("nan"), float("nan"))

@@ -54,8 +54,8 @@ class VfeRotatingSpec:
         a, b = self.x_range
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError("x_range must be a finite nonempty interval")
-        if self.n < 16:
-            raise ValueError("n must be at least 16")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 16:
+            raise ValueError("n must be an integer of at least 16")
 
 
 def z_bounds(lam: float, C1: float) -> tuple[float, float]:
@@ -84,7 +84,8 @@ def _band_profile(lam: float, C1: float, z0: float, sign: int,
     Differentiating z'^2 = R(z) gives z'' = -8 z / (p^3 (z^2+2C1)^3), with
     p = 1 + lambda^2, which is regular at turning points, so the sign
     switching of the first-order form happens automatically; z'^2 - R(z)
-    is an exact invariant of the integration.  Truncates at vertical tangents.
+    is an exact invariant of the integration.  Truncates at vertical tangents,
+    and rejects a profile that turns vertical before the grid's second sample.
     """
     if not np.isfinite(z0):
         raise ValueError("z0 must be finite")
@@ -110,6 +111,9 @@ def _band_profile(lam: float, C1: float, z0: float, sign: int,
     a, b = x_range
     sol = solve_ivp(rhs, (a, b), [z0, zp0], method="DOP853",
                     rtol=1e-11, atol=1e-13, dense_output=True, events=vertical)
+    # such a profile would spread all n samples over a sliver of x_range
+    if sol.t[-1] < a + (b - a) / (n - 1):
+        raise CurveFlowError("outside-admissible-band", "vertical before the second sample")
     truncated = sol.status == 1
     x = np.linspace(a, float(sol.t[-1]), n)
     z, zp = sol.sol(x)

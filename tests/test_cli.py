@@ -480,6 +480,16 @@ def test_vfe_soliton_outside_band_exits_three(tmp_path, capsys):
     assert last_stderr_token(capsys) == "outside-admissible-band"
 
 
+def test_vfe_soliton_vertical_at_the_start_exits_three(tmp_path, capsys):
+    # z0^2 + 2*C1 is about 1e-6, above W_FLOOR, and the vertical tangent
+    # follows at x = 1.5e-13: no profile is left to spread 64 samples over
+    out = tmp_path / "o"
+    assert run("vfe", "soliton", "--case", "x-axis", "--lam", "0", "--C1=-0.3",
+               "--z0", "0.7745973", "--sign=-1", "--x=0:4:64", "--out", out) == 3
+    assert last_stderr_token(capsys) == "outside-admissible-band"
+    assert not out.exists()
+
+
 def test_vfe_evolve_with_residual_table(tmp_path, circle3_file):
     out = tmp_path / "vrun"
     assert run("vfe", "evolve", "--input", circle3_file, "--stop-time", "0.005",

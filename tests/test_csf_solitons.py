@@ -41,6 +41,8 @@ def test_spec_validation():
         CsfSolitonSpec(0.0, -1.0, 1.0, s_range=(2.0, 1.0))
     with pytest.raises(ValueError):
         CsfSolitonSpec(0.0, -1.0, 1.0, n=4)
+    with pytest.raises(ValueError):
+        CsfSolitonSpec(0.5, -1.0, 1.0, 0.0, n=16.5)
 
 
 def test_unit_circle_is_the_shrinking_fixed_point():
@@ -90,6 +92,41 @@ def test_profile_escape_truncates_or_fails():
     with pytest.raises(CurveFlowError) as err:
         integrate_profile(CsfSolitonSpec(0.0, -1e9, 0.0, 0.0, s_range=(0.5, 1.0)))
     assert err.value.token == "profile-escape"
+
+
+@pytest.mark.parametrize("y0, s_range, ends", [
+    (5e7, (-0.1, 1.0), (-0.1, 0.05)),
+    (5e7, (-1.0, 1.0), (-0.15, 0.05)),
+    (-5e7, (-1.0, 1.0), (-0.05, 0.15)),     # the backward half escapes first
+])
+def test_one_escaping_half_leaves_the_other_to_continue(y0, s_range, ends):
+    # A = x0 = 0 keeps x = 0 and y = y0 + 1e9 s; at y0 = 5e7 that reaches
+    # +1e8 at s = 0.05 but -1e8 only at s = -0.15
+    profile = integrate_profile(CsfSolitonSpec(0.0, -1e9, 0.0, y0, s_range=s_range))
+    assert profile.escaped
+    assert profile.s[0] == pytest.approx(ends[0], rel=1e-6)
+    assert profile.s[-1] == pytest.approx(ends[1], rel=1e-6)
+    assert np.all(profile.x == 0.0)
+    np.testing.assert_allclose(profile.y, y0 + 1e9 * profile.s, rtol=1e-9, atol=1e-3)
+
+
+@pytest.mark.parametrize("args, s_range, solves", [
+    ((0.8, -0.5, 0.9, 0.1), (-5.0, 5.0), 1),    # symmetric: both halves at once
+    ((0.0, -1e9, 0.0, 5e7), (-1.0, 1.0), 2),    # then the backward half alone
+    ((0.3, -0.6, 0.9, 0.1), (-10.0, 3.0), 2),   # then the longer half alone
+    ((0.3, -0.6, 0.9, 0.1), (0.5, 5.0), 1),     # one-sided
+], ids=["symmetric", "one-escapes", "asymmetric", "one-sided"])
+def test_profile_solves_per_member(monkeypatch, args, s_range, solves):
+    calls = []
+    solve = csf_solitons._solve_from_origin
+
+    def counted(*a, **kwargs):
+        calls.append(a)
+        return solve(*a, **kwargs)
+
+    monkeypatch.setattr(csf_solitons, "_solve_from_origin", counted)
+    integrate_profile(CsfSolitonSpec(*args, s_range=s_range))
+    assert len(calls) == solves
 
 
 def test_scaling_functions():
@@ -212,3 +249,15 @@ def test_profile_accuracy_against_a_tight_reference(A, B, bound):
     prof = integrate_profile(spec)
     want = _reference_profile(spec, prof.s)
     assert np.abs(np.vstack([prof.x, prof.y, prof.theta]) - want).max() < bound
+
+
+# the asymmetric range runs the joint solve and then the longer half alone;
+# the one-sided ranges take one solve from s = 0
+@pytest.mark.parametrize("s_range", [(-10.0, 3.0), (0.5, 5.0), (-5.0, -0.5)])
+def test_profile_accuracy_on_asymmetric_and_one_sided_ranges(s_range):
+    spec = CsfSolitonSpec(0.3, -0.6, 0.9, 0.1, s_range=s_range, n=256)
+    prof = integrate_profile(spec)
+    assert (prof.s[0], prof.s[-1]) == s_range
+    # the reference solves both sides of s = 0, so give it samples on each
+    want = _reference_profile(spec, np.append(prof.s, -prof.s))[:, :prof.s.size]
+    assert np.abs(np.vstack([prof.x, prof.y, prof.theta]) - want).max() < 3.6e-10

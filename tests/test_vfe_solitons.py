@@ -34,6 +34,8 @@ def test_spec_validation():
         VfeRotatingSpec("x-axis", 0.5, x_range=(1.0, 1.0))
     with pytest.raises(ValueError):
         VfeRotatingSpec("x-axis", 0.5, n=8)
+    with pytest.raises(ValueError):
+        VfeRotatingSpec("x-axis", 0.5, n=20.5)
 
 
 def test_z_bounds_and_radicand_edges():
@@ -88,6 +90,16 @@ def test_band_start_outside_band_is_rejected():
     assert err.value.token == "outside-admissible-band"
     # z0^2 + 2*C1 = 0 puts the start on the vertical-tangent locus
     spec = VfeRotatingSpec("x-axis", C1=-0.125, lam=1.0, z0=0.5)
+    with pytest.raises(CurveFlowError) as err:
+        xaxis_rotation_profile(spec)
+    assert err.value.token == "outside-admissible-band"
+
+
+def test_profile_vertical_before_the_second_sample_is_rejected():
+    # z0^2 + 2*C1 = 0.0084 is far above W_FLOOR, but with sign -1 the
+    # vertical tangent follows at x = 6.3e-8, before the second sample 4/63
+    spec = VfeRotatingSpec("x-axis", C1=-0.3, lam=0.0, sign=-1, z0=0.78,
+                           x_range=(0.0, 4.0), n=64)
     with pytest.raises(CurveFlowError) as err:
         xaxis_rotation_profile(spec)
     assert err.value.token == "outside-admissible-band"
