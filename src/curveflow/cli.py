@@ -245,15 +245,11 @@ def cmd_vfe_soliton(args, out: Path) -> list[Path]:
             raise ConfigError("invalid-parameter", "--z0 is required")
         lam = 0.0 if args.case == "planar" else args.lam
         lo, hi = vfe_solitons.z_bounds(lam, args.C1)
-        if args.case == "planar":
-            curve, omega = vfe_solitons.planar_rotation_profile(
-                args.C1, args.z0, x_range, n, sign=args.sign)
-        else:
-            spec = vfe_solitons.VfeRotatingSpec(
-                case="x-axis", C1=args.C1, lam=lam, sign=args.sign,
-                z0=args.z0, x_range=x_range, n=n)
-            curve = vfe_solitons.xaxis_rotation_profile(spec)
-            omega = vfe_solitons.xaxis_rotation_law(spec)
+        spec = vfe_solitons.VfeRotatingSpec(
+            case=args.case, C1=args.C1, lam=lam, sign=args.sign,
+            z0=args.z0, x_range=x_range, n=n)
+        curve = vfe_solitons.xaxis_rotation_profile(spec)
+        omega = vfe_solitons.xaxis_rotation_law(spec)
         record.update(lam=lam, z0=args.z0)
         record["admissible_band"] = {"z_squared_low": lo, "z_squared_high": hi}
         # the planar profile is (x, f(x), 0), the x-axis one (x, y(x), z(x))

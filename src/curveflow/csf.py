@@ -187,17 +187,13 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> ScalarSeries:
         h = np.full(n if closed else n - 1, ds)
         khat_t = (kappas[k + 1] - kappas[k - 1]) / (times[k + 1] - times[k - 1])
 
-        k2 = kap**2
-        if closed:
-            seg = 0.5 * (k2 + np.roll(k2, -1)) * ds
-            cum = np.concatenate([[0.0], np.cumsum(seg[:-1])])
-            total = float(seg.sum())
-        else:
-            seg = 0.5 * (k2[:-1] + k2[1:]) * ds
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            total = float(cum[-1])
+        # a closed curve's trapezoids run through the wrap back to sample 0
+        k2 = np.append(kap**2, kap[0] ** 2) if closed else kap**2
+        seg = 0.5 * (k2[:-1] + k2[1:]) * ds
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        total = float(seg.sum()) if closed else float(cum[-1])
         s = np.arange(n) * ds
-        w = cum - (s / L) * total
+        w = cum[:n] - (s / L) * total
 
         d1k, d2k = _lagrange_d1_d2(kap[:, None], h, closed)
         res = khat_t - d1k[:, 0] * w - (d2k[:, 0] + kap**3)

@@ -336,11 +336,18 @@ def hasimoto_soliton(spec: HasimotoSolitonSpec, t: float, s_grid):
 
 def hasimoto_soliton_filament(spec: HasimotoSolitonSpec, t: float, s_grid) -> FilamentFunction:
     """psi of the kink under the gauge A = 2(tau0^2 - nu^2) (no extra phase)."""
-    s = np.asarray(s_grid, dtype=float)
-    ds = float(s[1] - s[0])
+    s, ds = _grid_and_step(s_grid)
     eta = spec.nu * (s - 2.0 * spec.tau0 * t)
     values = 2.0 * spec.nu / np.cosh(eta) * np.exp(1j * spec.tau0 * s)
     return FilamentFunction(float(s[0]), ds, values, spec.gauge_A, t)
+
+
+def _grid_and_step(grid) -> tuple[np.ndarray, float]:
+    """The grid as floats and its first step; a filament needs at least 4 samples."""
+    x = np.asarray(grid, dtype=float)
+    if x.ndim != 1 or x.size < 4:
+        raise ValueError("the grid must be 1-D with at least 4 samples")
+    return x, float(x[1] - x[0])
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +359,6 @@ def dilating_filament(a: float, t: float, x_grid) -> FilamentFunction:
     if t <= 0:
         raise CurveFlowError("at-singularity",
                              "the dilating filament degenerates at t <= 0")
-    x = np.asarray(x_grid, dtype=float)
-    ds = float(x[1] - x[0])
+    x, ds = _grid_and_step(x_grid)
     values = (a / np.sqrt(t)) * np.exp(1j * x**2 / (4.0 * t))
     return FilamentFunction(float(x[0]), ds, values, -a**2 / t, t)

@@ -155,7 +155,6 @@ def frenet_evolution_residuals(traj: FlowTrajectory) -> FrenetResidualSeries:
     closed = frames[0].closed
 
     data = [frenet(f) for f in frames]
-    hs = [segment_lengths(f) for f in frames]
     m = len(frames) - 2
     out = {k: np.full(m, np.nan) for k in ("kappa", "tau", "normal", "binormal")}
     skipped = np.zeros(m, dtype=bool)
@@ -172,11 +171,11 @@ def frenet_evolution_residuals(traj: FlowTrajectory) -> FrenetResidualSeries:
             continue
         dt2 = times[k + 1] - times[k - 1]
         tau = fr.torsion
-        h = hs[k]
-        d1k, d2k = _lagrange_d1_d2(kap[:, None], h, closed)
-        kap_s, kap_ss = d1k[:, 0], d2k[:, 0]
+        h = segment_lengths(frames[k])
+        # the stencil works column by column: kappa and tau share one call
+        d1, d2 = _lagrange_d1_d2(np.column_stack([kap, tau]), h, closed)
+        kap_s, tau_s, kap_ss = d1[:, 0], d1[:, 1], d2[:, 0]
         kap_sss = _lagrange_d1_d2(kap_ss[:, None], h, closed)[0][:, 0]
-        tau_s = _lagrange_d1_d2(tau[:, None], h, closed)[0][:, 0]
 
         kap_t = (data[k + 1].curvature - data[k - 1].curvature) / dt2
         tau_t = (data[k + 1].torsion - data[k - 1].torsion) / dt2

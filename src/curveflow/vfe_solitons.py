@@ -13,7 +13,8 @@ unit angular speed:
   oscillating inside an admissible band of z^2;
 * planar: the lambda = 0 reduction, emitted as (x, f(x), 0).
 
-The x-axis and planar families rotate about (+-1, 0, 0); the sign is
+The x-axis and planar families go through one ``VfeRotatingSpec``, whose
+``case`` picks the layout, and rotate about (+-1, 0, 0); the sign is
 -sign(z0^2 + 2*C1), fixed along a profile because z^2 + 2*C1 cannot
 cross zero without a vertical tangent.  Their band profile is integrated
 with the 8th-order Dormand-Prince pair (DOP853) at rtol = 1e-11,
@@ -26,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation
 
 from .errors import CurveFlowError
 from .geometry import SampledCurve, _cross, _dot, _lagrange_d1_d2, segment_lengths
 
 # z^2 + 2*C1 magnitudes below this trigger the vertical-tangent truncation
-W_FLOOR = 1e-9
+W_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,8 @@ class VfeRotatingSpec:
             raise ValueError("x_range must be a finite nonempty interval")
         if not isinstance(self.n, (int, np.integer)) or self.n < 16:
             raise ValueError("n must be an integer of at least 16")
+        if self.case == "planar" and self.lam != 0.0:
+            raise ValueError("the planar profile is the lam = 0 case")
 
 
 def z_bounds(lam: float, C1: float) -> tuple[float, float]:
@@ -121,19 +123,16 @@ def _band_profile(lam: float, C1: float, z0: float, sign: int,
 
 
 def xaxis_rotation_profile(spec: VfeRotatingSpec) -> SampledCurve:
-    """Profile curve (x, lambda*z, z) rotating about the x-axis."""
+    """Profile curve (x, lambda*z, z), or (x, z, 0) for a planar spec, rotating about the x-axis."""
     x, z, _, _ = _band_profile(spec.lam, spec.C1, spec.z0, spec.sign, spec.x_range, spec.n)
-    pts = np.column_stack([x, spec.lam * z, z])
-    return SampledCurve(3, False, pts, label="x-axis rotating profile")
-
-
-def _band_rotation_law(C1: float, z0: float) -> np.ndarray:
-    return np.array([-np.sign(z0**2 + 2.0 * C1), 0.0, 0.0])
+    y, z = (z, np.zeros_like(x)) if spec.case == "planar" else (spec.lam * z, z)
+    pts = np.column_stack([x, y, z])
+    return SampledCurve(3, False, pts, label=f"{spec.case} rotating profile")
 
 
 def xaxis_rotation_law(spec: VfeRotatingSpec) -> np.ndarray:
-    """Unit-speed angular velocity of the x-axis profile."""
-    return _band_rotation_law(spec.C1, spec.z0)
+    """Unit-speed angular velocity (-sign(z0^2 + 2*C1), 0, 0) of the x-axis or planar profile."""
+    return np.array([-np.sign(spec.z0**2 + 2.0 * spec.C1), 0.0, 0.0])
 
 
 def planar_rotation_profile(C1: float, f0: float, x_range: tuple[float, float],
@@ -143,10 +142,8 @@ def planar_rotation_profile(C1: float, f0: float, x_range: tuple[float, float],
     The lambda = 0 reduction of the x-axis family; the emitted curve
     rotates out of its initial plane about (+-1, 0, 0).
     """
-    x, f, _, _ = _band_profile(0.0, C1, f0, sign, x_range, n)
-    pts = np.column_stack([x, f, np.zeros_like(x)])
-    return (SampledCurve(3, False, pts, label="planar rotating profile"),
-            _band_rotation_law(C1, f0))
+    spec = VfeRotatingSpec("planar", C1, 0.0, sign, f0, x_range, n)
+    return xaxis_rotation_profile(spec), xaxis_rotation_law(spec)
 
 
 def transverse_rotation_profile(C1: float, C2: float,
@@ -155,7 +152,7 @@ def transverse_rotation_profile(C1: float, C2: float,
 
     The slope relation -z'/sqrt(1+C1^2+z'^2) = q with
     q = (1+C1^2)(x^2+2C2)/2 is solvable only while |q| < 1; the range is
-    truncated at the first violation.
+    truncated at the first violation, which is found in closed form.
     """
     p = 1.0 + C1**2
     a, b = x_range
@@ -166,11 +163,10 @@ def transverse_rotation_profile(C1: float, C2: float,
     margin = 1.0 - 1e-9
     if abs(q_of(a)) >= margin:
         raise CurveFlowError("unsolvable-slope", "|q| >= 1 at the range start")
-    probe = np.linspace(a, b, 4096)
-    bad = np.nonzero(np.abs(q_of(probe)) >= margin)[0]
-    if bad.size:
-        j = bad[0]
-        b = brentq(lambda x: abs(q_of(x)) - margin, probe[j - 1], probe[j])
+    # |q| < margin exactly where lo2 < x^2 < hi2, so going right from a the
+    # profile ends at -sqrt(lo2) on the left branch and at sqrt(hi2) otherwise
+    lo2, hi2 = -2.0 * margin / p - 2.0 * C2, 2.0 * margin / p - 2.0 * C2
+    b = min(b, -np.sqrt(lo2) if a < 0.0 and lo2 > 0.0 else np.sqrt(hi2))
     x = np.linspace(a, b, n)
 
     nodes, weights = np.polynomial.legendre.leggauss(5)

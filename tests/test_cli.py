@@ -481,12 +481,31 @@ def test_vfe_soliton_outside_band_exits_three(tmp_path, capsys):
 
 
 def test_vfe_soliton_vertical_at_the_start_exits_three(tmp_path, capsys):
-    # z0^2 + 2*C1 is about 1e-6, above W_FLOOR, and the vertical tangent
-    # follows at x = 1.5e-13: no profile is left to spread 64 samples over
+    # z0^2 + 2*C1 is about 9.8e-7, below W_FLOOR: the start sits on the
+    # vertical-tangent locus
     out = tmp_path / "o"
     assert run("vfe", "soliton", "--case", "x-axis", "--lam", "0", "--C1=-0.3",
                "--z0", "0.7745973", "--sign=-1", "--x=0:4:64", "--out", out) == 3
     assert last_stderr_token(capsys) == "outside-admissible-band"
+    assert not out.exists()
+
+
+def test_vfe_soliton_vertical_before_the_second_sample_exits_three(tmp_path, capsys):
+    # the start clears W_FLOOR, but the tangent turns vertical at x = 6.3e-8
+    out = tmp_path / "o"
+    assert run("vfe", "soliton", "--case", "x-axis", "--lam", "0", "--C1=-0.3",
+               "--z0", "0.78", "--sign=-1", "--x=0:4:64", "--out", out) == 3
+    assert last_stderr_token(capsys) == "outside-admissible-band"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["--x=0:4:1", "--x=4:0:64", "--x=0:4:8"],
+                         ids=["one-sample", "decreasing", "eight-samples"])
+def test_vfe_soliton_planar_grid_is_checked_as_x_axis(tmp_path, capsys, grid):
+    out = tmp_path / "o"
+    assert run("vfe", "soliton", "--case", "planar", "--C1", "0.5", "--z0", "0.5",
+               grid, "--out", out) == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
     assert not out.exists()
 
 
@@ -590,6 +609,14 @@ def test_dilating_residual_check(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("nlcse_residual_max")
     report = json.loads((out / "residual.json").read_text())
     assert report["nlcse_residual_max"] < 1e-3
+
+
+def test_dilating_filament_rejects_a_short_grid(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("hasimoto", "dilating", "--a", "1", "--t", "1", "--x=0:1:1",
+               "--out", out) == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
+    assert not out.exists()
 
 
 def test_diagnose_subcommands(tmp_path, circle_file, capsys):

@@ -258,6 +258,14 @@ def test_dilating_filament():
     assert err.value.token == "at-singularity"
 
 
+@pytest.mark.parametrize("grid", [[0.0], [0.0, 1.0, 2.0]], ids=["one-sample", "three-samples"])
+def test_filament_generators_reject_short_grids(grid):
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        hasimoto_soliton_filament(HasimotoSolitonSpec(1.0, 0.5), 0.0, grid)
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        dilating_filament(1.0, 1.0, grid)
+
+
 def test_standard_seed_is_orthonormal():
     seed = standard_seed()
     nc = seed.N_complex

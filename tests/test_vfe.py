@@ -126,6 +126,19 @@ def test_frenet_laws_hold_on_the_helix():
     assert np.nanmax(res.res_binormal) < 1e-2
 
 
+def test_frenet_residuals_skip_a_frame_without_torsion():
+    # a straight line has no defined torsion anywhere, so its one interior
+    # frame has no sample to measure and reads NaN
+    line = np.column_stack([np.linspace(0.0, 1.0, 16), np.zeros(16), np.zeros(16)])
+    traj = FlowTrajectory()
+    for k in range(3):
+        traj.append(0.1 * k, SampledCurve(3, False, line))
+    res = frenet_evolution_residuals(traj)
+    assert res.skipped.tolist() == [True]
+    for row in (res.res_kappa, res.res_tau, res.res_normal, res.res_binormal):
+        assert np.isnan(row).all()
+
+
 def test_commutator_vanishes_on_the_helix():
     # zero up to discretization; the floor here is the central-difference
     # truncation of d/dt gamma_s across recorded frames

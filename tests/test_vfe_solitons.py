@@ -36,6 +36,9 @@ def test_spec_validation():
         VfeRotatingSpec("x-axis", 0.5, n=8)
     with pytest.raises(ValueError):
         VfeRotatingSpec("x-axis", 0.5, n=20.5)
+    # the planar layout (x, z, 0) holds only the lambda = 0 profile
+    with pytest.raises(ValueError):
+        VfeRotatingSpec("planar", 0.5, lam=2.0)
 
 
 def test_z_bounds_and_radicand_edges():
@@ -105,6 +108,13 @@ def test_profile_vertical_before_the_second_sample_is_rejected():
     assert err.value.token == "outside-admissible-band"
 
 
+def test_profile_reaching_a_vertical_tangent_is_truncated():
+    # the W_FLOOR event ends the solve before the step size collapses
+    x, _, _, truncated = _band_profile(0.0, -0.2, 0.8, 1, (0.0, 5.0), 256)
+    assert truncated
+    assert x[-1] == pytest.approx(1.4559074366, abs=1e-9)
+
+
 def test_rotation_residual_is_small_on_every_family():
     spec = VfeRotatingSpec("x-axis", C1=0.25, lam=1.0, sign=1,
                            z0=0.5 * np.sqrt(0.5), x_range=(0.0, 4.0), n=2048)
@@ -127,6 +137,19 @@ def test_planar_equals_xaxis_at_lambda_zero():
     # same scalar profile, laid out in the xz- vs the xy-plane
     assert np.abs(xa.points[:, 2] - planar.points[:, 1]).max() < 1e-8
     np.testing.assert_array_equal(omega, xaxis_rotation_law(spec))
+
+
+def test_planar_profile_goes_through_the_spec():
+    spec = VfeRotatingSpec("planar", C1=0.5, lam=0.0, sign=1, z0=0.5,
+                           x_range=(0.0, 4.0), n=256)
+    curve = xaxis_rotation_profile(spec)
+    planar, omega = planar_rotation_profile(0.5, 0.5, (0.0, 4.0), 256)
+    assert curve.points.tobytes() == planar.points.tobytes()
+    assert curve.label == planar.label == "planar rotating profile"
+    assert xaxis_rotation_law(spec).tobytes() == omega.tobytes()
+    # the planar family takes the x-axis family's sample-count check
+    with pytest.raises(ValueError):
+        planar_rotation_profile(0.5, 0.5, (0.0, 4.0), 8)
 
 
 def test_transverse_slope_relation_and_quadrature():
@@ -159,6 +182,17 @@ def test_transverse_truncates_where_the_slope_blows_up():
     with pytest.raises(CurveFlowError) as err:
         transverse_rotation_profile(0.3, 0.1, (2.0, 3.0), 512)
     assert err.value.token == "unsolvable-slope"
+
+
+@pytest.mark.parametrize("C1", [0.3, 0.0])
+def test_transverse_left_branch_ends_at_the_inner_root(C1):
+    # with C2 = -1 the band |q| < 1 - 1e-9 is lo2 < x^2 < hi2 with lo2 > 0,
+    # so a profile started left of it ends at -sqrt(lo2); at C1 = 0 that gap
+    # is 9e-5 wide, narrower than a 4,096-sample probe's spacing
+    p, m = 1.0 + C1**2, 1.0 - 1e-9
+    curve = transverse_rotation_profile(C1, -1.0, (-1.5, 1.5), 128)
+    assert curve.points[-1, 0] == pytest.approx(-np.sqrt(2.0 - 2.0 * m / p), abs=1e-12)
+    assert np.isfinite(curve.points).all()
 
 
 def test_circle_is_not_a_rotating_solution():
