@@ -32,7 +32,8 @@ from scipy.spatial.transform import Rotation
 from .errors import CurveFlowError
 from .geometry import SampledCurve, _cross, _dot, _lagrange_d1_d2, segment_lengths
 
-# z^2 + 2*C1 magnitudes below this trigger the vertical-tangent truncation
+# z^2 + 2*C1 magnitudes below this trigger the vertical-tangent truncation;
+# much nearer the locus DOP853's step collapses before the event can fire
 W_FLOOR = 1e-6
 
 
@@ -123,7 +124,7 @@ def _band_profile(lam: float, C1: float, z0: float, sign: int,
 
 
 def xaxis_rotation_profile(spec: VfeRotatingSpec) -> SampledCurve:
-    """Profile curve (x, lambda*z, z), or (x, z, 0) for a planar spec, rotating about the x-axis."""
+    """Profile curve (x, lambda*z, z), or (x, z, 0) for a planar spec, about the x-axis."""
     x, z, _, _ = _band_profile(spec.lam, spec.C1, spec.z0, spec.sign, spec.x_range, spec.n)
     y, z = (z, np.zeros_like(x)) if spec.case == "planar" else (spec.lam * z, z)
     pts = np.column_stack([x, y, z])
