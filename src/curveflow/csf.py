@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import flow
 from .errors import CurveFlowError
@@ -30,6 +29,7 @@ from .flow import (FlowTrajectory, ScalarSeries, StepOptions, frame_measures,
 from .geometry import (
     SampledCurve,
     _lagrange_d1_d2,
+    _pdist,
     _signed_curvature,
     _solve_tridiagonal,
     cumulative_arclength,
@@ -245,8 +245,8 @@ def distance_ratio(curve: SampledCurve) -> float:
         raise ValueError("distance ratio needs a closed planar curve")
     s = cumulative_arclength(curve)
     L = total_length(curve)
-    d = pdist(curve.points)
-    l = pdist(s[:, None], "cityblock")
+    d = _pdist(curve.points)
+    l = _pdist(s[:, None], "cityblock")
     l = np.minimum(l, L - l)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (L / (np.pi * d)) * np.sin(np.pi * l / L)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import CurveFlowError
 from .geometry import SampledCurve, frenet
@@ -94,6 +92,7 @@ def _solve_from_origin(A: float, B: float, u0, s_end: float, s0: float = 0.0,
     u0 is (x, y, theta), or six components for both halves at once: u(r),
     then v(r) = u(-r), which obeys v' = -f(v), over r in [0, s_end].
     """
+    from scipy.integrate import solve_ivp
     if len(u0) == 3:
         rhs = lambda s, u: (u[0] * u[1] + A, -u[0] * u[0] - B, u[0])
     else:
@@ -226,6 +225,7 @@ def abresch_langer_partner(B: float, r_min: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise CurveFlowError("outside-annulus-branch", "no outer partner found")
+    from scipy.optimize import brentq
     return float(brentq(lambda r: weighted(r) - target, r_star, hi, xtol=1e-15, rtol=8.9e-16))
 
 

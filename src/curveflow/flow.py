@@ -161,9 +161,10 @@ def interior_frames(traj: FlowTrajectory, dimension: int) -> tuple[np.ndarray, s
     """Recorded times and the sample slice the evolution-law checks read.
 
     The checks difference frames in time at fixed sample index, so they
-    need at least 3 frames of one sample count, all in R^``dimension``
-    (the flow whose laws they check).  The slice keeps every sample of a
-    closed curve and drops ``END_TRIM`` at each open end.
+    need at least 3 frames of one sample count at strictly increasing
+    times, all in R^``dimension`` (the flow whose laws they check).  The
+    slice keeps every sample of a closed curve and drops ``END_TRIM`` at
+    each open end.
     """
     frames = traj.frames
     if len(frames) < 3:
@@ -173,8 +174,11 @@ def interior_frames(traj: FlowTrajectory, dimension: int) -> tuple[np.ndarray, s
         raise CurveFlowError("unaligned-trajectory", "frames have mixed sample counts")
     if any(f.dimension != dimension for f in frames):
         raise ValueError(f"these residuals need frames in R^{dimension}")
+    times = np.array(traj.times)
+    if not np.all(np.diff(times) > 0):
+        raise ConfigError("invalid-input", "frame times must strictly increase")
     cut = 0 if frames[0].closed else int(n * END_TRIM)
-    return np.array(traj.times), slice(cut, n - cut)
+    return times, slice(cut, n - cut)
 
 
 @dataclass(frozen=True)

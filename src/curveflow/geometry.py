@@ -15,12 +15,9 @@ curve differentiate the cubic through their four nearest samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv, zgtsv
-from scipy.spatial import ConvexHull, QhullError, cKDTree
-from scipy.spatial.distance import pdist
 
 from .errors import CurveFlowError
 
@@ -317,14 +314,21 @@ def _solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndar
     passes it for (1, 1) bands, so the bits match, without that function's
     per-call checks; ``info`` is checked as it checks it.
     """
-    gtsv = zgtsv if b.dtype.kind == "c" else dgtsv
+    gtsv = _gtsv(b.dtype.kind)
     *_, x, info = gtsv(dl, d, du, b, overwrite_bands, overwrite_bands,
                        overwrite_bands, overwrite_b)
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     return x
+
+
+@cache
+def _gtsv(kind: str):
+    """LAPACK's ?gtsv for a right-hand side of numpy dtype kind ``kind``, bound once."""
+    from scipy.linalg.lapack import dgtsv, zgtsv
+    return zgtsv if kind == "c" else dgtsv
 
 
 def _signed_curvature(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -412,6 +416,7 @@ def _point_set(obj) -> np.ndarray:
 
 def directed_hausdorff(a, b) -> float:
     """max over a of the distance to the point set b; accepts curves or arrays."""
+    from scipy.spatial import cKDTree
     a, b = _point_set(a), _point_set(b)
     return float(cKDTree(b).query(a)[0].max())
 
@@ -426,9 +431,16 @@ def curve_diameter(points) -> float:
     The farthest pair lies on the convex hull; qhull rejects flat sets
     (collinear in 2-D, coplanar in 3-D), which then take all pairs.
     """
+    from scipy.spatial import ConvexHull, QhullError
     points = _point_set(points)
     try:
         points = points[ConvexHull(points).vertices]
     except QhullError:
         pass
-    return float(pdist(points).max())
+    return float(_pdist(points).max())
+
+
+def _pdist(points, metric: str = "euclidean") -> np.ndarray:
+    """scipy's condensed pairwise distances of the rows of ``points``."""
+    from scipy.spatial.distance import pdist
+    return pdist(points, metric)

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import CurveFlowError
 from .geometry import FrenetData, SampledCurve, _solve_tridiagonal
@@ -129,6 +128,8 @@ def nlcse_evolve(psi: FilamentFunction, dt: float, n_steps: int) -> FilamentFunc
     ``dt``; one step (``nlcse_step``) stays unmerged.  A result that is not
     finite raises ``ValueError`` when the ``FilamentFunction`` is built.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     if n_steps == 0:
@@ -243,6 +244,7 @@ def reconstruct_frame(psi: FilamentFunction, seed: FrameState | None = None):
     mean = 0.5 * h * (p1 + p2)
     omega = np.column_stack([(math.sqrt(3.0) / 12.0) * h**2 * (np.conj(p2) * p1).imag,
                              mean.imag, -mean.real])
+    from scipy.spatial.transform import Rotation
     rotations = Rotation.from_rotvec(omega).as_matrix()
     rows = np.empty((n, 3, 3))
     t, nc = _renormalize(t, nc)
@@ -270,8 +272,11 @@ class HasimotoSolitonSpec:
     tau0: float
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        # nu * nu, not nu**2: a float power raises OverflowError
+        nu2 = self.nu * self.nu
+        if not (self.nu > 0 and nu2 > 0 and math.isfinite(nu2 + self.tau0 * self.tau0)):
+            raise ValueError("nu must be positive and tau0 finite, with nu^2 > 0 "
+                             "and nu^2 + tau0^2 finite")
 
     @property
     def speed(self) -> float:
@@ -343,11 +348,17 @@ def hasimoto_soliton_filament(spec: HasimotoSolitonSpec, t: float, s_grid) -> Fi
 
 
 def _grid_and_step(grid) -> tuple[np.ndarray, float]:
-    """The grid as floats and its first step; a filament needs at least 4 samples."""
+    """The grid as floats and its step; a filament needs at least 4 uniform samples."""
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 4:
         raise ValueError("the grid must be 1-D with at least 4 samples")
-    return x, float(x[1] - x[0])
+    steps = np.diff(x)
+    # each sample is rounded at its own magnitude, so a linspace grid far
+    # from 0 has steps that differ by a few ulps of |x|, not of the step
+    tol = 1e-9 * steps[0] + 4.0 * np.spacing(np.abs(x).max())
+    if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= tol)):
+        raise ValueError("the grid must increase in equal steps")
+    return x, float(steps[0])
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,9 @@ def read_trajectory(out_dir) -> FlowTrajectory:
     try:
         times, files = index["times"], index["files"]
         reason = str(index.get("stop_reason", ""))
+        if len(times) != len(files):
+            raise ConfigError("invalid-input", f"bad trajectory index: {len(times)} "
+                              f"times for {len(files)} frame files")
     except (KeyError, TypeError) as exc:
         raise ConfigError("invalid-input", f"bad trajectory index: {exc}") from exc
     traj = FlowTrajectory(stop_reason=reason)

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.spatial.transform import Rotation
 
 from .errors import CurveFlowError
 from .geometry import SampledCurve, _cross, _dot, _lagrange_d1_d2, segment_lengths
@@ -111,6 +109,7 @@ def _band_profile(lam: float, C1: float, z0: float, sign: int,
         return (u[0] ** 2 + 2.0 * C1) ** 2 - W_FLOOR**2
 
     vertical.terminal = True
+    from scipy.integrate import solve_ivp
     a, b = x_range
     sol = solve_ivp(rhs, (a, b), [z0, zp0], method="DOP853",
                     rtol=1e-11, atol=1e-13, dense_output=True, events=vertical)
@@ -209,5 +208,6 @@ def apply_rotation(curve: SampledCurve, omega, t: float) -> SampledCurve:
     omega = np.asarray(omega, dtype=float)
     if not omega.any():
         return curve
+    from scipy.spatial.transform import Rotation
     # scipy's Rotation.apply rejects a read-only array, so pass a copy
     return curve.with_points(Rotation.from_rotvec(omega * t).apply(np.array(curve.points)))

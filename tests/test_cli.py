@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import circle2, circle3
-from curveflow import __version__, cli, csf, csf_solitons
+import curveflow
+from curveflow import __version__, cli, csf, csf_solitons, hasimoto
 from curveflow.flow import frame_measures
 from curveflow.geometry import SampledCurve
 from curveflow.storage import (file_sha256, read_curve, read_filament,
-                               read_trajectory, write_curve)
+                               read_trajectory, write_curve, write_filament)
 
 
 def run(*argv):
@@ -38,6 +43,28 @@ def circle_file(tmp_path):
 def circle3_file(tmp_path):
     from curveflow.storage import write_curve
     return write_curve(tmp_path / "circle3.curve", circle3(256))
+
+
+def test_a_run_loads_only_the_scipy_modules_its_command_calls(tmp_path):
+    # this process has scipy loaded already, so a fresh interpreter checks
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.linalg",
+             "scipy.sparse"]
+    out = str(tmp_path / "o")
+    script = f"""if True:
+        import sys
+        import curveflow, curveflow.cli
+        print([m for m in {heavy!r} if m in sys.modules])
+        argv = ["hasimoto", "dilating", "--a", "0.5", "--t", "1", "--out", {out!r}]
+        assert curveflow.cli.main(argv) == 0
+        print([m for m in {heavy!r} if m in sys.modules])
+    """
+    src = str(Path(curveflow.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_version_flag(capsys):
@@ -255,6 +282,21 @@ def test_residuals_reject_the_other_flows_trajectory(tmp_path, circle_file,
         assert f"need frames in R^{dimension}" in err
         assert err.strip().splitlines()[-1] == "invalid-parameter"
         assert not out.exists()
+
+
+def test_residuals_reject_a_repeated_frame_time(tmp_path, circle_file, capsys):
+    traj = tmp_path / "traj"
+    assert run("csf", "evolve", "--input", circle_file, "--stop-time", "1e-3",
+               "--dt", "1e-4", "--n", "64", "--record-every", "2", "--out", traj) == 0
+    index_path = traj / "frame_index.json"
+    index = json.loads(index_path.read_text())
+    index["times"][2] = index["times"][1]
+    index_path.write_text(json.dumps(index))
+    out = tmp_path / "r"
+    assert run("diagnose", "residuals", "--trajectory", traj, "--flow", "csf",
+               "--out", out) == 2
+    assert last_stderr_token(capsys) == "invalid-input"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -588,6 +630,24 @@ def test_hasimoto_evolve_rejects_bad_input(tmp_path, capsys, field, flags, token
     argv = ["--input", path, "--dt", "1e-3", "--steps", "3", *flags]
     assert run("hasimoto", "evolve", *argv, "--out", tmp_path / "o") == 2
     assert last_stderr_token(capsys) == token
+
+
+@pytest.mark.parametrize("dt", ["0", "nan"])
+def test_hasimoto_evolve_rejects_a_bad_step(tmp_path, capsys, dt):
+    fil = hasimoto.FilamentFunction(0.0, 0.1, np.ones(16, dtype=complex), periodic=True)
+    path = write_filament(tmp_path / "filament.json", fil)
+    assert run("hasimoto", "evolve", "--input", path, f"--dt={dt}", "--steps", "3",
+               "--out", tmp_path / "o") == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("nu, tau0", [("1e-308", "0"), ("0.25", "1e308"), ("nan", "0")],
+                         ids=["nu-squared-underflows", "tau0-squared-overflows", "nan-nu"])
+def test_hasimoto_soliton_rejects_numbers_it_cannot_use(tmp_path, capsys, nu, tau0):
+    assert run("hasimoto", "soliton", f"--nu={nu}", f"--tau0={tau0}",
+               "--out", tmp_path / "o") == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
 
 
 def test_hasimoto_soliton_artifacts(tmp_path):

@@ -8,6 +8,7 @@ from scipy.special import ellipe
 from conftest import circle2, circle3, ellipse2, helix3
 from curveflow.geometry import (
     SampledCurve,
+    _solve_tridiagonal,
     curve_diameter,
     cumulative_arclength,
     directed_hausdorff,
@@ -181,3 +182,10 @@ def test_hausdorff_basic():
 def test_curve_diameter():
     assert curve_diameter(ellipse2(2.0, 1.0, 512)) == pytest.approx(4.0, rel=1e-4)
     assert curve_diameter(circle2(64).points) == pytest.approx(2.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_solve_tridiagonal_raises_on_a_zero_pivot(dtype):
+    off = np.zeros(2)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _solve_tridiagonal(off, np.array([0.0, 1.0, 1.0]), off, np.ones(3, dtype=dtype))

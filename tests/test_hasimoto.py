@@ -47,6 +47,13 @@ def test_evolve_rejects_negative_step_count():
     assert nlcse_evolve(psi, 1e-3, 0) is psi
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_evolve_rejects_a_step_that_is_not_positive_and_finite(dt):
+    psi = FilamentFunction(0.0, 0.1, np.ones(8, dtype=complex), periodic=True)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        nlcse_evolve(psi, dt, 3)
+
+
 def test_transform_of_planar_circle_is_signed_curvature():
     fil = hasimoto_transform(frenet(circle2(512, radius=2.0)))
     assert np.abs(fil.values.imag).max() == 0.0
@@ -264,6 +271,30 @@ def test_filament_generators_reject_short_grids(grid):
         hasimoto_soliton_filament(HasimotoSolitonSpec(1.0, 0.5), 0.0, grid)
     with pytest.raises(ValueError, match="at least 4 samples"):
         dilating_filament(1.0, 1.0, grid)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 3.0, 7.0], [3.0, 2.0, 1.0, 0.0],
+                                  [0.0, 0.0, 0.0, 0.0], [0.0, 1.0, np.nan, 3.0]],
+                         ids=["widening", "decreasing", "constant", "nan"])
+def test_filament_generators_reject_a_grid_that_is_not_uniform(grid):
+    with pytest.raises(ValueError, match="equal steps"):
+        hasimoto_soliton_filament(HasimotoSolitonSpec(1.0, 0.5), 0.0, grid)
+    with pytest.raises(ValueError, match="equal steps"):
+        dilating_filament(1.0, 1.0, grid)
+
+
+def test_filament_generators_take_a_linspace_grid_far_from_zero():
+    # its steps differ by rounding at |x| ~ 1e6, about 1e-8 of a step
+    grid = np.linspace(1e6, 1e6 + 1.0, 100)
+    assert dilating_filament(1.0, 1.0, grid).grid_step == grid[1] - grid[0]
+
+
+@pytest.mark.parametrize("nu, tau0", [(1e-308, 0.0), (0.25, 1e308), (np.nan, 0.0),
+                                      (np.inf, 0.0), (1.0, np.nan), (1.0, -np.inf),
+                                      (0.0, 1.0), (-1.0, 0.0)])
+def test_soliton_spec_rejects_numbers_it_cannot_use(nu, tau0):
+    with pytest.raises(ValueError, match="nu must be positive"):
+        HasimotoSolitonSpec(nu, tau0)
 
 
 def test_standard_seed_is_orthonormal():
