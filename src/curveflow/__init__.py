@@ -5,6 +5,9 @@ binormal velocity; the package generates every self-similar solution
 family of both flows and checks the evolutions against them.
 """
 
+# every module imports scipy inside the functions that call it, so importing
+# the package or its CLI loads no scipy subpackage and a command loads only
+# what it calls (tests/test_cli.py checks this in a fresh interpreter)
 from .errors import ConfigError, CurveFlowError
 from .flow import FlowTrajectory, ScalarSeries, StepOptions, frame_measures
 from .geometry import (FrenetData, SampledCurve, curve_diameter, enclosed_area,

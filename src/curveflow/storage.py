@@ -151,16 +151,16 @@ def write_trajectory(out_dir, traj: FlowTrajectory) -> list[Path]:
 def read_trajectory(out_dir) -> FlowTrajectory:
     index = _load_json(Path(out_dir) / "frame_index.json", "trajectory index")
     try:
-        times, files = index["times"], index["files"]
+        times, files = [float(t) for t in index["times"]], index["files"]
         reason = str(index.get("stop_reason", ""))
         if len(times) != len(files):
             raise ConfigError("invalid-input", f"bad trajectory index: {len(times)} "
                               f"times for {len(files)} frame files")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("invalid-input", f"bad trajectory index: {exc}") from exc
     traj = FlowTrajectory(stop_reason=reason)
     for t, name in zip(times, files):
-        traj.append(float(t), read_curve(Path(out_dir) / name))
+        traj.append(t, read_curve(Path(out_dir) / name))
     return traj
 
 

@@ -58,9 +58,7 @@ def test_a_run_loads_only_the_scipy_modules_its_command_calls(tmp_path):
         assert curveflow.cli.main(argv) == 0
         print([m for m in {heavy!r} if m in sys.modules])
     """
-    src = str(Path(curveflow.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": str(Path(curveflow.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
