@@ -72,7 +72,10 @@ NAN = float("nan")
 # relative.  csf-closed-dt, csf-open-dt and vfe-closed-cfl were regenerated
 # when the driver began to resample only on spacing drift: they skip
 # resamples that the fixed cadence made.  All seven csf rows were regenerated
-# when the curve shortening step became linearly implicit BDF2.
+# when the curve shortening step became linearly implicit BDF2.  To
+# regenerate rows after a change that moves them, run this file as a script
+# (``PYTHONPATH=src python tests/test_flow.py``): it prints every run in this
+# layout, and the rows that moved are pasted over, in a commit of their own.
 GOLDEN = {
     "csf-closed-cfl": {
         "stop_reason": "stop-time", "steps_taken": 24,
@@ -273,3 +276,22 @@ def test_spacing_drift_is_resampled(monkeypatch):
     assert len(calls) >= 1
     h = chord_lengths(traj.final.points, True)
     assert h.max() <= (1.0 + flow.SPACING_TOL) * h.min()
+
+
+if __name__ == "__main__":
+    def _number(v) -> str:
+        return "NAN" if np.isnan(v) else repr(float(v))
+
+    print("GOLDEN = {")
+    for name in sorted(RUNS):
+        engine, build, kwargs = RUNS[name]
+        got = summarize(engine.evolve(build(), StepOptions(**kwargs)))
+        print(f'    "{name}": {{')
+        print(f'        "stop_reason": "{got["stop_reason"]}", '
+              f'"steps_taken": {got["steps_taken"]},')
+        print('        "frames": [')
+        for row in got["frames"]:
+            print(f'            [{", ".join(map(_number, row))}],')
+        print("        ],")
+        print("    },")
+    print("}")
