@@ -42,9 +42,8 @@ from .geometry import (
 )
 
 
-# step, in units of 1/max kappa^2, that cfl = 1 gives where the spacing term
-# cfl * h_min^2 / 2 is smaller; at cfl = 0.25 the shrinking circle keeps its
-# radius law to about 1e-4 (criterion 1)
+# step, in units of 1/max kappa^2, that cfl = 1 gives; at cfl = 0.25 the
+# shrinking circle keeps its radius law to about 1e-4 (criterion 1)
 ACCURACY_FACTOR = 0.012
 
 # largest step, in units of 1/max kappa^2: half of it is the lifetime of the
@@ -66,8 +65,7 @@ def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
 def _step_limits(h: np.ndarray, kappa: np.ndarray):
     # the floor keeps a straight curve's step finite
     inv_k2 = 1.0 / max(float(np.abs(kappa).max()) ** 2, np.finfo(float).tiny)
-    return (max(ACCURACY_FACTOR * inv_k2, 0.5 * float(h.min()) ** 2),
-            MAX_STEP_FACTOR * inv_k2)
+    return ACCURACY_FACTOR * inv_k2, MAX_STEP_FACTOR * inv_k2
 
 
 def _implicit_solve(a: float, h: np.ndarray, rhs: np.ndarray, closed: bool) -> np.ndarray:
