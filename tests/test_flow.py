@@ -72,18 +72,24 @@ NAN = float("nan")
 # relative.  csf-closed-dt, csf-open-dt and vfe-closed-cfl were regenerated
 # when the driver began to resample only on spacing drift: they skip
 # resamples that the fixed cadence made.  All seven csf rows were regenerated
-# when the curve shortening step became linearly implicit BDF2.  To
-# regenerate rows after a change that moves them, run this file as a script
-# (``PYTHONPATH=src python tests/test_flow.py``): it prints every run in this
-# layout, and the rows that moved are pasted over, in a commit of their own.
+# when the curve shortening step became linearly implicit BDF2, and
+# csf-closed-cfl, csf-max-steps, csf-singular and csf-stop-length again when
+# its cfl step lost the spacing term h_min^2/2 and became 0.012 cfl/max
+# kappa^2 alone.  To regenerate rows after a change that moves them, run
+# this file as a script (``PYTHONPATH=src python tests/test_flow.py``): it
+# prints every run in this layout, and the rows that moved are pasted over,
+# in a commit of their own.
 GOLDEN = {
     "csf-closed-cfl": {
-        "stop_reason": "stop-time", "steps_taken": 24,
+        "stop_reason": "stop-time", "steps_taken": 60,
         "frames": [
             [0.0, 0.0, 9.684557854680218, 2.0048268947365444, 6.6872074444122145, NAN, -4.6629367034256575e-15, -3.594347042223944e-15, 160.0],
-            [0.012125134034088204, 0.012125134034088204, 9.605007317688216, 1.9156641263190781, 6.6064444585092685, NAN, -1.354472090042691e-14, 8.923417560424696e-15, 158.05639834640948],
-            [0.04012591101845939, 0.04012591101845939, 9.422025740789493, 1.8114315856029646, 6.5399059152289585, NAN, -2.2648549702353193e-14, 1.4710455076283324e-14, 138.81454585048976],
-            [0.05, 0.05, 9.358915948011727, 1.7849705127466393, 6.517906732765646, NAN, 1.1546319456101628e-14, 1.3711254354120683e-14, 136.19414856688113],
+            [0.007463928925398764, 0.007463928925398764, 9.635475071280048, 1.945245072277548, 6.634373865444117, NAN, 2.6645352591003757e-15, 5.689893001203927e-15, 158.8052843697189],
+            [0.015303075918189555, 0.015303075918189555, 9.58202414503008, 1.91085939611985, 6.649841665084395, NAN, 5.773159728050814e-15, 1.8041124150158794e-14, 142.28299346073328],
+            [0.0235278264966137, 0.0235278264966137, 9.528731438188757, 1.8720477668123998, 6.609971013017927, NAN, 5.773159728050814e-15, -2.248201624865942e-15, 140.81725491525376],
+            [0.03209534247449973, 0.03209534247449973, 9.473482515512757, 1.8387693451334892, 6.5748038236999085, NAN, 1.7985612998927536e-14, -8.604228440844963e-15, 139.29969490380097],
+            [0.0409744424968347, 0.0409744424968347, 9.416465439166828, 1.8096622826973179, 6.543829352459271, NAN, 4.8627768478581856e-14, -3.166911177743259e-14, 137.73715059964314],
+            [0.05, 0.05, 9.358721127925309, 1.7842514301758379, 6.51705763713492, NAN, -4.218847493575595e-15, -4.3576253716537394e-15, 136.1529824608973],
         ],
     },
     "csf-closed-dt": {
@@ -100,10 +106,10 @@ GOLDEN = {
         "stop_reason": "max-steps", "steps_taken": 17,
         "frames": [
             [0.0, 0.0, 9.684557854680218, 2.0048268947365444, 6.6872074444122145, NAN, -4.6629367034256575e-15, -3.594347042223944e-15, 160.0],
-            [0.006062567017044102, 0.006062567017044102, 9.644704153092526, 1.9556841301123444, 6.643765771986328, NAN, -7.105427357601002e-15, -2.373101715136272e-15, 159.0306077333728],
-            [0.012125134034088204, 0.012125134034088204, 9.605007317688216, 1.9156641263190781, 6.6064444585092685, NAN, -1.354472090042691e-14, 8.923417560424696e-15, 158.05639834640948],
-            [0.026125522526273794, 0.026125522526273794, 9.512132453355354, 1.8620061172119295, 6.597210705735698, NAN, -1.3988810110276972e-14, 1.5792922525292852e-14, 140.64290627543033],
-            [0.03172567792314803, 0.03172567792314803, 9.476019015220645, 1.8401735155672256, 6.572501041063562, NAN, -2.1094237467877974e-14, 9.381384558082573e-15, 139.91421436386665],
+            [0.0037319644626993814, 0.0037319644626993814, 9.659984258810901, 1.9729817397261038, 6.659491107723143, NAN, 7.771561172376096e-15, 1.3156142841808105e-14, 159.40357584566607],
+            [0.007463928925398764, 0.007463928925398764, 9.635475071280048, 1.945245072277548, 6.634373865444117, NAN, 2.6645352591003757e-15, 5.689893001203927e-15, 158.8052843697189],
+            [0.011383502421794159, 0.011383502421794159, 9.607529045821149, 1.932451141629156, 6.673261538284397, NAN, 7.327471962526033e-15, 1.2656542480726785e-14, 142.78808127505351],
+            [0.012951331820352317, 0.012951331820352317, 9.59731897038192, 1.9235410882113084, 6.663656418062529, NAN, -2.220446049250313e-16, 1.0269562977782698e-14, 142.58627546359122],
         ],
     },
     "csf-open-cfl": {
@@ -123,22 +129,53 @@ GOLDEN = {
         ],
     },
     "csf-singular": {
-        "stop_reason": "approaching-singularity", "steps_taken": 193,
+        "stop_reason": "approaching-singularity", "steps_taken": 1613,
         "frames": [
             [0.0, 0.0, 6.242890304516104, 1.0395661298965806, 6.746677433345597, NAN, -5.551115123125783e-16, -1.1102230246251565e-16, 16.0],
-            [0.45527257084143735, 0.45527257084143735, 1.889092438338544, 3.43545777936764, 22.295768212049097, NAN, -7.216449660063518e-16, -1.8318679906315083e-15, 1.4650585932739646],
-            [0.4968985631167555, 0.4968985631167555, 0.570911746389612, 11.367601655205325, 73.77456744003892, NAN, -3.3306690738754696e-15, 2.0122792321330962e-16, 0.13380937189050263],
-            [0.5007004232650469, 0.5007004232650469, 0.17253799525677715, 37.614308103998944, 244.11299710332327, NAN, -2.8033131371785203e-15, 5.169475958410885e-16, 0.012221318715807979],
-            [0.5010326632813016, 0.5010326632813016, 0.06234819987962473, 104.09117385529554, 675.5410295349228, NAN, -2.688821387764051e-15, 7.016956460326185e-16, 0.001595865966012207],
+            [0.12422286923472871, 0.12422286923472871, 5.412232473865688, 1.1991165096054046, 7.78214301394328, NAN, 7.771561172376096e-16, -9.936496070395151e-15, 12.025453418420947],
+            [0.2175849879678414, 0.2175849879678414, 4.692013350963495, 1.3831796347941039, 8.976693795571112, NAN, 2.7755575615628914e-15, -1.5987211554602254e-14, 9.03789004288004],
+            [0.28775253458089717, 0.28775253458089717, 4.0676355629445755, 1.5954962564386466, 10.354606867937036, NAN, -3.3306690738754696e-16, -1.7014167852380524e-14, 6.792546907384313],
+            [0.34048789089569637, 0.34048789089569637, 3.526345267012913, 1.8404032565796524, 11.944028150144437, NAN, -1.4432899320127035e-15, -1.9623191960249642e-14, 5.105029301099352],
+            [0.38012185189172415, 0.38012185189172415, 3.057085805686718, 2.122903224097435, 13.777423930326886, NAN, -2.0539125955565396e-15, -2.3148150063434514e-14, 3.836752917635521],
+            [0.4099092843470507, 0.4099092843470507, 2.6502718581631717, 2.4487666400128703, 15.892244037757758, NAN, -4.6074255521944e-15, -2.6867397195928788e-14, 2.8835628715812955],
+            [0.43229642683754327, 0.43229642683754327, 2.2975936459179245, 2.824649748124627, 18.331686811182713, NAN, -5.495603971894525e-15, -2.8227420401094605e-14, 2.1671801684551673],
+            [0.4491217826194231, 0.4491217826194231, 1.991847193148362, 3.258230518665807, 21.145581488988064, NAN, -5.995204332975845e-15, -2.5743296383495817e-14, 1.6287731850180776],
+            [0.4617671033568536, 0.4617671033568536, 1.7267871748783252, 3.7583654822384505, 24.391406045333092, NAN, -7.882583474838611e-15, -2.5882074261573962e-14, 1.2241262294888005],
+            [0.4712708629578664, 0.4712708629578664, 1.4969993469284046, 4.33527063759312, 28.135461263060392, NAN, -9.520162436160717e-15, -2.5618396293225487e-14, 0.9200084084794422],
+            [0.4784135403504995, 0.4784135403504995, 1.2977899519446974, 5.000730128561936, 32.454225025565336, NAN, -9.603429163007604e-15, -2.5757174171303632e-14, 0.6914446004692962],
+            [0.48378171489163607, 0.48378171489163607, 1.1250898424401057, 5.768336952682286, 37.43591449104477, NAN, -9.520162436160717e-15, -2.6201263381153694e-14, 0.5196644194897352],
+            [0.4878162381271138, 0.4878162381271138, 0.9753713624189382, 6.653770618341454, 43.182288058853345, NAN, -9.992007221626409e-15, -2.808864252301646e-14, 0.3905607314025121],
+            [0.4908484379210802, 0.4908484379210802, 0.8455762897687145, 7.675117422001055, 49.81072393580399, NAN, -9.71445146547012e-15, -2.77416978278211e-14, 0.29353113123165653],
+            [0.4931273281526897, 0.4931273281526897, 0.7330533675356409, 8.8532398876392, 57.456617760211074, NAN, -1.021405182655144e-14, -2.791517017541878e-14, 0.22060723998731907],
+            [0.4948400585268757, 0.4948400585268757, 0.6355041480672603, 10.212202914760384, 66.27614825870984, NAN, -1.0560996521746802e-14, -2.89906987305244e-14, 0.16580031607078005],
+            [0.49612728390261746, 0.49612728390261746, 0.5509360438086496, 11.779765339675071, 76.4494674284906, NAN, -1.1338152638984411e-14, -2.9601321394068236e-14, 0.12460944079056835],
+            [0.49709471531676525, 0.49709471531676525, 0.47762162574492306, 13.587946950921317, 88.18438040915811, NAN, -1.0907941216942163e-14, -2.93723378952393e-14, 0.09365188862191047],
+            [0.497821801310188, 0.497821801310188, 0.41406333810037305, 15.673682540958401, 101.72059021105807, NAN, -1.116468029138673e-14, -2.9455604622086184e-14, 0.07038532704108348],
+            [0.49836825249432487, 0.49836825249432487, 0.35896290853963014, 18.07957635410759, 117.33459400494256, NAN, -1.128958038165706e-14, -2.986152991546476e-14, 0.052899032102607935],
+            [0.49877894517627125, 0.49877894517627125, 0.31119482902877726, 20.854772341460247, 135.34533098696176, NAN, -1.1379786002407855e-14, -2.964295475749168e-14, 0.03975697371924361],
+            [0.49908760674367264, 0.49908760674367264, 0.26978336566369343, 24.055957999000455, 156.12069718499708, NAN, -1.1532441668293814e-14, -2.996214387707141e-14, 0.029879884309541176],
+            [0.4993195854649372, 0.4993195854649372, 0.23388262785722447, 27.74852229382625, 180.08506028093103, NAN, -1.1449174941446927e-14, -2.987714242674855e-14, 0.022456625915654577],
+            [0.4994939321695589, 0.4994939321695589, 0.20275928976877816, 32.00789133082734, 207.72792795024122, NAN, -1.140407213107153e-14, -2.979907987032959e-14, 0.016877576977586187],
+            [0.4996249647627497, 0.4996249647627497, 0.17577761103589123, 36.921069042801236, 239.61394678262405, NAN, -1.1629586182948515e-14, -2.987020353284464e-14, 0.012684568274158012],
+            [0.4997234440572999, 0.4997234440572999, 0.15238645083399233, 42.588414374876514, 276.3944360264315, NAN, -1.16157083951407e-14, -2.983203961637315e-14, 0.009533256611150585],
+            [0.49979745748570653, 0.49979745748570653, 0.1321080100072541, 49.12569126488579, 318.8206917507732, NAN, -1.181693631835401e-14, -2.9927449407551876e-14, 0.00716484626435415],
+            [0.4998530832658214, 0.4998530832658214, 0.11452807131186019, 56.666433293570236, 367.7593331825291, NAN, -1.1879386363489175e-14, -2.993005149276584e-14, 0.005384835852607336],
+            [0.49989488956340794, 0.49989488956340794, 0.09928753841416788, 65.36467130610926, 424.2100046899811, NAN, -1.1900203045200897e-14, -2.991530634322004e-14, 0.004047045266523815],
+            [0.4999263096444266, 0.4999263096444266, 0.08607510081525335, 75.39807972068887, 489.325795002345, NAN, -1.1992143389427667e-14, -3.0015052943088705e-14, 0.003041610893554427],
+            [0.49994992382573916, 0.49994992382573916, 0.07462087487203531, 86.97160579213354, 564.4367907580663, NAN, -1.1943571132100317e-14, -3.0052349497822206e-14, 0.002285963269132241],
+            [0.4999676713789268, 0.4999676713789268, 0.06469089102340257, 100.32165596369768, 651.0772454980399, NAN, -1.1921019726912618e-14, -3.0139953033359035e-14, 0.0017180462099526095],
+            [0.4999714967628872, 0.4999714967628872, 0.06234368638568704, 104.09870974079541, 675.5899366579729, NAN, -1.1929693344292502e-14, -3.011479954295737e-14, 0.0015956349193850215],
         ],
     },
     "csf-stop-length": {
-        "stop_reason": "stop-length", "steps_taken": 27,
+        "stop_reason": "stop-length", "steps_taken": 44,
         "frames": [
             [0.0, 0.0, 6.273096981091879, 1.0097005565352672, 6.395392348350594, NAN, -2.3314683517128287e-15, 2.248201624865942e-15, 32.0],
-            [0.048036798991923535, 0.048036798991923535, 5.96449810509584, 1.0619417428596127, 6.726285385028478, NAN, -3.9968028886505635e-15, 2.525757381022231e-15, 28.929024200144415],
-            [0.09146360275863635, 0.09146360275863635, 5.670756930200576, 1.116949569690741, 7.074702182997145, NAN, -5.551115123125783e-15, 2.3592239273284576e-15, 26.149779989848493],
-            [0.11894192174422233, 0.11894192174422233, 5.476759860476904, 1.1565140109058512, 7.325301356164033, NAN, -5.773159728050814e-15, -5.273559366969494e-16, 24.39121152850919],
+            [0.029426327452965573, 0.029426327452965573, 6.085831049245724, 1.0407698573547257, 6.592183731145237, NAN, -7.771561172376096e-16, -7.216449660063518e-16, 30.11797428059898],
+            [0.057121995371741494, 0.057121995371741494, 5.9040336988762165, 1.0728173035689177, 6.795170637486791, NAN, 1.1102230246251565e-15, 9.71445146547012e-16, 28.345467895975673],
+            [0.08318771475031778, 0.08318771475031778, 5.72766703890594, 1.1058515570099143, 7.004407930981867, NAN, 4.551914400963142e-15, 5.134781488891349e-15, 26.6772772360716],
+            [0.10771941148475861, 0.10771941148475861, 5.556568844587357, 1.1399030031236401, 7.220088071511245, NAN, 4.440892098500626e-15, 5.3013149425851225e-15, 25.107263120227376],
+            [0.1169545933100527, 0.1169545933100527, 5.490776158204348, 1.153561778974387, 7.306602068159399, NAN, 3.6637359812630166e-15, 2.3592239273284576e-15, 24.51621680880363],
         ],
     },
     "vfe-closed-cfl": {
