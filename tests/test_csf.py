@@ -150,6 +150,19 @@ def test_cfl_up_to_one_reaches_the_stop_time(cfl):
     assert traj.final_time == pytest.approx(0.9, abs=1e-12)
 
 
+@pytest.mark.parametrize("cfl", [0.25, 1.0])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_coarse_polygon_dies_at_the_circle_time(n, cfl):
+    # a regular polygon on the unit circle keeps r^2 = 1 - 2t and dies at
+    # t = 1/2 however coarse it is, so the step must follow the curvature
+    # all the way in and never take a share of the remaining lifetime
+    traj = evolve(circle2(n), StepOptions(stop_time=10.0, cfl=cfl))
+    assert traj.stop_reason == "approaching-singularity"
+    assert abs(traj.final_time - 0.5) < 1e-3
+    r2 = np.array([np.mean(np.sum(f.points**2, axis=1)) for f in traj.frames])
+    assert np.abs(r2 - (1.0 - 2.0 * np.array(traj.times))).max() < 2e-3
+
+
 def test_stop_length():
     traj = evolve(circle2(256),
                   StepOptions(stop_time=10.0, cfl=0.25, stop_length=4.0))
