@@ -117,8 +117,15 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
     |s| <= min(b, -a); the longer half then continues alone to its end,
     and if one half escapes, the other continues alone from there.  A
     one-sided range takes one solve from s = 0.  The range is truncated
-    where the state escapes ESCAPE_LIMIT, with the escaped flag set.
+    where the state escapes ESCAPE_LIMIT, with the escaped flag set.  A
+    solve that fails raises, since its dense output need not reach the range.
     """
+    def solve(u0, s_end, s0=0.0):
+        sol = _solve_from_origin(spec.A, spec.B, u0, s_end, s0)
+        if sol.status == -1:
+            raise CurveFlowError("profile-solve-failed", sol.message)
+        return sol
+
     a, b = spec.s_range
     start = [spec.x0, spec.y0, 0.0]
     ends = [b, a]                      # of the forward and backward halves
@@ -126,7 +133,7 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
     pieces = []                        # (s_lo, s_hi, values at s in between)
     escaped = False
     if a < 0 < b:
-        joint = _solve_from_origin(spec.A, spec.B, start * 2, min(b, -a))
+        joint = solve(start * 2, min(b, -a))
         joint_end = float(joint.t[-1])
         states = np.split(joint.y[:, -1], 2)
         # one dense evaluation at |s| serves both halves
@@ -142,7 +149,7 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
                     ends[k] = sign * joint_end
     for k, sign in enumerate((1.0, -1.0)):
         if sign * ends[k] > joint_end:
-            sol = _solve_from_origin(spec.A, spec.B, states[k], ends[k], sign * joint_end)
+            sol = solve(states[k], ends[k], sign * joint_end)
             if sol.status == 1:
                 ends[k] = float(sol.t[-1])
                 escaped = True

@@ -370,6 +370,9 @@ def dilating_filament(a: float, t: float, x_grid) -> FilamentFunction:
     if t <= 0:
         raise CurveFlowError("at-singularity",
                              "the dilating filament degenerates at t <= 0")
+    # a * a, not a**2: a float power raises OverflowError
+    if not math.isfinite(a * a / t):
+        raise ValueError("a and t must be finite, with a^2/t finite")
     x, ds = _grid_and_step(x_grid)
     values = (a / np.sqrt(t)) * np.exp(1j * x**2 / (4.0 * t))
     return FilamentFunction(float(x[0]), ds, values, -a**2 / t, t)

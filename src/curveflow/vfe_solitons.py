@@ -37,7 +37,7 @@ W_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class VfeRotatingSpec:
-    case: str                      # "transverse-axis" | "x-axis" | "planar"
+    case: str                      # "x-axis" | "planar", not the transverse family
     C1: float
     lam: float = 0.0
     sign: int = 1
@@ -46,8 +46,8 @@ class VfeRotatingSpec:
     n: int = 1024
 
     def __post_init__(self):
-        if self.case not in ("transverse-axis", "x-axis", "planar"):
-            raise ValueError("unknown case")
+        if self.case not in ("x-axis", "planar"):
+            raise ValueError("case must be x-axis or planar")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +-1")
         a, b = self.x_range
@@ -61,8 +61,9 @@ class VfeRotatingSpec:
 
 def z_bounds(lam: float, C1: float) -> tuple[float, float]:
     """Admissible open interval for z^2 in the x-axis/planar families."""
-    if not (np.isfinite(lam) and np.isfinite(C1)):
-        raise ValueError("lambda and C1 must be finite")
+    # lam * lam, not lam**2: a float power raises OverflowError
+    if not (np.isfinite(lam * lam) and np.isfinite(C1)):
+        raise ValueError("lambda and C1 must be finite, with lambda^2 finite")
     p = 1.0 + lam**2
     hi = 2.0 / p - 2.0 * C1
     if hi <= 0.0:
@@ -88,8 +89,9 @@ def _band_profile(lam: float, C1: float, z0: float, sign: int,
     is an exact invariant of the integration.  Truncates at vertical tangents,
     and rejects a profile that turns vertical before the grid's second sample.
     """
-    if not np.isfinite(z0):
-        raise ValueError("z0 must be finite")
+    # z0 * z0, not z0**2: a float power raises OverflowError
+    if not np.isfinite(z0 * z0):
+        raise ValueError("z0 must be finite, with z0^2 finite")
     lo, hi = z_bounds(lam, C1)
     if not lo <= z0**2 <= hi:
         raise CurveFlowError("outside-admissible-band",
@@ -154,6 +156,9 @@ def transverse_rotation_profile(C1: float, C2: float,
     q = (1+C1^2)(x^2+2C2)/2 is solvable only while |q| < 1; the range is
     truncated at the first violation, which is found in closed form.
     """
+    # C1 * C1, not C1**2: a float power raises OverflowError
+    if not np.isfinite(C1 * C1):
+        raise ValueError("C1 must be finite, with C1^2 finite")
     p = 1.0 + C1**2
     a, b = x_range
 

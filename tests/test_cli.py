@@ -374,6 +374,28 @@ def test_csf_soliton_single_member_keeps_the_library_message(tmp_path, capsys):
     assert atlas[1]["file"] == "soliton_0001.curve"
 
 
+# the profile step collapses at s = 0, so DOP853 fails before it starts
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--A=1e308", "--B=3"], ["--A=0.5", "--B=1e308"],
+                                   ["--A=0.5", "--B=0.5", "--x0=1e308"]],
+                         ids=["huge-A", "huge-B", "huge-x0"])
+def test_csf_soliton_refuses_a_failed_profile_solve(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert run("csf", "soliton", *flags, "--s=-5:5:64", "--out", out) == 3
+    assert last_stderr_token(capsys) == "profile-solve-failed"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_sweep_lists_a_failed_profile_solve(tmp_path):
+    out = tmp_path / "sweep"
+    assert run("csf", "soliton", "--B=3", "--A-range", "1e308:1e308:1",
+               "--s=-5:5:64", "--out", out) == 0
+    atlas = json.loads((out / "atlas.json").read_text())
+    assert atlas == [{"A": 1e308, "B": 3.0, "x0": 1.0, "y0": 0.0,
+                      "error": "profile-solve-failed"}]
+
+
 def test_csf_soliton_sweep(tmp_path):
     # a range alone selects the sweep
     out = tmp_path / "sweep"
@@ -646,6 +668,24 @@ def test_hasimoto_soliton_rejects_numbers_it_cannot_use(tmp_path, capsys, nu, ta
     assert run("hasimoto", "soliton", f"--nu={nu}", f"--tau0={tau0}",
                "--out", tmp_path / "o") == 2
     assert last_stderr_token(capsys) == "invalid-parameter"
+
+
+# each input would square a Python float past the largest double, which
+# raises OverflowError; each is refused where it enters
+@pytest.mark.parametrize("argv", [
+    ["vfe", "soliton", "--case", "x-axis", "--C1", "0.2", "--z0", "1e308", "--x=0:4:64"],
+    ["vfe", "soliton", "--case", "planar", "--C1", "0.2", "--z0", "1e308", "--x=0:4:64"],
+    ["vfe", "soliton", "--case", "x-axis", "--C1", "0.2", "--lam", "1e308", "--z0", "0.1"],
+    ["vfe", "soliton", "--case", "transverse-axis", "--C1", "1e308", "--x=0:4:64"],
+    ["hasimoto", "dilating", "--a", "1e308", "--t", "100"],
+    ["hasimoto", "dilating", "--a", "1e200", "--t", "1e-200"],
+], ids=["x-axis-z0", "planar-z0", "x-axis-lam", "transverse-C1", "dilating-a",
+        "dilating-a-over-t"])
+def test_squares_past_the_largest_double_are_refused(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(*argv, "--out", out) == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
+    assert not out.exists()
 
 
 def test_hasimoto_soliton_artifacts(tmp_path):

@@ -28,6 +28,9 @@ from curveflow.vfe_solitons import (
 def test_spec_validation():
     with pytest.raises(ValueError):
         VfeRotatingSpec("spiral", 0.5)
+    # the transverse family has its own generator and rotation law
+    with pytest.raises(ValueError):
+        VfeRotatingSpec("transverse-axis", 0.3, z0=0.5)
     with pytest.raises(ValueError):
         VfeRotatingSpec("x-axis", 0.5, sign=2)
     with pytest.raises(ValueError):
