@@ -187,7 +187,7 @@ class FlowSpec:
 
     ``velocity(pts, h, closed)`` returns the velocity at the state the
     driver holds, which the step receives as ``vel``, and the curvature the
-    singularity guard reads.
+    singularity guard reads.  An engine may return arrays of any memory layout.
     ``step_limits(h, kappa)`` returns ``(unit, limit)`` for the current
     chord lengths and curvature: a ``cfl`` step is ``cfl * unit``, and no
     step, fixed or not, may exceed ``limit``.

@@ -114,6 +114,18 @@ def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
+def _cross_next(t: np.ndarray) -> np.ndarray:
+    # t[:, j] x t[:, j + 1] in column j of a (3, m) result whose last column
+    # is junk: with t's rows laid out flat as (0, 1, 2, 0, 1), each factor of
+    # a1 b2 - a2 b1 for all three components is one contiguous 1-D slice
+    m = t.shape[1]
+    rows = np.concatenate([t, t[:2]]).ravel()
+    out = np.empty(3 * m)
+    np.multiply(rows[m:4 * m - 1], rows[2 * m + 1:5 * m], out=out[:-1])
+    out[:-1] -= rows[2 * m:5 * m - 1] * rows[m + 1:4 * m]
+    return out.reshape(3, m)
+
+
 def chord_lengths(points: np.ndarray, closed: bool) -> np.ndarray:
     """Chord lengths of a point array, including the wrap segment if closed."""
     if closed:
@@ -314,21 +326,37 @@ def _solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndar
     passes it for (1, 1) bands, so the bits match, without that function's
     per-call checks; ``info`` is checked as it checks it.
     """
-    gtsv = _gtsv(b.dtype.kind)
+    gtsv = _lapack("gtsv", b.dtype.kind)
     *_, x, info = gtsv(dl, d, du, b, overwrite_bands, overwrite_bands,
                        overwrite_bands, overwrite_b)
+    return _checked(x, info, "gtsv")
+
+
+def _tridiagonal_solver(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
+    """Factor the bands once (?gttrf); return the solve (?gttrs) of one right-hand
+    side, which it overwrites.  Both keep ?gtsv's pivoting and arithmetic, so a
+    solve has the bits of ``_solve_tridiagonal`` on the same bands.
+    """
+    *factors, info = _lapack("gttrf", d.dtype.kind)(dl, d, du)
+    _checked(factors, info, "gttrf")
+    gttrs = _lapack("gttrs", d.dtype.kind)
+    return lambda b: _checked(*gttrs(*factors, b, overwrite_b=True), "gttrs")
+
+
+def _checked(x, info: int, routine: str):
+    """``x``, computed by LAPACK's ``routine``, once its ``info`` passes."""
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
     return x
 
 
 @cache
-def _gtsv(kind: str):
-    """LAPACK's ?gtsv for a right-hand side of numpy dtype kind ``kind``, bound once."""
-    from scipy.linalg.lapack import dgtsv, zgtsv
-    return zgtsv if kind == "c" else dgtsv
+def _lapack(name: str, kind: str):
+    """LAPACK's ?``name`` for arrays of numpy dtype kind ``kind``, bound once."""
+    from scipy.linalg import lapack
+    return getattr(lapack, ("z" if kind == "c" else "d") + name)
 
 
 def _signed_curvature(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurveFlowError
-from .geometry import FrenetData, SampledCurve, _solve_tridiagonal
+from .geometry import FrenetData, SampledCurve, _tridiagonal_solver
 
 
 @dataclass
@@ -93,24 +93,24 @@ def _dispersion(n: int, ds: float, dt: float, periodic: bool):
     """The step of psi_t = i psi_ss over dt, as a function of the values.
 
     Periodic: exact, in Fourier space.  Clamped: Crank-Nicolson with the
-    endpoints held fixed, its bands built here once for every step.
+    endpoints held fixed, its implicit half factored here once for every step.
     """
     if periodic:
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=ds)
         factor = np.exp(-1j * k**2 * dt)
         return lambda values: np.fft.ifft(factor * np.fft.fft(values))
     c = 1j * dt / (2.0 * ds**2)
-    # the implicit half as its sub-, main and super-diagonal; the solve
-    # leaves them as they are
+    # the implicit half as its sub-, main and super-diagonal
     d = np.full(n, 1.0 + 2.0 * c)
     d[0] = d[-1] = 1.0
     dl, du = np.full(n - 1, -c), np.full(n - 1, -c)
     dl[-1] = du[0] = 0.0
+    solve = _tridiagonal_solver(dl, d, du)
 
     def crank_nicolson(values):
-        rhs = values.copy()
-        rhs[1:-1] = values[1:-1] + c * (values[2:] - 2.0 * values[1:-1] + values[:-2])
-        return _solve_tridiagonal(dl, d, du, rhs, overwrite_b=True)
+        # the right-hand side overwrites values, which each step owns
+        values[1:-1] += c * (values[2:] - 2.0 * values[1:-1] + values[:-2])
+        return solve(values)
 
     return crank_nicolson
 

@@ -7,9 +7,11 @@ the dispersive bound dt <= cfl * ds^2 on the shared driver in ``flow``,
 with cfl at most ``STABILITY_FACTOR``.  With t- and t+ the unit chords on
 either side of a sample and h- and h+ their lengths, the chord-slope
 stencil's d1 x d2 is exactly 2 (t- x t+)/(h- + h+), which ``_binormal``
-evaluates without forming d1 or d2.  The driver supplies the first stage's
-velocity; the other three run on coordinate-major copies and skip the
-guard's curvature.  A pinned open end does not move.
+evaluates without forming d1 or d2; each stage takes its cross products on
+contiguous spans (``_cross_next``).  The state is coordinate-major: the
+velocity and the step return the (n, 3) transpose of a (3, n) array, which
+the driver hands back as it is.  The first stage reuses the driver's
+velocity; the others skip the guard's curvature.  A pinned end does not move.
 
 Also here: residual checks for the curvature/torsion/frame evolution
 laws, the tangent/time commutator, a rigid-motion fitter for detecting
@@ -28,7 +30,7 @@ from .errors import CurveFlowError
 from .flow import FlowTrajectory, ScalarSeries, StepOptions, interior_frames
 from .geometry import (
     SampledCurve,
-    _cross,
+    _cross_next,
     _dot,
     _lagrange_d1_d2,
     frenet,
@@ -59,8 +61,8 @@ def _binormal(p: np.ndarray, h: np.ndarray | None, closed: bool, vel: np.ndarray
     elif closed:
         h = np.concatenate([h[-1:], h])
     t = seg / h
-    moving = _cross(t[:, :-1], t[:, 1:], vel[:, slice(None) if closed else slice(1, -1)])
-    np.multiply(moving, 2.0 / (h[:-1] + h[1:]), out=moving)
+    np.multiply(_cross_next(t)[:, :-1], 2.0 / (h[:-1] + h[1:]),
+                out=vel[:, slice(None) if closed else slice(1, -1)])
     return vel, t, h
 
 
@@ -69,8 +71,7 @@ def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
 
     Both are 0 at a pinned open end.
     """
-    # vel is the (3, n) view of a C-contiguous (n, 3) array
-    vel, t, h = _binormal(np.ascontiguousarray(pts.T), h, closed, np.zeros(pts.shape).T)
+    vel, t, h = _binormal(np.ascontiguousarray(pts.T), h, closed, np.zeros(pts.shape[::-1]))
     d1 = (h[:-1] * t[:, 1:] + h[1:] * t[:, :-1]) / (h[:-1] + h[1:])
     speed2 = _dot(d1, d1)
     kappa = np.sqrt(_dot(vel, vel))
@@ -94,9 +95,8 @@ def _step_limits(h: np.ndarray, kappa: np.ndarray):
 def _step(pts, h, k1, closed, dt, last):
     """One classical Runge-Kutta step from the velocity ``k1`` at ``pts``.
 
-    The stages run on (3, n) copies of ``pts`` and ``k1``, where per-sample
-    scalars broadcast along the contiguous axis; the result is C-contiguous
-    (n, 3).
+    The stages run on the (3, n) coordinate-major state, where per-sample
+    scalars broadcast along the contiguous axis.
     """
     def f(p):
         return _binormal(p, None, closed, np.zeros(p.shape))[0]
@@ -105,7 +105,11 @@ def _step(pts, h, k1, closed, dt, last):
     k2 = f(p + 0.5 * dt * k1)
     k3 = f(p + 0.5 * dt * k2)
     k4 = f(p + dt * k3)
-    return np.ascontiguousarray((p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).T)
+    # k1 + 2 k2 + 2 k3 + k4, left to right, in one buffer
+    acc = k1 + 2.0 * k2
+    acc += 2.0 * k3
+    acc += k4
+    return np.add(p, np.multiply(acc, dt / 6.0, out=acc), out=acc).T
 
 
 def _spec() -> flow.FlowSpec:

@@ -86,8 +86,8 @@ def _band_profile(lam: float, C1: float, z0: float, sign: int,
     Differentiating z'^2 = R(z) gives z'' = -8 z / (p^3 (z^2+2C1)^3), with
     p = 1 + lambda^2, which is regular at turning points, so the sign
     switching of the first-order form happens automatically; z'^2 - R(z)
-    is an exact invariant of the integration.  Truncates at vertical tangents,
-    and rejects a profile that turns vertical before the grid's second sample.
+    is an exact invariant of the integration.  Truncates at vertical tangents;
+    refuses a failed solve and a profile vertical before the grid's second sample.
     """
     # z0 * z0, not z0**2: a float power raises OverflowError
     if not np.isfinite(z0 * z0):
@@ -115,6 +115,8 @@ def _band_profile(lam: float, C1: float, z0: float, sign: int,
     a, b = x_range
     sol = solve_ivp(rhs, (a, b), [z0, zp0], method="DOP853",
                     rtol=1e-11, atol=1e-13, dense_output=True, events=vertical)
+    if sol.status == -1:
+        raise CurveFlowError("profile-solve-failed", sol.message)
     # such a profile would spread all n samples over a sliver of x_range
     if sol.t[-1] < a + (b - a) / (n - 1):
         raise CurveFlowError("outside-admissible-band", "vertical before the second sample")

@@ -6,13 +6,15 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import circle2, circle3
 import curveflow
-from curveflow import __version__, cli, csf, csf_solitons, hasimoto
+from curveflow import __version__, cli, csf, csf_solitons, hasimoto, vfe_solitons
+from curveflow.errors import CurveFlowError
 from curveflow.flow import frame_measures
 from curveflow.geometry import SampledCurve
 from curveflow.storage import (file_sha256, read_curve, read_filament,
@@ -57,6 +59,25 @@ def test_a_run_loads_only_the_scipy_modules_its_command_calls(tmp_path):
         argv = ["hasimoto", "dilating", "--a", "0.5", "--t", "1", "--out", {out!r}]
         assert curveflow.cli.main(argv) == 0
         print([m for m in {heavy!r} if m in sys.modules])
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(curveflow.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_the_filament_modules_and_a_periodic_nls_run_load_no_scipy():
+    # only the clamped Crank-Nicolson step binds LAPACK, inside the call
+    script = """if True:
+        import sys
+        import numpy as np
+        import curveflow.hasimoto, curveflow.vfe
+        print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+        psi = curveflow.hasimoto.FilamentFunction(0.0, 0.1, np.ones(64, complex),
+                                                  periodic=True)
+        curveflow.hasimoto.nlcse_evolve(psi, 1e-3, 3)
+        print([m for m in sys.modules if m.split(".")[0] == "scipy"])
     """
     env = {**os.environ, "PYTHONPATH": str(Path(curveflow.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -558,6 +579,27 @@ def test_vfe_soliton_vertical_before_the_second_sample_exits_three(tmp_path, cap
     assert run("vfe", "soliton", "--case", "x-axis", "--lam", "0", "--C1=-0.3",
                "--z0", "0.78", "--sign=-1", "--x=0:4:64", "--out", out) == 3
     assert last_stderr_token(capsys) == "outside-admissible-band"
+    assert not out.exists()
+
+
+def test_vfe_soliton_refuses_a_failed_profile_solve(tmp_path, capsys, monkeypatch):
+    # no input makes DOP853 fail once W_FLOOR keeps the start off the
+    # vertical-tangent locus, so a stub returns the result of a failed solve
+    import scipy.integrate
+
+    def failed(fun, t_span, y0, **kwargs):
+        return SimpleNamespace(status=-1, message="Required step size is less "
+                               "than spacing between numbers.", t=np.array(t_span[:1]),
+                               y=np.array(y0)[:, None], sol=None)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+    with pytest.raises(CurveFlowError) as exc:
+        vfe_solitons._band_profile(1.0, 0.25, 0.35, 1, (0.0, 4.0), 64)
+    assert exc.value.token == "profile-solve-failed"
+    out = tmp_path / "o"
+    assert run("vfe", "soliton", "--case", "x-axis", "--C1", "0.25", "--lam", "1.0",
+               "--z0", "0.35", "--x=0:4:64", "--out", out) == 3
+    assert last_stderr_token(capsys) == "profile-solve-failed"
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from conftest import circle2, circle3, ellipse2, helix3
 from curveflow.geometry import (
     SampledCurve,
     _solve_tridiagonal,
+    _tridiagonal_solver,
     curve_diameter,
     cumulative_arclength,
     directed_hausdorff,
@@ -189,3 +190,27 @@ def test_solve_tridiagonal_raises_on_a_zero_pivot(dtype):
     off = np.zeros(2)
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         _solve_tridiagonal(off, np.array([0.0, 1.0, 1.0]), off, np.ones(3, dtype=dtype))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _tridiagonal_solver(off.astype(dtype), np.array([0.0, 1.0, 1.0], dtype=dtype),
+                            off.astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tridiagonal_solver_repeats_the_bits_of_one_solve(dtype):
+    # random bands make ?gttrf swap rows as often as not; one factorization
+    # serves every right-hand side
+    rng = np.random.default_rng(3)
+
+    def draw(size):
+        x = rng.normal(size=size)
+        return x + 1j * rng.normal(size=size) if dtype is complex else x
+
+    for n in (3, 17, 512):
+        dl, d, du = draw(n - 1), draw(n), draw(n - 1)
+        solve = _tridiagonal_solver(dl, d, du)
+        for _ in range(3):
+            b = draw(n)
+            want = _solve_tridiagonal(dl, d, du, b)
+            got = solve(b.copy())
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)

@@ -18,11 +18,13 @@ from curveflow import storage, vfe
 from curveflow.cli import parse_range
 from curveflow.errors import ConfigError
 from curveflow.flow import FlowTrajectory, StepOptions
-from curveflow.geometry import (KAPPA_FLOOR_SCALE, SampledCurve, _cross,
+from curveflow.geometry import (KAPPA_FLOOR_SCALE, SampledCurve, _cross, _cross_next,
                                 _lagrange_d1_d2, chord_lengths, curve_diameter,
                                 frenet, hausdorff_distance, resample_arclength)
-from curveflow.hasimoto import (FilamentFunction, FrameState, hasimoto_transform,
-                                nlcse_evolve, nlcse_step, reconstruct_frame)
+from curveflow.hasimoto import (FilamentFunction, FrameState, HasimotoSolitonSpec,
+                                hasimoto_soliton, hasimoto_soliton_filament,
+                                hasimoto_transform, nlcse_evolve, nlcse_step,
+                                reconstruct_frame)
 from curveflow.vfe import STABILITY_FACTOR, _velocity, binormal_velocity
 from curveflow.vfe_solitons import rotation_residual
 
@@ -219,6 +221,8 @@ def test_cross_matches_numpy(uv):
     u, v = uv
     assert_same_bits(_cross(u.T, v.T).T, np.cross(u, v))
     assert_same_bits(_cross(u[0][:, None], v.T).T, np.cross(u[0], v))
+    assert_same_bits(_cross_next(np.ascontiguousarray(u.T))[:, :-1].T,
+                     np.cross(u[:-1], u[1:]))
 
 
 @BOUNDED
@@ -274,7 +278,7 @@ def test_binormal_velocity_matches_the_numpy_reference(curve, omega):
                               axis=1)
 
     got_vel, got_kappa = _velocity(pts, h, curve.closed)
-    assert got_vel.flags.c_contiguous
+    assert got_vel.T.flags.c_contiguous
     assert_same_bits(got_vel, vel)
     assert_same_bits(got_kappa, kappa)
     assert_same_bits(binormal_velocity(curve), vel)
@@ -316,7 +320,7 @@ def test_binormal_rk4_step_matches_the_full_stencil_reference(curve, frac):
     h = chord_lengths(pts, closed)
     dt = frac * STABILITY_FACTOR * h.min() ** 2
     got = vfe._step(pts, h, _velocity(pts, h, closed)[0], closed, dt, None)
-    assert got.flags.c_contiguous
+    assert got.T.flags.c_contiguous
     assert_same_bits(got, _unit_chord_rk4(pts, closed, dt))
 
 
@@ -443,4 +447,35 @@ def test_merged_nlcse_evolve_agrees_with_unmerged_steps(values, periodic, ds, fr
         want = _per_step_nlcse(want, dt)
     got = nlcse_evolve(psi, dt, steps)
     assert np.abs(got.values - want.values).max() <= 1e-12
+    assert got.time == want.time
+
+
+def test_long_filament_runs_match_the_plain_references():
+    # fifty steps whose state goes round the driver each time, on the kink
+    # the filament benchmark evolves and on a closed ring with torsion, and
+    # 200 clamped NLS steps
+    kink, _ = hasimoto_soliton(HasimotoSolitonSpec(1.0, 0.5), 0.0,
+                               np.linspace(-10.0, 10.0, 512))
+    th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    ring = SampledCurve(3, True, np.column_stack(
+        [np.cos(th) + 0.1 * np.cos(3 * th), np.sin(th) + 0.1 * np.sin(2 * th),
+         0.2 * np.sin(3 * th)]))
+    for curve, dt in [(kink, 1e-5), (ring, 1e-3)]:
+        traj = vfe.evolve(curve, StepOptions(stop_time=1.0, dt=dt, max_steps=50,
+                                             record_every=10, resample_every=10**9))
+        assert (traj.stop_reason, len(traj.frames)) == ("max-steps", 6)
+        want = curve.points
+        for frame in traj.frames:
+            assert_same_bits(frame.points, want)
+            for _ in range(10):
+                want = _unit_chord_rk4(want, curve.closed, dt)
+
+    psi = hasimoto_soliton_filament(HasimotoSolitonSpec(1.0, 0.5), 0.0,
+                                    np.linspace(-10.0, 10.0, 512))
+    want = psi
+    for k in range(200):
+        want = _per_step_nlcse(want, 1e-3, opening=k == 0,
+                               closing=0.25j if k == 199 else 0.5j)
+    got = nlcse_evolve(psi, 1e-3, 200)
+    assert_same_bits(got.values, want.values)
     assert got.time == want.time
