@@ -105,7 +105,7 @@ def _step(pts, h, k1, closed, dt, last):
     k2 = f(p + 0.5 * dt * k1)
     k3 = f(p + 0.5 * dt * k2)
     k4 = f(p + dt * k3)
-    # k1 + 2 k2 + 2 k3 + k4, left to right, in one buffer
+    # k1 + 2 k2 + 2 k3 + k4 in one buffer, summed left to right: the order fixes the bits
     acc = k1 + 2.0 * k2
     acc += 2.0 * k3
     acc += k4
