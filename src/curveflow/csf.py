@@ -32,6 +32,7 @@ from .geometry import (
     _pdist,
     _signed_curvature,
     _solve_tridiagonal,
+    chord_lengths,
     cumulative_arclength,
     enclosed_area,
     integrate_along,
@@ -57,9 +58,10 @@ MAX_STEP_FACTOR = 0.5
 MAX_STEP_RATIO = 2.0
 
 
-def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
+def _velocity(pts: np.ndarray, closed: bool):
+    h = chord_lengths(pts, closed)
     d1, d2 = _lagrange_d1_d2(pts, h, closed)
-    return d2, _signed_curvature(d1, d2)
+    return h, d2, _signed_curvature(d1, d2)
 
 
 def _step_limits(h: np.ndarray, kappa: np.ndarray):

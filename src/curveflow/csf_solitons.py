@@ -93,13 +93,18 @@ def _solve_from_origin(A: float, B: float, u0, s_end: float, s0: float = 0.0,
     then v(r) = u(-r), which obeys v' = -f(v), over r in [0, s_end].
     """
     from scipy.integrate import solve_ivp
-    if len(u0) == 3:
-        rhs = lambda s, u: (u[0] * u[1] + A, -u[0] * u[0] - B, u[0])
-    else:
-        rhs = lambda r, u: (u[0] * u[1] + A, -u[0] * u[0] - B, u[0],
-                            -u[3] * u[4] - A, u[3] * u[3] + B, -u[3])
+    # the state is read once as Python floats: the same IEEE operations as on
+    # numpy scalars, without a scalar object per operation
+    def rhs(_s, u):
+        x, y, _ = u.tolist()
+        return x * y + A, -x * x - B, x
+
+    def joint_rhs(_r, u):
+        x, y, _, X, Y, _ = u.tolist()
+        return x * y + A, -x * x - B, x, -X * Y - A, X * X + B, -X
+
     return solve_ivp(
-        rhs,
+        rhs if len(u0) == 3 else joint_rhs,
         (s0, s_end),
         u0,
         method="DOP853",

@@ -9,9 +9,9 @@ shared.
 
 The driver works on the raw ``(n, d)`` point array, resamples it as such,
 and builds a validated ``SampledCurve`` only for the frames it records.
-Each step measures the chord lengths and the velocity once; the step
-receives both, and the binormal engine's first RK4 stage reuses that
-velocity.
+Each step calls the engine's velocity once, which measures the chord
+lengths on the way; the step receives both, and the binormal engine's
+first RK4 stage reuses that velocity.
 
 Stop reasons, checked in this order before every step:
 
@@ -49,8 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, CurveFlowError
-from .geometry import (SampledCurve, chord_lengths, frenet, integrate_along,
-                       resample_points, total_length)
+from .geometry import SampledCurve, frenet, integrate_along, resample_points, total_length
 
 # relative chord-length spread, max h / min h - 1, above which a check
 # resamples the curve
@@ -185,9 +184,11 @@ def interior_frames(traj: FlowTrajectory, dimension: int) -> tuple[np.ndarray, s
 class FlowSpec:
     """What one flow engine supplies to the driver.
 
-    ``velocity(pts, h, closed)`` returns the velocity at the state the
-    driver holds, which the step receives as ``vel``, and the curvature the
-    singularity guard reads.  An engine may return arrays of any memory layout.
+    ``velocity(pts, closed)`` returns ``(h, vel, kappa)`` at the state the
+    driver holds: the chord lengths (with a closed curve's wrap segment last,
+    as ``geometry.chord_lengths`` gives them), the velocity, which the step
+    receives as ``vel``, and the curvature the singularity guard reads.  An
+    engine may return arrays of any memory layout.
     ``step_limits(h, kappa)`` returns ``(unit, limit)`` for the current
     chord lengths and curvature: a ``cfl`` step is ``cfl * unit``, and no
     step, fixed or not, may exceed ``limit``.
@@ -214,8 +215,7 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
     t = 0.0
     steps = 0
     eps = 1e-12 * max(1.0, opts.stop_time)
-    h = chord_lengths(pts, closed)
-    vel, kappa = spec.velocity(pts, h, closed)
+    h, vel, kappa = spec.velocity(pts, closed)
     length0 = float(h.sum())
     last = None
     while True:
@@ -239,8 +239,7 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
         if steps % opts.resample_every == 0:
             if steps > 0 and h.max() > (1.0 + SPACING_TOL) * h.min():
                 pts = resample_points(pts, closed, n)
-                h = chord_lengths(pts, closed)
-                vel, kappa = spec.velocity(pts, h, closed)
+                h, vel, kappa = spec.velocity(pts, closed)
                 last = None
             unit, limit = spec.step_limits(h, kappa)
             dt_base = opts.cfl * unit if opts.dt is None else opts.dt
@@ -260,8 +259,7 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
         pts = new_pts
         t += dt
         steps += 1
-        h = chord_lengths(pts, closed)
-        vel, kappa = spec.velocity(pts, h, closed)
+        h, vel, kappa = spec.velocity(pts, closed)
 
     traj.stop_reason = stop
     traj.steps_taken = steps

@@ -443,10 +443,23 @@ def _point_set(obj) -> np.ndarray:
 
 
 def directed_hausdorff(a, b) -> float:
-    """max over a of the distance to the point set b; accepts curves or arrays."""
+    """max over a of the distance to the point set b; accepts curves or arrays.
+
+    Each point of a is no farther from b than from the sample of b at its
+    relative position, j = rint(i (m - 1)/(n - 1)), so the true distance L of
+    the point with the largest such bound is a lower bound of the result.  Only
+    points whose bound reaches L (less a rounding margin) can hold the maximum,
+    and only they are queried; each query has the bits of querying all of a, so
+    the result is exact.  Two samplings of nearly one curve in the same order
+    leave few candidates; a = b gives L = 0 and queries every point.
+    """
     from scipy.spatial import cKDTree
     a, b = _point_set(a), _point_set(b)
-    return float(cKDTree(b).query(a)[0].max())
+    tree = cKDTree(b)
+    gap = (a - b[np.rint(np.linspace(0.0, len(b) - 1, len(a))).astype(int)]).T
+    bound = np.sqrt(_dot(gap, gap))
+    low = tree.query(a[bound.argmax()])[0]
+    return float(tree.query(a[bound >= low * (1.0 - 1e-9)])[0].max())
 
 
 def hausdorff_distance(a, b) -> float:
@@ -456,16 +469,19 @@ def hausdorff_distance(a, b) -> float:
 def curve_diameter(points) -> float:
     """Max pairwise distance of a point set.
 
-    The farthest pair lies on the convex hull; qhull rejects flat sets
-    (collinear in 2-D, coplanar in 3-D), which then take all pairs.
+    With c the centre of the bounding box, r = |p - c| and R = max r, let D be
+    the distance from the point at R to the farthest point.  A pair at least D
+    long has |p - q| <= r_p + R, so both its ends have r >= D - R; only those
+    points (with a margin for rounding) go to ``_pdist``.  They hold the
+    farthest pair, and each pair has the bits of the all-pairs table, so the
+    result is exact.
     """
-    from scipy.spatial import ConvexHull, QhullError
     points = _point_set(points)
-    try:
-        points = points[ConvexHull(points).vertices]
-    except QhullError:
-        pass
-    return float(_pdist(points).max())
+    rel = (points - 0.5 * (points.min(axis=0) + points.max(axis=0))).T
+    r = np.sqrt(_dot(rel, rel))
+    far = (points - points[r.argmax()]).T
+    D = np.sqrt(_dot(far, far).max())
+    return float(_pdist(points[r >= D - r.max() - 1e-9 * D]).max())
 
 
 def _pdist(points, metric: str = "euclidean") -> np.ndarray:

@@ -10,8 +10,9 @@ stencil's d1 x d2 is exactly 2 (t- x t+)/(h- + h+), which ``_binormal``
 evaluates without forming d1 or d2; each stage takes its cross products on
 contiguous spans (``_cross_next``).  The state is coordinate-major: the
 velocity and the step return the (n, 3) transpose of a (3, n) array, which
-the driver hands back as it is.  The first stage reuses the driver's
-velocity; the others skip the guard's curvature.  A pinned end does not move.
+the driver hands back as it is.  The velocity also gives the driver the
+chord lengths it measured.  The first stage reuses the driver's velocity; the
+others skip the guard's curvature.  A pinned end does not move.
 
 Also here: residual checks for the curvature/torsion/frame evolution
 laws, the tangent/time commutator, a rigid-motion fitter for detecting
@@ -46,45 +47,44 @@ STABILITY_FACTOR = 0.7
 KAPPA_REL_FLOOR = 1e-2
 
 
-def _binormal(p: np.ndarray, h: np.ndarray | None, closed: bool, vel: np.ndarray):
+def _binormal(p: np.ndarray, closed: bool, vel: np.ndarray):
     """Write 2 (t- x t+)/(h- + h+) into the moving samples of ``vel``.
 
     ``p`` and ``vel`` are coordinate-major, (3, n); a closed curve is padded
-    with its wrap as ``_lagrange_d1_d2`` pads it, and ``h`` is measured when
-    None.  Returns ``vel``, the unit chords and their lengths, padded alike.
+    with its wrap as ``_lagrange_d1_d2`` pads it.  Returns ``vel``, the unit
+    chords and their lengths, padded alike; the lengths have the bits of
+    ``chord_lengths``, plus the wrap in front on a closed curve.
     """
     if closed:
         p = np.concatenate([p[:, -1:], p, p[:, :1]], axis=1)
     seg = p[:, 1:] - p[:, :-1]
-    if h is None:
-        h = np.sqrt(_dot(seg, seg))
-    elif closed:
-        h = np.concatenate([h[-1:], h])
+    h = np.sqrt(_dot(seg, seg))
     t = seg / h
     np.multiply(_cross_next(t)[:, :-1], 2.0 / (h[:-1] + h[1:]),
                 out=vel[:, slice(None) if closed else slice(1, -1)])
     return vel, t, h
 
 
-def _velocity(pts: np.ndarray, h: np.ndarray, closed: bool):
-    """The binormal velocity and the curvature |d1 x d2| / |d1|^3 the guard reads.
+def _velocity(pts: np.ndarray, closed: bool):
+    """The chord lengths, the binormal velocity and the curvature |d1 x d2| / |d1|^3
+    the guard reads, from one pass over the chords.
 
-    Both are 0 at a pinned open end.
+    The velocity and the curvature are 0 at a pinned open end.
     """
-    vel, t, h = _binormal(np.ascontiguousarray(pts.T), h, closed, np.zeros(pts.shape[::-1]))
+    vel, t, h = _binormal(np.ascontiguousarray(pts.T), closed, np.zeros(pts.shape[::-1]))
     d1 = (h[:-1] * t[:, 1:] + h[1:] * t[:, :-1]) / (h[:-1] + h[1:])
     speed2 = _dot(d1, d1)
     kappa = np.sqrt(_dot(vel, vel))
     kappa[slice(None) if closed else slice(1, -1)] /= speed2 * np.sqrt(speed2)
-    return vel.T, kappa
+    return h[1:] if closed else h, vel.T, kappa
 
 
 def binormal_velocity(curve: SampledCurve) -> np.ndarray:
     """Discrete gamma_s x gamma_ss per sample (zero at pinned open ends)."""
     if curve.dimension != 3:
         raise ValueError("binormal flow needs a space curve")
-    return _binormal(np.ascontiguousarray(curve.points.T), segment_lengths(curve),
-                     curve.closed, np.zeros(curve.points.shape).T)[0].T
+    return _binormal(np.ascontiguousarray(curve.points.T), curve.closed,
+                     np.zeros(curve.points.shape).T)[0].T
 
 
 def _step_limits(h: np.ndarray, kappa: np.ndarray):
@@ -99,7 +99,7 @@ def _step(pts, h, k1, closed, dt, last):
     scalars broadcast along the contiguous axis.
     """
     def f(p):
-        return _binormal(p, None, closed, np.zeros(p.shape))[0]
+        return _binormal(p, closed, np.zeros(p.shape))[0]
 
     p, k1 = np.ascontiguousarray(pts.T), np.ascontiguousarray(k1.T)
     k2 = f(p + 0.5 * dt * k1)
@@ -214,7 +214,7 @@ def commutator_residual(traj: FlowTrajectory) -> ScalarSeries:
     for k in range(1, len(frames) - 1):
         dt2 = times[k + 1] - times[k - 1]
         lhs = (d1s[k + 1] - d1s[k - 1]) / dt2
-        vel = _velocity(frames[k].points, hs[k], closed)[0]
+        vel = _velocity(frames[k].points, closed)[1]
         rhs = _lagrange_d1_d2(vel, hs[k], closed)[0]
         vals[k - 1] = np.linalg.norm((lhs - rhs)[keep], axis=1).max()
     return ScalarSeries(times[1:-1], vals)

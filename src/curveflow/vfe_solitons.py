@@ -101,11 +101,11 @@ def _band_profile(lam: float, C1: float, z0: float, sign: int,
         raise CurveFlowError("outside-admissible-band",
                              "initial value sits on the vertical-tangent locus")
     zp0 = sign * np.sqrt(max(slope_radicand(z0, lam, C1), 0.0))
-    p = 1.0 + lam**2
+    p3 = (1.0 + lam**2) ** 3
 
     def rhs(_x, u):
-        w = u[0] ** 2 + 2.0 * C1
-        return (u[1], -8.0 * u[0] / (p**3 * w**3))
+        z, zp = u.tolist()
+        return zp, -8.0 * z / (p3 * (z**2 + 2.0 * C1) ** 3)
 
     def vertical(_x, u):
         return (u[0] ** 2 + 2.0 * C1) ** 2 - W_FLOOR**2

@@ -1,11 +1,16 @@
-"""Property tests: the distance helpers against brute-force all-pairs sums."""
+"""Property tests: the distance helpers against brute-force all-pairs sums,
+and against the bits of the unpruned scipy computations."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
+from conftest import helix3
 from curveflow.csf import distance_ratio
 from curveflow.geometry import (
     SampledCurve,
@@ -60,10 +65,55 @@ PLANAR_ARC = np.column_stack([np.cos(_t), np.sin(_t), np.zeros_like(_t)])
 
 @BOUNDED
 @given(point_sets())
-@example(LINE)          # flat sets: qhull rejects them and all pairs are taken
+@example(LINE)          # flat sets: collinear in 2-D, coplanar in 3-D
 @example(PLANAR_ARC)
 def test_curve_diameter_matches_all_pairs(pts):
     assert_close(curve_diameter(pts), pair_distances(pts, pts).max())
+
+
+# the helpers measure only the points that can hold the answer, so each is
+# held to the bits of the computation that measures every point
+_u = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+POLYGON = np.column_stack([np.cos(_u), np.sin(_u)])   # every point on the circle
+HELIX = helix3(n=1024).points
+
+
+@BOUNDED
+@given(point_sets())
+@example(POLYGON)       # nothing is pruned
+@example(HELIX)
+@example(LINE)
+@example(PLANAR_ARC)
+def test_curve_diameter_has_the_bits_of_all_pairs(pts):
+    assert curve_diameter(pts) == float(pdist(pts).max())
+
+
+def full_query(a: np.ndarray, b: np.ndarray) -> float:
+    return float(cKDTree(b).query(a)[0].max())
+
+
+@BOUNDED
+@given(st.sampled_from((2, 3)).flatmap(lambda d: st.tuples(point_sets(d), point_sets(d))))
+def test_directed_hausdorff_has_the_bits_of_a_full_query(sets):
+    a, b = sets
+    assert directed_hausdorff(a, b) == full_query(a, b)
+    assert directed_hausdorff(a, a) == 0.0
+
+
+@pytest.mark.parametrize("a, b", [
+    (POLYGON, POLYGON),                           # a = b: the lower bound is 0
+    (POLYGON, POLYGON[::-1]),                     # loose bounds
+    (POLYGON, np.roll(POLYGON, 512, axis=0)),
+    (POLYGON, POLYGON[::3]),                      # unequal sizes
+    (POLYGON[::7], POLYGON),
+    (HELIX, HELIX + 1e-9),
+    (LINE, LINE[::-1] + [0.0, 1e-3]),
+    (PLANAR_ARC, PLANAR_ARC[::2]),
+], ids=["same-set", "reversed", "rolled-by-half", "fewer-in-b", "fewer-in-a",
+        "shifted-helix", "line", "planar-arc"])
+def test_directed_hausdorff_keeps_the_bits_on_hard_pairs(a, b):
+    assert directed_hausdorff(a, b) == full_query(a, b)
+    assert directed_hausdorff(b, a) == full_query(b, a)
 
 
 @BOUNDED

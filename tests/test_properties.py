@@ -277,7 +277,8 @@ def test_binormal_velocity_matches_the_numpy_reference(curve, omega):
     residual = np.linalg.norm(np.cross(np.broadcast_to(omega, pts.shape), pts) - kb,
                               axis=1)
 
-    got_vel, got_kappa = _velocity(pts, h, curve.closed)
+    got_h, got_vel, got_kappa = _velocity(pts, curve.closed)
+    assert_same_bits(got_h, h)
     assert got_vel.T.flags.c_contiguous
     assert_same_bits(got_vel, vel)
     assert_same_bits(got_kappa, kappa)
@@ -319,7 +320,9 @@ def test_binormal_rk4_step_matches_the_full_stencil_reference(curve, frac):
     pts, closed = curve.points, curve.closed
     h = chord_lengths(pts, closed)
     dt = frac * STABILITY_FACTOR * h.min() ** 2
-    got = vfe._step(pts, h, _velocity(pts, h, closed)[0], closed, dt, None)
+    got_h, vel, _ = _velocity(pts, closed)
+    assert_same_bits(got_h, h)
+    got = vfe._step(pts, h, vel, closed, dt, None)
     assert got.T.flags.c_contiguous
     assert_same_bits(got, _unit_chord_rk4(pts, closed, dt))
 
@@ -360,7 +363,8 @@ def test_binormal_velocity_is_the_full_stencil_cross_product(curve):
     kappa = np.linalg.norm(want, axis=1) / np.linalg.norm(d1, axis=1) ** 3
     bound = ROUND_TRIP * np.abs(want).max()
     assert np.abs(binormal_velocity(curve) - want).max() <= bound
-    got_vel, got_kappa = _velocity(pts, h, closed)
+    got_h, got_vel, got_kappa = _velocity(pts, closed)
+    assert_same_bits(got_h, h)
     assert np.abs(got_vel - want).max() <= bound
     assert np.abs(got_kappa - kappa).max() <= ROUND_TRIP * kappa.max()
 
