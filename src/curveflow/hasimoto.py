@@ -226,8 +226,9 @@ def reconstruct_frame(psi: FilamentFunction, seed: FrameState | None = None):
 
     Each segment applies one exact rotation, the fourth-order Magnus step
     through its two Gauss points, so every frame is orthonormal to
-    rounding.  Returns (curve, frames): positions by trapezoid integration
-    of T, and one FrameState whose fields hold a row per sample.
+    rounding.  Returns (curve, frames): positions by the corrected trapezoid
+    rule, which adds h^2/12 (T'_j - T'_{j+1}) to each segment and so is fourth
+    order (Euler-Maclaurin), and one FrameState whose fields hold a row per sample.
     """
     if seed is None:
         seed = standard_seed()
@@ -252,12 +253,14 @@ def reconstruct_frame(psi: FilamentFunction, seed: FrameState | None = None):
     for j in range(n - 1):
         np.matmul(rotations[j], rows[j], out=rows[j + 1])
     tangents = rows[:, 0]
+    # T' = Re(conj(psi) (N + iB)) = a N + b B, for the end correction
+    bend = psi.values.real[:, None] * rows[:, 1] + psi.values.imag[:, None] * rows[:, 2]
 
     positions = np.empty((n, 3))
     positions[0] = seed.position
     positions[1:] = seed.position + np.cumsum(
-        0.5 * h * (tangents[:-1] + tangents[1:]), axis=0
-    )
+        0.5 * h * (tangents[:-1] + tangents[1:]) + (h * h / 12.0) * (bend[:-1] - bend[1:]),
+        axis=0)
     curve = SampledCurve(3, False, positions)
     return curve, FrameState(tangents, rows[:, 1] + 1j * rows[:, 2], positions)
 

@@ -228,6 +228,17 @@ def test_kink_frames_match_the_closed_form():
     assert np.abs(rebuilt.points - curve.points).max() < 2.1e-3
 
 
+def test_kink_positions_are_fourth_order():
+    # the corrected trapezoid rule reads 7.8e-8 here, and the plain one 6.4e-5
+    spec = HasimotoSolitonSpec(nu=1.0, tau0=0.5)
+    s = np.linspace(-10.0, 10.0, 1024)
+    curve, fr = hasimoto_soliton(spec, 0.0, s)
+    exact = (fr.normal + 1j * fr.binormal) * np.exp(1j * spec.tau0 * s)[:, None]
+    seed = FrameState(T=fr.tangent[0], N_complex=exact[0], position=curve.points[0])
+    rebuilt, _ = reconstruct_frame(hasimoto_soliton_filament(spec, 0.0, s), seed)
+    assert np.abs(rebuilt.points - curve.points).max() < 1e-6
+
+
 def test_soliton_closed_form_invariants():
     spec = HasimotoSolitonSpec(nu=1.2, tau0=0.5)
     s = np.linspace(-12.0, 12.0, 1025)     # includes s = 0
