@@ -30,10 +30,10 @@ from . import __version__, csf, csf_solitons, hasimoto, vfe, vfe_solitons
 from .errors import ConfigError, CurveFlowError
 from .flow import StepOptions, frame_measures
 from .geometry import SampledCurve, frenet, resample_arclength, total_length
-from .storage import (RunManifest, append_run_manifest, artifact_records,
-                      dump_json, prepare_out_dir, read_curve, read_filament,
-                      read_trajectory, write_curve, write_filament, write_frenet,
-                      write_table, write_trajectory)
+from .storage import (append_run_manifest, artifact_records, dump_json,
+                      prepare_out_dir, read_curve, read_filament, read_trajectory,
+                      write_curve, write_filament, write_frenet, write_table,
+                      write_trajectory)
 
 CSF_COLUMNS = ("time", "length", "bending", "huisken",
                "distance_ratio", "max_curvature")
@@ -427,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     _add_global_flags(common)
 
-    top = parser.add_subparsers(dest="group", metavar="{csf,vfe,hasimoto,diagnose}")
+    top = parser.add_subparsers(required=True, dest="group",
+                                metavar="{csf,vfe,hasimoto,diagnose}")
 
     def command(group, name, handler):
         p = group.add_parser(name, parents=[common])
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     csf_group = top.add_parser("csf", help="curve shortening flow").add_subparsers(
-        dest="command", metavar="{evolve,soliton}")
+        required=True, dest="command", metavar="{evolve,soliton}")
     p = command(csf_group, "evolve", cmd_csf_evolve)
     _add_evolve_flags(p)
     p.add_argument("--rescale", action="store_true")
@@ -459,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", dest="r_min", type=float, default=None)
 
     vfe_group = top.add_parser("vfe", help="binormal flow").add_subparsers(
-        dest="command", metavar="{evolve,soliton,biot-savart}")
+        required=True, dest="command", metavar="{evolve,soliton,biot-savart}")
     _add_evolve_flags(command(vfe_group, "evolve", cmd_vfe_evolve))
     p = command(vfe_group, "soliton", cmd_vfe_soliton)
     p.add_argument("--case", required=True,
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quadrature-n", dest="quadrature_n", type=int, default=256)
 
     has_group = top.add_parser("hasimoto", help="filament transform and NLCSE").add_subparsers(
-        dest="command", metavar="{transform,evolve,reconstruct,soliton,dilating}")
+        required=True, dest="command", metavar="{transform,evolve,reconstruct,soliton,dilating}")
     p = command(has_group, "transform", cmd_hasimoto_transform)
     p.add_argument("--input", required=True)
     p.add_argument("--gauge-A", dest="gauge_A", type=float, default=0.0)
@@ -501,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-residual", action="store_true")
 
     diag_group = top.add_parser("diagnose", help="post-hoc diagnostics").add_subparsers(
-        dest="command", metavar="{huisken,distance-ratio,residuals}")
+        required=True, dest="command", metavar="{huisken,distance-ratio,residuals}")
     p = command(diag_group, "huisken", cmd_diagnose_huisken)
     p.add_argument("--trajectory", required=True, help="trajectory output directory")
     p.add_argument("--x0", default=None, help="kernel center as x,y")
@@ -517,23 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_parameters(args) -> dict:
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if callable(value):
-            continue
-        params[key] = value if isinstance(value, (int, float, str, bool,
-                                                  type(None))) else str(value)
-    return params
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
-        parser.print_usage(sys.stderr)
-        print("invalid-arguments", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     out = Path(args.out)
     created = not out.exists()
@@ -559,12 +545,12 @@ def main(argv=None) -> int:
         if created and not done:
             with contextlib.suppress(OSError):
                 out.rmdir()
-    manifest = RunManifest(command=f"{args.group} {args.command}",
-                           parameters=_manifest_parameters(args),
-                           artifacts=artifact_records(out, paths),
-                           wall_clock=time.perf_counter() - start,
-                           version=__version__)
-    append_run_manifest(out, manifest)
+    append_run_manifest(out, {
+        "command": f"{args.group} {args.command}",
+        "parameters": {k: v for k, v in vars(args).items() if k != "handler"},
+        "artifacts": artifact_records(out, paths),
+        "wall_clock": time.perf_counter() - start,
+        "version": __version__})
     return 0
 
 

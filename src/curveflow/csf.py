@@ -35,10 +35,10 @@ from .geometry import (
     chord_lengths,
     cumulative_arclength,
     enclosed_area,
+    frenet,
     integrate_along,
     isoperimetric_ratio,
     resample_arclength,
-    segment_lengths,
     total_length,
 )
 
@@ -175,8 +175,7 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> ScalarSeries:
     lengths = []
     for f in frames:
         rf = resample_arclength(f, n)
-        d1, d2 = _lagrange_d1_d2(rf.points, segment_lengths(rf), closed)
-        kappas.append(_signed_curvature(d1, d2))
+        kappas.append(frenet(rf).curvature)
         lengths.append(total_length(rf))
 
     out = np.empty(len(frames) - 2)

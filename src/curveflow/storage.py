@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -172,27 +171,20 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Record of one CLI invocation appended to manifest.jsonl."""
-
-    command: str
-    parameters: dict
-    artifacts: list[dict]
-    wall_clock: float
-    version: str
-
-
 def artifact_records(out_dir, paths) -> list[dict]:
     out = Path(out_dir)
     return [{"file": str(Path(p).relative_to(out)), "sha256": file_sha256(p)}
             for p in sorted(Path(p) for p in paths)]
 
 
-def append_run_manifest(out_dir, manifest: RunManifest) -> Path:
+def append_run_manifest(out_dir, manifest: dict) -> Path:
+    """Append one CLI run's record to manifest.jsonl.
+
+    The record holds command, parameters, artifacts, wall_clock and version.
+    """
     path = Path(out_dir) / "manifest.jsonl"
     with open(path, "a") as fh:
-        fh.write(json.dumps(asdict(manifest), sort_keys=True) + "\n")
+        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
     return path
 
 

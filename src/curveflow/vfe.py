@@ -302,13 +302,12 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
 
     def eval_curve(zeta):
         # nearest-sample index along arc, then a local Taylor step
-        j = np.rint(zeta / ds).astype(int)
-        delta = (zeta - j * ds)[:, None]
-        if curve.closed:
-            j = (i + j) % n
-        else:
-            j = np.clip(i + j, 0, n - 1)
-            delta = (zeta - (j - i) * ds)[:, None]
+        k = np.rint(zeta / ds).astype(int)
+        # an open curve's nearest sample stops at its ends
+        if not curve.closed:
+            k = np.clip(i + k, 0, n - 1) - i
+        j = (i + k) % n
+        delta = (zeta - k * ds)[:, None]
         pos = pts[j] + delta * d1[j] + 0.5 * delta**2 * d2[j] + delta**3 / 6.0 * d3[j]
         tan = d1[j] + delta * d2[j] + 0.5 * delta**2 * d3[j]
         return pos, tan

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -86,6 +87,20 @@ def test_the_filament_modules_and_a_periodic_nls_run_load_no_scipy():
     assert result.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_every_module_uses_the_names_it_imports():
+    for path in Path(curveflow.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
@@ -94,8 +109,19 @@ def test_version_flag(capsys):
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
-    assert run() == 2
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 2
     assert last_stderr_token(capsys) == "invalid-arguments"
+
+
+@pytest.mark.parametrize("argv", [(), ("csf",)], ids=["no-group", "no-command"])
+def test_the_module_entry_point_refuses_a_missing_command(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(curveflow.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "curveflow.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines()[-1] == "invalid-arguments"
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -195,6 +221,24 @@ def test_bad_range_exits_two(tmp_path, capsys):
     assert run("csf", "soliton", "--grim-reaper", "--x", "0:1",
                "--out", tmp_path / "o") == 2
     assert last_stderr_token(capsys) == "invalid-range"
+
+
+@pytest.mark.parametrize("argv, token", [
+    (("hasimoto", "soliton", "--nu", "1", "--tau0", "0.5", "--s=0:1:0"), "invalid-range"),
+    (("csf", "evolve", "--input", "{circle}", "--stop-time", "0.01", "--rescale",
+      "--lambdas", "4,x"), "invalid-range"),
+    (("csf", "evolve", "--input", "{arc}", "--stop-time", "0.01", "--rescale"),
+     "invalid-parameter"),
+    (("vfe", "soliton", "--case", "x-axis", "--C1", "0.5"), "invalid-parameter"),
+], ids=["zero-count", "bad-lambda", "rescale-open-curve", "x-axis-without-z0"])
+def test_refusals_exit_two_and_write_nothing(tmp_path, capsys, argv, token):
+    files = {"circle": write_curve(tmp_path / "circle.curve", circle2(64)),
+             "arc": write_curve(tmp_path / "arc.curve",
+                                SampledCurve(2, False, circle2(64).points[:40]))}
+    out = tmp_path / "o"
+    assert run(*(a.format(**files) for a in argv), "--out", out) == 2
+    assert last_stderr_token(capsys) == token
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,9 +19,14 @@ from curveflow.geometry import (
     integrate_along,
     isoperimetric_ratio,
     resample_arclength,
+    resample_points,
     segment_lengths,
     total_length,
 )
+from curveflow.csf import distance_ratio
+from curveflow.errors import CurveFlowError
+from curveflow.vfe import (BiotSavartOptions, biot_savart_velocity, binormal_velocity,
+                           rigid_motion_fit)
 from curveflow.vfe_solitons import apply_rotation
 
 
@@ -36,6 +41,27 @@ def test_curve_validation():
     pts[2, 0] = np.nan
     with pytest.raises(ValueError):
         SampledCurve(2, False, pts)
+
+
+OPEN_ARC = SampledCurve(2, False, circle2(64).points[:40])
+
+
+@pytest.mark.parametrize("call, error, token", [
+    (lambda: distance_ratio(OPEN_ARC), ValueError, None),
+    (lambda: enclosed_area(OPEN_ARC), ValueError, None),
+    (lambda: resample_points(circle2(64).points, True, 3), ValueError, None),
+    (lambda: binormal_velocity(circle2(64)), ValueError, None),
+    (lambda: biot_savart_velocity(circle2(64), 0, BiotSavartOptions(1e-3, 0.5)),
+     ValueError, None),
+    (lambda: rigid_motion_fit(circle3(64), circle3(65), 1e-3), CurveFlowError,
+     "unaligned-trajectory"),
+], ids=["distance-ratio-open", "area-open", "resample-three", "binormal-planar",
+        "biot-savart-planar", "rigid-fit-unequal-n"])
+def test_library_refusals(call, error, token):
+    with pytest.raises(error) as err:
+        call()
+    if token is not None:
+        assert err.value.token == token
 
 
 def test_points_are_frozen():

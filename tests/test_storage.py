@@ -158,8 +158,8 @@ def test_manifest_appends_sorted_artifact_records(tmp_path):
     records = storage.artifact_records(tmp_path, paths)
     assert [r["file"] for r in records] == ["a.curve", "z.curve"]
 
-    manifest = storage.RunManifest(command="csf-evolve", parameters={"n": 16},
-                                   artifacts=records, wall_clock=0.5, version="0")
+    manifest = {"command": "csf-evolve", "parameters": {"n": 16},
+                "artifacts": records, "wall_clock": 0.5, "version": "0"}
     storage.append_run_manifest(tmp_path, manifest)
     storage.append_run_manifest(tmp_path, manifest)
     lines = (tmp_path / "manifest.jsonl").read_text().splitlines()

@@ -57,6 +57,17 @@ def test_cfl_above_the_rk4_bound_is_rejected():
     assert traj.stop_reason == "stop-time"
 
 
+@pytest.mark.parametrize("sides, stops", [(5, True), (6, True), (7, True), (8, False)])
+def test_singularity_guard_on_regular_polygons(sides, stops):
+    # kappa * h_max reads 1.796, 1.333, 1.069 and 0.897: the guard's threshold
+    # of 1 is a turn of 2 arcsin(sqrt(2) - 1) ~ 0.854 rad between chords
+    traj = evolve(circle3(sides), StepOptions(stop_time=1e-3, cfl=0.1))
+    if stops:
+        assert (traj.stop_reason, traj.steps_taken) == ("approaching-singularity", 0)
+    else:
+        assert traj.stop_reason == "stop-time" and traj.steps_taken > 0
+
+
 def test_first_frame_is_the_input():
     c = helix3(n=128)
     traj = evolve(c, StepOptions(stop_time=1e-4, cfl=0.1))
@@ -178,6 +189,16 @@ def test_biot_savart_log_divergence():
     # d|u| / d log(1/eps) ~ kappa = 1
     slope = (speeds[1] - speeds[0]) / np.log(10.0)
     assert slope == pytest.approx(1.0, abs=0.02)
+
+
+def test_biot_savart_on_an_open_arc_matches_the_closed_curve():
+    # the arc's samples 0-256 are the circle's, and the cutoff arc around
+    # sample 128 stays inside them
+    c = circle3(512)
+    arc = SampledCurve(3, False, c.points[:257])
+    opts = BiotSavartOptions(1e-3, 0.5)
+    assert np.array_equal(biot_savart_velocity(arc, 128, opts),
+                          biot_savart_velocity(c, 128, opts))
 
 
 def test_biot_savart_option_validation():
