@@ -6,6 +6,8 @@ from scipy.integrate import quad
 from scipy.special import ellipe
 
 from conftest import circle2, circle3, ellipse2, helix3
+from curveflow.csf import distance_ratio
+from curveflow.errors import CurveFlowError
 from curveflow.geometry import (
     SampledCurve,
     _solve_tridiagonal,
@@ -23,8 +25,6 @@ from curveflow.geometry import (
     segment_lengths,
     total_length,
 )
-from curveflow.csf import distance_ratio
-from curveflow.errors import CurveFlowError
 from curveflow.vfe import (BiotSavartOptions, biot_savart_velocity, binormal_velocity,
                            rigid_motion_fit)
 from curveflow.vfe_solitons import apply_rotation
