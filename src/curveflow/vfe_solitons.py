@@ -16,9 +16,10 @@ unit angular speed:
 The x-axis and planar families go through one ``VfeRotatingSpec``, whose
 ``case`` picks the layout, and rotate about (+-1, 0, 0); the sign is
 -sign(z0^2 + 2*C1), fixed along a profile because z^2 + 2*C1 cannot
-cross zero without a vertical tangent.  Their band profile is integrated
-with the 8th-order Dormand-Prince pair (DOP853) at rtol = 1e-11,
-atol = 1e-13.
+cross zero without a vertical tangent.  Their band profile is in closed
+form: z is a cn or +-a dn of a Jacobi argument u, and x(u) is a sum of
+incomplete elliptic integrals E and F (DLMF 22.16, 19.2), inverted onto
+the x grid by Newton steps and cut exactly at a vertical tangent.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ import numpy as np
 
 from .errors import CurveFlowError
 from .geometry import SampledCurve, _cross, _dot, _lagrange_d1_d2, segment_lengths
-
-# z^2 + 2*C1 magnitudes below this trigger the vertical-tangent truncation;
-# much nearer the locus DOP853's step collapses before the event can fire
-W_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,13 +78,19 @@ def slope_radicand(z, lam: float, C1: float):
 
 def _band_profile(lam: float, C1: float, z0: float, sign: int,
                   x_range: tuple[float, float], n: int):
-    """Integrate the oscillatory band profile as (z, z').
+    """The oscillatory band profile (x, z, z') in closed form.
 
-    Differentiating z'^2 = R(z) gives z'' = -8 z / (p^3 (z^2+2C1)^3), with
-    p = 1 + lambda^2, which is regular at turning points, so the sign
-    switching of the first-order form happens automatically; z'^2 - R(z)
-    is an exact invariant of the integration.  Truncates at vertical tangents;
-    refuses a failed solve and a profile vertical before the grid's second sample.
+    With p = 1 + lambda^2, a^2 = 2/p - 2*C1, b^2 = 2/p + 2*C1 and
+    phi = am(u, m): z = a cn u = a cos(phi), m = a^2/(a^2 + b^2), if
+    b^2 > 0, else z = +-a dn u = +-a D, D^2 = 1 - m sin^2 phi, m = 1 + b^2/a^2
+    (DLMF 22.16, 19.2).  x - x0 = X(phi) - X(phi0) with X = alpha E(phi|m)
+    + beta F(phi|m), whose slope (alpha D^2 + beta)/D has the sign of
+    w = z^2 + 2*C1.  Where w = 0 the profile turns vertical and is cut;
+    with no such zero, X gains the same amount every pi.  On the
+    separatrix m = 1 the variable is u (am u = gd u), and the tail z -> 0
+    has no end.  A table and Newton steps on X invert x onto the grid.
+    Refuses a start on w = 0, a tangent before the grid's second sample
+    and a failed inversion.
     """
     # z0 * z0, not z0**2: a float power raises OverflowError
     if not np.isfinite(z0 * z0):
@@ -97,33 +100,83 @@ def _band_profile(lam: float, C1: float, z0: float, sign: int,
         raise CurveFlowError("outside-admissible-band",
                              f"z0^2 must lie in [{lo:g}, {hi:g}]")
     w0 = z0**2 + 2.0 * C1
-    if abs(w0) < W_FLOOR:
+    if w0 == 0.0:
         raise CurveFlowError("outside-admissible-band",
                              "initial value sits on the vertical-tangent locus")
-    zp0 = sign * np.sqrt(max(slope_radicand(z0, lam, C1), 0.0))
-    p3 = (1.0 + lam**2) ** 3
+    from scipy.special import ellipeinc, ellipkinc
+    p, amp, (a, b) = 1.0 + lam**2, np.sqrt(hi), x_range
+    b2 = 2.0 / p + 2.0 * C1
+    m = hi / (hi + b2) if b2 > 0.0 else 1.0 - lo / hi
+    cn = b2 > 0.0 and m < 1.0
+    if cn:           # vertical where sin^2 phi = 1/(2m)
+        alpha, beta, s_z = 2.0, -1.0, 1.0
+        rise, run = np.sqrt(hi - z0**2), z0    # sin and cos of phi0, times a
+        phi_t = np.arcsin(np.sqrt(0.5 / m)) if m >= 0.5 else None
+    elif z0**2 == 0.0:  # in the band only on the separatrix: its fixed point
+        return np.linspace(a, b, n), np.zeros(n), np.zeros(n), False
+    else:            # vertical where sin^2 phi = 1/2
+        alpha, beta, s_z = np.sqrt(p) * amp, 2.0 * C1 * np.sqrt(p) / amp, np.sign(z0)
+        rise, run = np.sqrt(hi - z0**2), np.sqrt(z0**2 - lo)
+        phi_t = np.pi / 4
+    # dz/dphi has the sign of -s_z sin(phi), and dX/dphi that of w
+    turn = -sign * s_z * np.sign(w0)
+    phi0 = turn * np.arctan2(rise, run)
+    # the branch ends at the first zero k*pi + phi_t of the slope that phi
+    # meets; with none, the table spans one period
+    phi_end = (phi0 + np.pi if phi_t is None
+               else np.round(phi0 / np.pi - (w0 < 0.0) / 2) * np.pi + phi_t)
 
-    def rhs(_x, u):
-        z, zp = u.tolist()
-        return zp, -8.0 * z / (p3 * (z**2 + 2.0 * C1) ** 3)
+    def big_x(v):
+        if m < 1.0:
+            return alpha * ellipeinc(v, m) + beta * ellipkinc(v, m)
+        return alpha * np.tanh(v) + beta * v
 
-    def vertical(_x, u):
-        return (u[0] ** 2 + 2.0 * C1) ** 2 - W_FLOOR**2
+    def amplitude(v):      # sin, cos and D of am, and dX/dv
+        if m < 1.0:
+            s, c = np.sin(v), np.cos(v)
+            d = np.sqrt(1.0 - m * s * s)
+            return s, c, d, (alpha * d * d + beta) / d
+        e = np.exp(-np.abs(v))         # sech v without overflow
+        s, c = np.tanh(v), 2.0 * e / (1.0 + e * e)
+        return s, c, c, alpha * c * c + beta
 
-    vertical.terminal = True
-    from scipy.integrate import solve_ivp
-    a, b = x_range
-    sol = solve_ivp(rhs, (a, b), [z0, zp0], method="DOP853",
-                    rtol=1e-11, atol=1e-13, dense_output=True, events=vertical)
-    if sol.status == -1:
-        raise CurveFlowError("profile-solve-failed", sol.message)
+    v0, v_end = phi0, phi_end
+    if m == 1.0:     # u = asinh(tan phi); past -pi/2 the tail, as long as x_range needs
+        v0 = turn * np.arcsinh(rise / run)
+        v_end = (ellipkinc(phi_end, 1.0) if abs(phi_end) < np.pi / 2
+                 else v0 - (b - a + 2.0 * alpha) / -beta)
+    grid = np.linspace(v0, v_end, max(n // 4, 16))
+    table = big_x(grid)
+    span = table[-1] - table[0]
+    if not np.isfinite(span):
+        raise CurveFlowError("profile-solve-failed", "non-finite branch length")
+    truncated = phi_t is not None and a + span < b
+    x_end = a + span if truncated else b
     # such a profile would spread all n samples over a sliver of x_range
-    if sol.t[-1] < a + (b - a) / (n - 1):
+    if x_end < a + (b - a) / (n - 1):
         raise CurveFlowError("outside-admissible-band", "vertical before the second sample")
-    truncated = sol.status == 1
-    x = np.linspace(a, float(sol.t[-1]), n)
-    z, zp = sol.sol(x)
-    return x, z, zp, truncated
+    x = np.linspace(a, x_end, n)
+    turns = np.floor((x - a) / span) if phi_t is None else 0.0
+    target = table[0] + (x - a) - turns * span
+    v = np.interp(target, table, grid)
+    # the start and a vertical end are exact; Newton polishes the rest,
+    # and once no sample moves by 1e-9 the next step would be rounding
+    inner = slice(1, n - 1 if truncated else n)
+    for _ in range(12):
+        step = (big_x(v[inner]) - target[inner]) / amplitude(v[inner])[3]
+        v[inner] -= step
+        if np.abs(step).max() <= 1e-9:
+            break
+    else:
+        raise CurveFlowError("profile-solve-failed", "x(phi) did not converge")
+    if truncated:
+        v[-1] = v_end
+    s, c, d, _ = amplitude(v + turns * np.pi)
+    # z and dz/du from sn, cn, dn; dx/du = alpha dn^2 + beta
+    z, dz = (amp * c, -amp * s * d) if cn else (s_z * amp * d, -s_z * amp * m * s * c)
+    z[0] = z0                          # where a cos(phi0) may round
+    with np.errstate(divide="ignore"):     # dz/dx is infinite at a vertical end
+        return x, z, dz / (alpha * d * d + beta), truncated
 
 
 def xaxis_rotation_profile(spec: VfeRotatingSpec) -> SampledCurve:

@@ -7,10 +7,10 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import ellipeinc
 
 from conftest import circle2, circle3
 import curveflow
@@ -48,24 +48,36 @@ def circle3_file(tmp_path):
     return write_curve(tmp_path / "circle3.curve", circle3(256))
 
 
-def test_a_run_loads_only_the_scipy_modules_its_command_calls(tmp_path):
-    # this process has scipy loaded already, so a fresh interpreter checks
+def _scipy_loaded_by(argv) -> list[str]:
+    """The scipy subpackages loaded before and after a CLI run in a fresh
+    interpreter; this process has scipy loaded already."""
     heavy = ["scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.linalg",
-             "scipy.sparse"]
-    out = str(tmp_path / "o")
+             "scipy.sparse", "scipy.special"]
     script = f"""if True:
         import sys
         import curveflow, curveflow.cli
         print([m for m in {heavy!r} if m in sys.modules])
-        argv = ["hasimoto", "dilating", "--a", "0.5", "--t", "1", "--out", {out!r}]
-        assert curveflow.cli.main(argv) == 0
+        assert curveflow.cli.main({[str(a) for a in argv]!r}) == 0
         print([m for m in {heavy!r} if m in sys.modules])
     """
     env = {**os.environ, "PYTHONPATH": str(Path(curveflow.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "[]"]
+    return result.stdout.splitlines()
+
+
+def test_a_run_loads_only_the_scipy_modules_its_command_calls(tmp_path):
+    argv = ["hasimoto", "dilating", "--a", "0.5", "--t", "1", "--out", tmp_path / "o"]
+    assert _scipy_loaded_by(argv) == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("case", ["x-axis", "planar"])
+def test_a_rotating_profile_run_loads_no_ode_solver(tmp_path, case):
+    # the band profile is in closed form: elliptic integrals, no scipy.integrate
+    argv = ["vfe", "soliton", "--case", case, "--C1", "0.25", "--z0", "0.35",
+            "--x=0:4:64", "--out", tmp_path / "o"]
+    assert _scipy_loaded_by(argv) == ["[]", "['scipy.special']"]
 
 
 def test_the_filament_modules_and_a_periodic_nls_run_load_no_scipy():
@@ -608,8 +620,8 @@ def test_vfe_soliton_outside_band_exits_three(tmp_path, capsys):
 
 
 def test_vfe_soliton_vertical_at_the_start_exits_three(tmp_path, capsys):
-    # z0^2 + 2*C1 is about 9.8e-7, below W_FLOOR: the start sits on the
-    # vertical-tangent locus
+    # z0^2 + 2*C1 is about 9.8e-7: the start sits next to the vertical-tangent
+    # locus and, with sign -1, reaches it at x = 1.5e-13
     out = tmp_path / "o"
     assert run("vfe", "soliton", "--case", "x-axis", "--lam", "0", "--C1=-0.3",
                "--z0", "0.7745973", "--sign=-1", "--x=0:4:64", "--out", out) == 3
@@ -618,7 +630,7 @@ def test_vfe_soliton_vertical_at_the_start_exits_three(tmp_path, capsys):
 
 
 def test_vfe_soliton_vertical_before_the_second_sample_exits_three(tmp_path, capsys):
-    # the start clears W_FLOOR, but the tangent turns vertical at x = 6.3e-8
+    # z0^2 + 2*C1 = 0.0084, and the profile turns vertical at x = 1.13e-5
     out = tmp_path / "o"
     assert run("vfe", "soliton", "--case", "x-axis", "--lam", "0", "--C1=-0.3",
                "--z0", "0.78", "--sign=-1", "--x=0:4:64", "--out", out) == 3
@@ -626,17 +638,21 @@ def test_vfe_soliton_vertical_before_the_second_sample_exits_three(tmp_path, cap
     assert not out.exists()
 
 
-def test_vfe_soliton_refuses_a_failed_profile_solve(tmp_path, capsys, monkeypatch):
-    # no input makes DOP853 fail once W_FLOOR keeps the start off the
-    # vertical-tangent locus, so a stub returns the result of a failed solve
-    import scipy.integrate
+def _nan_elliptic(phi, m):
+    return np.full(np.shape(phi), np.nan)
 
-    def failed(fun, t_span, y0, **kwargs):
-        return SimpleNamespace(status=-1, message="Required step size is less "
-                               "than spacing between numbers.", t=np.array(t_span[:1]),
-                               y=np.array(y0)[:, None], sol=None)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+def _noisy_elliptic(phi, m, rng=np.random.default_rng(3)):
+    # a fresh draw on every call, so no Newton step settles below 1e-9
+    return ellipeinc(phi, m) + 1e-6 * rng.standard_normal(np.shape(phi))
+
+
+# no input makes the closed form fail, so a stub stands in for the
+# elliptic integral: a non-finite table, and Newton steps that never settle
+@pytest.mark.parametrize("stub", [_nan_elliptic, _noisy_elliptic], ids=["nan", "no-convergence"])
+def test_vfe_soliton_refuses_a_failed_profile_solve(tmp_path, capsys, monkeypatch, stub):
+    import scipy.special
+    monkeypatch.setattr(scipy.special, "ellipeinc", stub)
     with pytest.raises(CurveFlowError) as exc:
         vfe_solitons._band_profile(1.0, 0.25, 0.35, 1, (0.0, 4.0), 64)
     assert exc.value.token == "profile-solve-failed"

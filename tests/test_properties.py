@@ -3,7 +3,11 @@ similarity, storage and frame round trips, range parsing, and the bits of
 the hand-written 3-D products."""
 from __future__ import annotations
 
+import contextlib
+import io
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,7 @@ from scipy.spatial.transform import Rotation
 
 from conftest import helix3
 from curveflow import storage, vfe
-from curveflow.cli import parse_range
+from curveflow.cli import main, parse_range
 from curveflow.errors import ConfigError
 from curveflow.flow import FlowTrajectory, StepOptions
 from curveflow.geometry import (KAPPA_FLOOR_SCALE, SampledCurve, _cross, _cross_next,
@@ -26,7 +30,7 @@ from curveflow.hasimoto import (FilamentFunction, FrameState, HasimotoSolitonSpe
                                 hasimoto_transform, nlcse_evolve, nlcse_step,
                                 reconstruct_frame)
 from curveflow.vfe import STABILITY_FACTOR, _velocity, binormal_velocity
-from curveflow.vfe_solitons import rotation_residual
+from curveflow.vfe_solitons import rotation_residual, z_bounds
 
 BOUNDED = settings(max_examples=50, deadline=None)
 ROUND_TRIP = 1e-12
@@ -188,6 +192,48 @@ def test_parse_range_raises_only_config_error(text):
         return
     assert grid.size == int(text.split(":")[2])
     assert np.isfinite(grid).all()
+
+
+@st.composite
+def rotating_profile_argv(draw):
+    """``vfe soliton`` flags of the x-axis and planar cases, with the edges:
+    z0^2 on either end of the band or on the vertical-tangent locus
+    z0^2 = -2*C1, the separatrix C1 = -1/p, C1 = 0, and ranges up to 10^6."""
+    case = draw(st.sampled_from(("x-axis", "planar")))
+    lam = 0.0 if case == "planar" else draw(
+        st.one_of(st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 3.0)))
+    p = 1.0 + lam * lam
+    C1 = draw(st.one_of(st.sampled_from((-1.0, 0.0)), st.floats(-3.0, 0.999))) / p
+    lo, hi = z_bounds(lam, C1)
+    z2 = draw(st.one_of(st.sampled_from((lo, hi, -2.0 * C1)), st.floats(lo, hi)))
+    z0 = draw(st.sampled_from((-1.0, 1.0))) * float(np.sqrt(max(z2, 0.0)))
+    start = draw(st.floats(-10.0, 10.0))
+    length = draw(st.one_of(st.floats(1e-3, 50.0), st.sampled_from((200.0, 1e4, 1e6))))
+    return ["vfe", "soliton", "--case", case, f"--lam={lam!r}", f"--C1={C1!r}",
+            f"--z0={z0!r}", f"--sign={draw(st.sampled_from((-1, 1)))}",
+            f"--x={start!r}:{start + length!r}:{draw(st.integers(16, 128))}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotating_profile_argv())
+def test_rotating_profiles_exit_cleanly(argv):
+    # a profile is written finite with x strictly increasing, or refused with
+    # exit 3 and a token; no numpy warning on the way
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Path(tmp) / "o"
+        code = main(argv + ["--out", str(out)])
+        if code == 0:
+            x, y, z = storage.read_curve(out / "profile.curve").points.T
+    if code == 0:
+        assert np.isfinite([x, y, z]).all()
+        assert np.all(np.diff(x) > 0.0)
+        assert err.getvalue() == ""
+    else:
+        assert code == 3
+        assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -67,14 +67,14 @@ def test_empty_band_is_rejected():
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
 def test_band_profile_energy_invariant(lam):
-    # zp^2 - R(z) is conserved exactly by the second-order form, so the
-    # defect measures only integrator tolerance
+    # the closed form satisfies zp^2 = R(z) identically, so the defect
+    # measures only rounding
     C1 = 0.5 / (1.0 + lam**2)
     z0 = 0.5 * np.sqrt(z_bounds(lam, C1)[1])
     x, z, zp, truncated = _band_profile(lam, C1, z0, 1, (0.0, 4.0), 2048)
     assert not truncated
     defect = np.abs(zp**2 - slope_radicand(z, lam, C1)).max()
-    assert defect < 1e-8
+    assert defect < 1e-12
 
 
 def test_xaxis_assembly_and_law():
@@ -102,8 +102,8 @@ def test_band_start_outside_band_is_rejected():
 
 
 def test_profile_vertical_before_the_second_sample_is_rejected():
-    # z0^2 + 2*C1 = 0.0084 is far above W_FLOOR, but with sign -1 the
-    # vertical tangent follows at x = 6.3e-8, before the second sample 4/63
+    # z0^2 + 2*C1 = 0.0084 > 0, but with sign -1 z^2 falls to -2*C1 and the
+    # profile turns vertical at x = 1.13e-5, before the second sample 4/63
     spec = VfeRotatingSpec("x-axis", C1=-0.3, lam=0.0, sign=-1, z0=0.78,
                            x_range=(0.0, 4.0), n=64)
     with pytest.raises(CurveFlowError) as err:
@@ -112,10 +112,12 @@ def test_profile_vertical_before_the_second_sample_is_rejected():
 
 
 def test_profile_reaching_a_vertical_tangent_is_truncated():
-    # the W_FLOOR event ends the solve before the step size collapses
-    x, _, _, truncated = _band_profile(0.0, -0.2, 0.8, 1, (0.0, 5.0), 256)
+    # the profile ends exactly where z^2 + 2*C1 = 0; the reference x is
+    # 2E(phi_t|m) - F(phi_t|m) taken from phi0, at 30 digits (mpmath)
+    x, z, _, truncated = _band_profile(0.0, -0.2, 0.8, 1, (0.0, 5.0), 256)
     assert truncated
-    assert x[-1] == pytest.approx(1.4559074366, abs=1e-9)
+    assert x[-1] == pytest.approx(1.455907436784327, abs=1e-12)
+    assert z[-1] ** 2 == pytest.approx(0.4, abs=1e-15)
 
 
 def test_rotation_residual_is_small_on_every_family():
@@ -248,9 +250,10 @@ def test_profiles_rotate_rigidly_under_the_flow(case):
     assert gap < 1e-4
 
 
-def _reference_band(p: float, C1: float, z0: float, x: np.ndarray) -> np.ndarray:
+def _reference_band(p: float, C1: float, z0: float, x: np.ndarray,
+                    sign: int = 1) -> np.ndarray:
     w0 = z0**2 + 2.0 * C1
-    zp0 = np.sqrt((4.0 - p**2 * w0**2) / (p**3 * w0**2))
+    zp0 = sign * np.sqrt((4.0 - p**2 * w0**2) / (p**3 * w0**2))
     rhs = lambda _x, u: (u[1], -8.0 * u[0] / (p**3 * (u[0] ** 2 + 2.0 * C1) ** 3))
     sol = solve_ivp(rhs, (x[0], x[-1]), [z0, zp0], method="DOP853",
                     rtol=1e-13, atol=1e-13, dense_output=True)
@@ -258,8 +261,8 @@ def _reference_band(p: float, C1: float, z0: float, x: np.ndarray) -> np.ndarray
 
 
 # each bound is the error of the RK45 solver at rtol = 1e-10, atol = 1e-12
-# that _band_profile used before DOP853, rounded up: a faster integrator may
-# not be a less accurate one
+# that _band_profile used before DOP853 and the closed form, rounded up: a
+# faster method may not be a less accurate one
 def test_xaxis_band_accuracy_against_a_tight_reference():
     lam, C1 = 1.0, 0.25
     z0 = 0.5 * np.sqrt(z_bounds(lam, C1)[1])
@@ -272,3 +275,66 @@ def test_planar_band_accuracy_against_a_tight_reference():
     curve, _ = planar_rotation_profile(0.5, 0.5, (0.0, 4.0), 256)
     x, f, _ = curve.points.T
     assert np.abs(f - _reference_band(1.0, 0.5, 0.5, x)).max() < 8.5e-11
+
+
+def _away_from_the_tangent(lam, C1, z0, sign, x_range=(0.0, 4.0), n=256):
+    # the reference loses its accuracy as z^2 + 2*C1 nears 0, so compare
+    # only while |z^2 + 2*C1| > 0.05
+    x, z, zp, truncated = _band_profile(lam, C1, z0, sign, x_range, n)
+    keep = np.abs(z**2 + 2.0 * C1) > 0.05
+    k = n if keep.all() else int(np.argmin(keep))
+    ref = _reference_band(1.0 + lam**2, C1, z0, x[:k], sign)
+    return x, z, truncated, float(np.abs(z[:k] - ref).max())
+
+
+# the closed form's error is rounding; these bounds are the tight
+# reference's own error on each profile (at most 4.8e-12), rounded up
+@pytest.mark.parametrize("z0, sign", [(1.5, -1), (1.9, 1), (1.05, -1)])
+def test_dn_profile_matches_the_reference_up_to_its_tangent(z0, sign):
+    # C1 = -1.5 < -1/p: z^2 stays in [1, 5] and z = a dn(u, m) never
+    # changes sign; every such profile turns vertical where z^2 = 3
+    x, z, truncated, err = _away_from_the_tangent(0.0, -1.5, z0, sign)
+    assert err < 2e-11
+    assert truncated and x[-1] < 4.0
+    assert z[-1] ** 2 == pytest.approx(3.0, abs=1e-12)
+    assert np.all(np.sign(z) == np.sign(z0))
+
+
+def test_separatrix_profiles_match_the_reference():
+    # C1 = -1/p is m = 1, where cn = dn = sech: z0 = 0.6 with sign -1 runs
+    # down the tail z -> 0 and never turns vertical, z0 = 1.2 with sign +1
+    # reaches the tangent
+    x, z, truncated, err = _away_from_the_tangent(1.0, -0.5, 0.6, -1)
+    assert err < 2e-11 and not truncated and x[-1] == 4.0
+    assert 0.0 < z[-1] < 0.02
+    x, z, truncated, err = _away_from_the_tangent(1.0, -0.5, 1.2, 1)
+    assert err < 2e-11 and truncated
+    assert z[-1] ** 2 == pytest.approx(1.0, abs=1e-12)
+    # z0 = 0 is the separatrix's fixed point
+    x, z, zp, truncated = _band_profile(1.0, -0.5, 0.0, 1, (0.0, 4.0), 64)
+    assert not truncated and not z.any() and not zp.any()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cn_start_inside_the_tangents_matches_the_reference(sign):
+    # C1 = -0.3 gives m = 0.65 > 1/2, so z^2 = 0.6 cuts the band; z0 = 0.3
+    # starts with z^2 + 2*C1 < 0, between the two tangents of its branch
+    x, z, truncated, err = _away_from_the_tangent(0.0, -0.3, 0.3, sign)
+    assert err < 2e-11
+    assert truncated and z[-1] ** 2 == pytest.approx(0.6, abs=1e-12)
+
+
+def test_long_range_profile_keeps_its_period():
+    # X gains 4E(m) - 2K(m) per period of z, so one table serves the whole
+    # range; the reference drifts by 2.1e-9 over it, the closed form's
+    # invariant holds to rounding
+    lam, C1 = 1.0, 0.25
+    z0 = 0.5 * np.sqrt(z_bounds(lam, C1)[1])
+    x, z, zp, truncated = _band_profile(lam, C1, z0, 1, (0.0, 200.0), 4001)
+    assert not truncated
+    assert np.abs(z - _reference_band(2.0, C1, z0, x)).max() < 1e-8
+    assert np.abs(zp**2 - slope_radicand(z, lam, C1)).max() < 1e-12
+    # on the same samples the first 4 of 200 agree with a short profile
+    x4, z4, _, _ = _band_profile(lam, C1, z0, 1, (0.0, 4.0), 81)
+    assert x4.tobytes() == x[:81].tobytes()
+    assert np.abs(z[:81] - z4).max() < 1e-14
