@@ -90,7 +90,8 @@ def _solve_from_origin(A: float, B: float, u0, s_end: float, s0: float = 0.0,
     """The profile from the state u0 at ``s0`` (the origin by default) to ``s_end``.
 
     u0 is (x, y, theta), or six components for both halves at once: u(r),
-    then v(r) = u(-r), which obeys v' = -f(v), over r in [0, s_end].
+    then v(r) = u(-r), which obeys v' = -f(v), over r in [0, s_end].  A solve
+    that fails raises, since its dense output and events need not reach s_end.
     """
     from scipy.integrate import solve_ivp
     # the state is read once as Python floats: the same IEEE operations as on
@@ -103,7 +104,7 @@ def _solve_from_origin(A: float, B: float, u0, s_end: float, s0: float = 0.0,
         x, y, _, X, Y, _ = u.tolist()
         return x * y + A, -x * x - B, x, -X * Y - A, X * X + B, -X
 
-    return solve_ivp(
+    sol = solve_ivp(
         rhs if len(u0) == 3 else joint_rhs,
         (s0, s_end),
         u0,
@@ -113,6 +114,9 @@ def _solve_from_origin(A: float, B: float, u0, s_end: float, s0: float = 0.0,
         dense_output=True,
         events=events,
     )
+    if sol.status == -1:
+        raise CurveFlowError("profile-solve-failed", sol.message)
+    return sol
 
 
 def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
@@ -122,15 +126,8 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
     |s| <= min(b, -a); the longer half then continues alone to its end,
     and if one half escapes, the other continues alone from there.  A
     one-sided range takes one solve from s = 0.  The range is truncated
-    where the state escapes ESCAPE_LIMIT, with the escaped flag set.  A
-    solve that fails raises, since its dense output need not reach the range.
+    where the state escapes ESCAPE_LIMIT, with the escaped flag set.
     """
-    def solve(u0, s_end, s0=0.0):
-        sol = _solve_from_origin(spec.A, spec.B, u0, s_end, s0)
-        if sol.status == -1:
-            raise CurveFlowError("profile-solve-failed", sol.message)
-        return sol
-
     a, b = spec.s_range
     start = [spec.x0, spec.y0, 0.0]
     ends = [b, a]                      # of the forward and backward halves
@@ -138,7 +135,7 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
     pieces = []                        # (s_lo, s_hi, values at s in between)
     escaped = False
     if a < 0 < b:
-        joint = solve(start * 2, min(b, -a))
+        joint = _solve_from_origin(spec.A, spec.B, start * 2, min(b, -a))
         joint_end = float(joint.t[-1])
         states = np.split(joint.y[:, -1], 2)
         # one dense evaluation at |s| serves both halves
@@ -154,7 +151,7 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
                     ends[k] = sign * joint_end
     for k, sign in enumerate((1.0, -1.0)):
         if sign * ends[k] > joint_end:
-            sol = solve(states[k], ends[k], sign * joint_end)
+            sol = _solve_from_origin(spec.A, spec.B, states[k], ends[k], sign * joint_end)
             if sol.status == 1:
                 ends[k] = float(sol.t[-1])
                 escaped = True

@@ -18,7 +18,6 @@ Stop reasons, checked in this order before every step:
 * ``approaching-singularity``: max|kappa| times the longest segment exceeds
   1, or the length falls below ``SINGULAR_LENGTH_FRACTION`` of the initial
   length;
-* ``stop-length``: the length reaches ``stop_length``;
 * ``stop-time``: the time reaches ``stop_time``;
 * ``max-steps``: ``max_steps`` steps have been taken;
 * ``blow-up-detected``: a step produced a non-finite point.  The last
@@ -70,8 +69,8 @@ class StepOptions:
     spacing is checked every ``resample_every`` steps, and the
     curve is resampled only when its chord lengths spread by more than
     ``SPACING_TOL``; resampling keeps the input's sample count.  The run
-    stops at ``stop_time``, or earlier when the length drops below
-    ``stop_length``, when the singularity proxies fire, or after ``max_steps``.
+    stops at ``stop_time``, or earlier when the singularity proxies fire or
+    after ``max_steps``.
     """
 
     stop_time: float
@@ -79,7 +78,6 @@ class StepOptions:
     cfl: float | None = None
     resample_every: int = 10
     record_every: int = 10
-    stop_length: float | None = None
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -92,8 +90,6 @@ class StepOptions:
             raise ValueError("cfl must lie in (0, 1]")
         if not 0 < self.stop_time < np.inf:
             raise ValueError("stop_time must be positive and finite")
-        if self.stop_length is not None and not 0 <= self.stop_length < np.inf:
-            raise ValueError("stop_length must be non-negative and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         if self.resample_every < 1 or self.record_every < 1:
@@ -219,13 +215,10 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
     length0 = float(h.sum())
     last = None
     while True:
-        length = float(h.sum())
         stop = ""
         if (float(np.abs(kappa).max()) * h.max() > 1.0
-                or length < SINGULAR_LENGTH_FRACTION * length0):
+                or h.sum() < SINGULAR_LENGTH_FRACTION * length0):
             stop = "approaching-singularity"
-        elif opts.stop_length is not None and length <= opts.stop_length:
-            stop = "stop-length"
         elif t >= opts.stop_time - eps:
             stop = "stop-time"
         elif steps >= opts.max_steps:

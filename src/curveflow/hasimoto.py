@@ -286,14 +286,6 @@ class HasimotoSolitonSpec:
         return 2.0 * self.tau0
 
     @property
-    def mu(self) -> float:
-        return self.nu**2 / (self.nu**2 + self.tau0**2)
-
-    @property
-    def skew(self) -> float:
-        return self.tau0 / self.nu
-
-    @property
     def gauge_A(self) -> float:
         return 2.0 * (self.tau0**2 - self.nu**2)
 
@@ -306,7 +298,10 @@ def hasimoto_soliton(spec: HasimotoSolitonSpec, t: float, s_grid):
     """
     s = np.asarray(s_grid, dtype=float)
     nu, tau0 = spec.nu, spec.tau0
-    mu, S = spec.mu, spec.skew
+    # with the skew S = tau0/nu, the frame needs only mu = nu^2/q, mu S and
+    # mu (1 - S^2) for q = nu^2 + tau0^2, which stay bounded where S^2 need not
+    q = nu**2 + tau0**2
+    mu, mu_s = nu**2 / q, nu * tau0 / q
     eta = nu * (s - 2.0 * tau0 * t)
     theta = tau0 * s + (nu**2 - tau0**2) * t
     sech = 1.0 / np.cosh(eta)
@@ -319,15 +314,15 @@ def hasimoto_soliton(spec: HasimotoSolitonSpec, t: float, s_grid):
     pts = np.column_stack([x, yz.real, yz.imag])
 
     t_x = 1.0 - 2.0 * mu * sech**2
-    t_yz = -nu * r * (tanh - 1j * S) * ph
+    t_yz = -2.0 * sech * (mu * tanh - 1j * mu_s) * ph
     tangent = np.column_stack([t_x, t_yz.real, t_yz.imag])
 
     n_x = 2.0 * mu * sech * tanh
-    n_yz = -(1.0 - 2.0 * mu * (tanh - 1j * S) * tanh) * ph
+    n_yz = -(1.0 - 2.0 * (mu * tanh - 1j * mu_s) * tanh) * ph
     normal = np.column_stack([n_x, n_yz.real, n_yz.imag])
 
-    b_x = 2.0 * mu * S * sech
-    b_yz = 1j * mu * (1.0 - S**2 - 2.0j * S * tanh) * ph
+    b_x = 2.0 * mu_s * sech
+    b_yz = 1j * ((nu**2 - tau0**2) / q - 2.0j * mu_s * tanh) * ph
     binormal = np.column_stack([b_x, b_yz.real, b_yz.imag])
 
     fr = FrenetData(

@@ -164,11 +164,7 @@ def read_trajectory(out_dir) -> FlowTrajectory:
 
 
 def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def artifact_records(out_dir, paths) -> list[dict]:

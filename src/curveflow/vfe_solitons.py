@@ -192,14 +192,14 @@ def xaxis_rotation_law(spec: VfeRotatingSpec) -> np.ndarray:
     return np.array([-np.sign(spec.z0**2 + 2.0 * spec.C1), 0.0, 0.0])
 
 
-def planar_rotation_profile(C1: float, f0: float, x_range: tuple[float, float],
-                            n: int, sign: int = 1):
+def planar_rotation_profile(C1: float, f0: float, x_range: tuple[float, float], n: int):
     """Planar profile (x, f(x), 0) plus its rotation law omega.
 
     The lambda = 0 reduction of the x-axis family; the emitted curve
-    rotates out of its initial plane about (+-1, 0, 0).
+    rotates out of its initial plane about (+-1, 0, 0).  The profile's other
+    branch is ``VfeRotatingSpec("planar", ..., sign=-1)``.
     """
-    spec = VfeRotatingSpec("planar", C1, 0.0, sign, f0, x_range, n)
+    spec = VfeRotatingSpec("planar", C1, z0=f0, x_range=x_range, n=n)
     return xaxis_rotation_profile(spec), xaxis_rotation_law(spec)
 
 

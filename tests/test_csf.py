@@ -23,7 +23,7 @@ from curveflow.csf_solitons import grim_reaper
 from curveflow.errors import CurveFlowError
 from curveflow.flow import StepOptions, frame_measures
 from curveflow.geometry import (SampledCurve, _lagrange_d1_d2, chord_lengths,
-                                resample_arclength, total_length)
+                                resample_arclength)
 from curveflow.storage import read_trajectory, write_trajectory
 
 CIRCLE_HUISKEN = np.sqrt(2.0 * np.pi) * np.exp(-0.5)
@@ -161,13 +161,6 @@ def test_coarse_polygon_dies_at_the_circle_time(n, cfl):
     assert abs(traj.final_time - 0.5) < 1e-3
     r2 = np.array([np.mean(np.sum(f.points**2, axis=1)) for f in traj.frames])
     assert np.abs(r2 - (1.0 - 2.0 * np.array(traj.times))).max() < 2e-3
-
-
-def test_stop_length():
-    traj = evolve(circle2(256),
-                  StepOptions(stop_time=10.0, cfl=0.25, stop_length=4.0))
-    assert traj.stop_reason == "stop-length"
-    assert total_length(traj.final) <= 4.0
 
 
 def test_singularity_guard_and_time_estimate(circle_run):

@@ -37,8 +37,6 @@ RUNS = {
                       dict(stop_time=0.02, dt=5e-4)),
     "csf-open-cfl": (csf, _parabola, dict(stop_time=5e-3, cfl=0.25)),
     "csf-open-dt": (csf, _parabola, dict(stop_time=3e-3, dt=1e-4)),
-    "csf-stop-length": (csf, lambda: circle2(32),
-                        dict(stop_time=10.0, cfl=0.25, stop_length=5.5)),
     "csf-max-steps": (csf, lambda: ellipse2(2.0, 1.0, 64),
                       dict(stop_time=1.0, cfl=0.25, max_steps=17, record_every=5)),
     "csf-singular": (csf, lambda: circle2(16),
@@ -71,11 +69,11 @@ NAN = float("nan")
 # the end stencil applied to d2 amplifies that rounding to up to 1.8e-11
 # relative.  csf-closed-dt, csf-open-dt and vfe-closed-cfl were regenerated
 # when the driver began to resample only on spacing drift: they skip
-# resamples that the fixed cadence made.  All seven csf rows were regenerated
+# resamples that the fixed cadence made.  All csf rows were regenerated
 # when the curve shortening step became linearly implicit BDF2, and
-# csf-closed-cfl, csf-max-steps, csf-singular and csf-stop-length again when
-# its cfl step lost the spacing term h_min^2/2 and became 0.012 cfl/max
-# kappa^2 alone.  To regenerate rows after a change that moves them, run
+# csf-closed-cfl, csf-max-steps and csf-singular again when its cfl step
+# lost the spacing term h_min^2/2 and became 0.012 cfl/max kappa^2 alone.
+# To regenerate rows after a change that moves them, run
 # this file as a script (``PYTHONPATH=src python tests/test_flow.py``): it
 # prints every run in this layout, and the rows that moved are pasted over,
 # in a commit of their own.
@@ -167,17 +165,6 @@ GOLDEN = {
             [0.4999714967628872, 0.4999714967628872, 0.06234368638568704, 104.09870974079541, 675.5899366579729, NAN, -1.1929693344292502e-14, -3.011479954295737e-14, 0.0015956349193850215],
         ],
     },
-    "csf-stop-length": {
-        "stop_reason": "stop-length", "steps_taken": 44,
-        "frames": [
-            [0.0, 0.0, 6.273096981091879, 1.0097005565352672, 6.395392348350594, NAN, -2.3314683517128287e-15, 2.248201624865942e-15, 32.0],
-            [0.029426327452965573, 0.029426327452965573, 6.085831049245724, 1.0407698573547257, 6.592183731145237, NAN, -7.771561172376096e-16, -7.216449660063518e-16, 30.11797428059898],
-            [0.057121995371741494, 0.057121995371741494, 5.9040336988762165, 1.0728173035689177, 6.795170637486791, NAN, 1.1102230246251565e-15, 9.71445146547012e-16, 28.345467895975673],
-            [0.08318771475031778, 0.08318771475031778, 5.72766703890594, 1.1058515570099143, 7.004407930981867, NAN, 4.551914400963142e-15, 5.134781488891349e-15, 26.6772772360716],
-            [0.10771941148475861, 0.10771941148475861, 5.556568844587357, 1.1399030031236401, 7.220088071511245, NAN, 4.440892098500626e-15, 5.3013149425851225e-15, 25.107263120227376],
-            [0.1169545933100527, 0.1169545933100527, 5.490776158204348, 1.153561778974387, 7.306602068159399, NAN, 3.6637359812630166e-15, 2.3592239273284576e-15, 24.51621680880363],
-        ],
-    },
     "vfe-closed-cfl": {
         "stop_reason": "stop-time", "steps_taken": 31,
         "frames": [
@@ -223,8 +210,6 @@ NaN, INF = float("nan"), float("inf")
     dict(stop_time=1.0, dt=NaN),
     dict(stop_time=1.0, dt=INF),
     dict(stop_time=1.0, cfl=NaN),
-    dict(stop_time=1.0, cfl=0.25, stop_length=NaN),
-    dict(stop_time=1.0, cfl=0.25, stop_length=-1.0),
     dict(stop_time=1.0, cfl=0.25, max_steps=-1),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_step_options_reject_non_finite_and_out_of_range(kwargs):
