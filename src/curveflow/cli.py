@@ -328,18 +328,18 @@ def cmd_hasimoto_soliton(args, out: Path) -> list[Path]:
 def cmd_hasimoto_dilating(args, out: Path) -> list[Path]:
     grid = parse_range(args.x)
     fil = hasimoto.dilating_filament(args.a, args.t, grid)
-    paths = [write_filament(out / "filament.json", fil)]
+    # the residual comes first, so a refused check writes nothing
+    paths = []
     if args.check_residual:
         delta = 1e-4
         older = hasimoto.dilating_filament(args.a, args.t - delta, grid)
         newer = hasimoto.dilating_filament(args.a, args.t + delta, grid)
-        residual = hasimoto.nlcse_residual(older, fil, newer)
-        value = float(np.nanmax(residual))
+        value = float(np.nanmax(hasimoto.nlcse_residual(older, fil, newer)))
         print(f"nlcse_residual_max {value!r}")
         paths.append(dump_json(out / "residual.json",
                                {"a": args.a, "t": args.t, "n": grid.size,
                                 "nlcse_residual_max": value}))
-    return paths
+    return [write_filament(out / "filament.json", fil), *paths]
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,13 @@ def nlcse_residual(prev: FilamentFunction, now: FilamentFunction,
     psi_ss uses the 5-point fourth-order stencil: measuring an exact
     solution against a second-order one would report stencil truncation
     instead of the solution's defect.  The outer two samples per end
-    are NaN (no centered stencil there).
+    are NaN (no centered stencil there), so the grid needs at least 5.
     """
-    if prev.n != now.n or nxt.n != now.n:
-        raise ValueError("snapshots must share a grid")
+    if not prev.n == now.n == nxt.n >= 5:
+        raise ValueError("snapshots must share a grid of at least 5 samples")
+    # the time difference is 0/0 where t +- dt rounds to t
+    if not prev.time < now.time < nxt.time:
+        raise ValueError("snapshot times must strictly increase")
     dt2 = nxt.time - prev.time
     psi_t = (nxt.values - prev.values) / dt2
     v = now.values
@@ -171,6 +174,9 @@ def nlcse_residual(prev: FilamentFunction, now: FilamentFunction,
     out[2:-2] = np.abs(
         -1j * psi_t[2:-2] - psi_ss - 0.5 * (np.abs(v[2:-2]) ** 2 + now.gauge_A) * v[2:-2]
     )
+    if not np.isfinite(out[2:-2]).all():
+        raise ValueError("the residual overflows: |psi|^2 psi or a difference "
+                         "quotient lies past the largest double")
     return out
 
 

@@ -811,6 +811,36 @@ def test_dilating_residual_check(tmp_path, capsys):
     assert report["nlcse_residual_max"] < 1e-3
 
 
+# the 5-point stencil holds no sample of a 4-point grid, t +- 1e-4 rounds to
+# t = 1e154, 12 ds^2 is subnormal, and the older snapshot lies past the
+# singularity at t = 5e-5; none of them leaves a file
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flags, code, token", [
+    (["--a=-1", "--t=2.3780588041886466", "--x=-1:1:4"], 2, "invalid-parameter"),
+    (["--a=0", "--t=1e154", "--x=0:1:5"], 2, "invalid-parameter"),
+    (["--a=0", "--t=1", "--x=0:1e-160:5"], 2, "invalid-parameter"),
+    (["--a=1", "--t=5e-5", "--x=-1:1:16"], 3, "at-singularity"),
+], ids=["four-samples", "time-offset-rounds-away", "subnormal-step-squared",
+        "older-snapshot-past-the-singularity"])
+def test_dilating_residual_refusals_write_nothing(tmp_path, capsys, flags, code, token):
+    out = tmp_path / "o"
+    assert run("hasimoto", "dilating", *flags, "--check-residual", "--out", out) == code
+    assert last_stderr_token(capsys) == token
+    assert not out.exists()
+
+
+def test_hasimoto_soliton_with_a_tiny_nu_writes_a_finite_frame(tmp_path):
+    # the skew tau0/nu = -1e160 squares past the largest double
+    out = tmp_path / "sol"
+    assert run("hasimoto", "soliton", "--nu=1e-160", "--tau0=-1", "--s=0:1:16",
+               "--out", out) == 0
+    text = (out / "soliton_frame.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    fr = json.loads(text)
+    rows = np.stack([fr["tangent"], fr["normal"], fr["binormal"]], axis=1)
+    assert np.abs(rows @ rows.transpose(0, 2, 1) - np.eye(3)).max() < 1e-15
+
+
 def test_dilating_filament_rejects_a_short_grid(tmp_path, capsys):
     out = tmp_path / "o"
     assert run("hasimoto", "dilating", "--a", "1", "--t", "1", "--x=0:1:1",

@@ -205,6 +205,23 @@ def test_non_negative_dilation_returns_open_without_integrating(monkeypatch, A, 
     assert np.isnan(c.delta_phi) and np.isnan(c.period)
 
 
+def test_detect_closure_refuses_a_failed_solve(monkeypatch):
+    # a solve that fails stops early, so its events need not hold the two
+    # radius minima of a profile that closes
+    import scipy.integrate
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def failed(fun, t_span, y0, **kwargs):
+        sol = solve_ivp(fun, (t_span[0], t_span[0] + 1.0), y0, **kwargs)
+        sol.status, sol.message = -1, "Required step size is less than spacing between numbers."
+        return sol
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+    with pytest.raises(CurveFlowError) as exc:
+        detect_closure(0.0, -1.0, AL_23_X0)
+    assert exc.value.token == "profile-solve-failed"
+
+
 @pytest.mark.parametrize("A, B, x0, y0", [
     (float("nan"), -1.0, 1.0, 0.0),
     (float("inf"), -1.0, 1.0, 0.0),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,37 @@ def test_residual_needs_matching_grids():
         nlcse_residual(a, b, a)
 
 
+def test_residual_needs_a_sample_inside_the_stencil():
+    # the 5-point stencil leaves no sample of a 4-point grid, whose residual
+    # would be all NaN; 5 points hold one
+    snaps = [dilating_filament(1.0, t, np.linspace(-1.0, 1.0, 4)) for t in (0.9, 1.0, 1.1)]
+    with pytest.raises(ValueError, match="at least 5 samples"):
+        nlcse_residual(*snaps)
+    snaps = [dilating_filament(1.0, t, np.linspace(-1.0, 1.0, 5)) for t in (0.9, 1.0, 1.1)]
+    res = nlcse_residual(*snaps)
+    assert np.isnan(res[[0, 1, 3, 4]]).all() and np.isfinite(res[2])
+
+
+def test_residual_needs_snapshots_at_increasing_times():
+    # 1e154 +- 1e-4 rounds to 1e154, so the time difference would be 0/0
+    x = np.linspace(0.0, 1.0, 8)
+    snaps = [dilating_filament(1.0, t, x) for t in (1e154 - 1e-4, 1e154, 1e154 + 1e-4)]
+    with pytest.raises(ValueError, match="strictly increase"):
+        nlcse_residual(*snaps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value, step", [(0.0, 2.5e-161), (1e154, 0.1)],
+                         ids=["subnormal-step-squared", "cubic-term"])
+def test_residual_refuses_to_overflow(value, step):
+    # numpy divides by the subnormal 12 ds^2 through its infinite reciprocal,
+    # so even zero values give NaN; |psi|^2 psi passes the largest double
+    snap = FilamentFunction(0.0, step, np.full(8, value, dtype=complex))
+    snaps = [dataclasses.replace(snap, time=t) for t in (0.9, 1.0, 1.1)]
+    with pytest.raises(ValueError, match="overflows"):
+        nlcse_residual(*snaps)
+
+
 def test_reconstruct_straight_line_from_zero():
     psi = FilamentFunction(0.0, 0.05, np.zeros(200, dtype=complex))
     curve, frames = reconstruct_frame(psi)
@@ -252,6 +285,17 @@ def test_soliton_closed_form_invariants():
     assert spec.gauge_A == 2 * (spec.tau0**2 - spec.nu**2)
     with pytest.raises(ValueError):
         HasimotoSolitonSpec(nu=-1.0, tau0=0.0)
+
+
+@pytest.mark.parametrize("tau0", [-1.0, 1e150], ids=["unit-tau0", "huge-tau0"])
+def test_soliton_frame_stays_orthonormal_at_a_tiny_nu(tau0):
+    # the skew tau0/nu squares past the largest double; the frame reads only
+    # mu = nu^2/(nu^2 + tau0^2) and mu tau0/nu, which stay bounded
+    curve, fr = hasimoto_soliton(HasimotoSolitonSpec(1e-160, tau0), 0.0, np.linspace(0.0, 1.0, 16))
+    rows = np.stack([fr.tangent, fr.normal, fr.binormal], axis=1)
+    assert np.isfinite(curve.points).all() and np.isfinite(rows).all()
+    assert np.abs(rows @ rows.transpose(0, 2, 1) - np.eye(3)).max() < 1e-15
+    assert np.abs(np.cross(fr.tangent, fr.normal) - fr.binormal).max() < 1e-15
 
 
 def test_soliton_curve_matches_its_own_frenet_data():
