@@ -99,6 +99,21 @@ def test_the_filament_modules_and_a_periodic_nls_run_load_no_scipy():
     assert result.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_importing_a_module_loads_only_what_it_imports():
+    # the package re-exports nothing, so the errors module loads no numpy
+    script = """if True:
+        import sys
+        import curveflow.errors
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "curveflow"))
+        print("numpy" in sys.modules)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(curveflow.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["['curveflow', 'curveflow.errors']", "False"]
+
+
 def test_every_module_uses_the_names_it_imports():
     for path in Path(curveflow.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
