@@ -118,6 +118,8 @@ def cmd_csf_evolve(args, out: Path) -> list[Path]:
         lambdas = parse_floats(args.lambdas)
         if not curve.closed:
             raise ConfigError("invalid-parameter", "--rescale needs a closed curve")
+        if min(lambdas, default=1.0) <= 0.0:
+            raise ConfigError("invalid-parameter", "--lambdas must be positive")
     traj = csf.evolve(curve, _step_options(args))
     summary = _run_summary(traj)
     series = {}

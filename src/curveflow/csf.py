@@ -305,13 +305,17 @@ def parabolic_rescale(traj: FlowTrajectory, x0: np.ndarray, T: float,
     """Rescale the trajectory about (x0, T) for each magnification lam.
 
     Keeps frames with rescaled time in [RESCALE_WINDOW, 0).  A lam whose
-    window misses rescaled time -1/2 entirely is skipped.
+    window misses rescaled time -1/2 entirely is skipped; a lam that is not
+    positive is refused.
     """
     x0 = np.asarray(x0, dtype=float)
     times = np.array(traj.times)
     out = []
     for lam in lambdas:
-        tau = lam**2 * (times - T)
+        if not lam > 0.0:
+            raise ValueError("each rescaling lambda must be positive")
+        # lam * lam, not lam**2: a float power raises OverflowError
+        tau = lam * lam * (times - T)
         keep = (tau >= RESCALE_WINDOW) & (tau < 0.0)
         if not np.any(keep) or tau[keep].min() > -0.5 or tau[keep].max() < -0.5:
             out.append(RescaledTrajectory(lam, None))

@@ -258,6 +258,8 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
     upward zero crossings of that expression.  The curve closes up when
     the advance over one excursion is 2 pi p/q with small q.  A profile
     with B >= 0 has at most one minimum and is reported open unintegrated.
+    A start at a fixed point of the system is a circle of curvature x0: it
+    has no radius minima, so one turn is its excursion, reported closed.
     """
     # f = A x - B y has f' = A x y + A^2 + B x^2 + B^2.  Where f = 0,
     # A x y = B y^2, so f' = B (x^2 + y^2) + A^2 + B^2 there.  For B >= 0
@@ -267,11 +269,15 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
     _check_finite(A, B, x0, y0)
     if B >= 0.0:
         return ClosureData(False, None, None, float("nan"), float("nan"))
+    # there A x - B y vanishes all along, and every step would be a crossing
+    if x0 * y0 + A == 0.0 and x0 * x0 + B == 0.0:
+        return ClosureData(True, 1, 1, 2.0 * np.pi, 2.0 * np.pi / abs(x0))
 
     def minimum(_s, u):
         return A * u[0] - B * u[1]
 
     minimum.direction = 1.0
+    minimum.terminal = 2           # the solve stops at the second minimum
     sol = _solve_from_origin(A, B, [x0, y0, 0.0], CLOSURE_MAX_S, events=(minimum, _escape))
     hits = sol.t_events[0]
     if len(hits) < 2:

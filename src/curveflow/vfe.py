@@ -285,6 +285,8 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
     asymptotically kappa * log(1/eps) + O(1).  The integrand is evaluated
     at arc offsets via a cubic Taylor step from the nearest sample; the
     singular measure is flattened with the substitution zeta = +-e^u.
+    Refuses an outer cutoff longer than an open curve or half a closed one,
+    and a velocity that is not finite.
     """
     if curve.dimension != 3:
         raise ValueError("needs a space curve")
@@ -295,8 +297,9 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
     h = segment_lengths(curve)
     ds = float(h.mean())
     L = float(h.sum())
-    if curve.closed and opts.outer > L / 2:
-        raise ValueError("outer cutoff exceeds half the curve length")
+    # past the ends of an open curve the Taylor step extrapolates without bound
+    if opts.outer > (L / 2 if curve.closed else L):
+        raise ValueError("outer cutoff exceeds the curve length (half of it if closed)")
     d1, d2 = _lagrange_d1_d2(pts, h, curve.closed)
     d3 = _lagrange_d1_d2(d2, h, curve.closed)[0]
 
@@ -323,4 +326,6 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
         # d zeta = zeta du on each branch; the branch orientation cancels the sign
         weights = np.exp(u)
         total += np.trapezoid(integrand * weights[:, None], u, axis=0)
+    if not np.isfinite(total).all():
+        raise ValueError("the cutoff integral is not finite")
     return total

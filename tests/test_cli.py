@@ -418,6 +418,30 @@ def test_csf_evolve_rescale_report(tmp_path):
     assert -4.0 <= min(rescaled.times) and max(rescaled.times) < 0.0
 
 
+@pytest.fixture
+def ellipse_file(tmp_path):
+    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    ellipse = SampledCurve(2, True, np.column_stack([np.cos(theta), 0.5 * np.sin(theta)]))
+    return write_curve(tmp_path / "ellipse.curve", ellipse)
+
+
+def test_csf_evolve_skips_a_rescaling_whose_square_overflows(tmp_path, ellipse_file):
+    out = tmp_path / "run"
+    assert run("csf", "evolve", "--input", ellipse_file, "--stop-time=0.01", "--rescale",
+               "--lambdas=1e300,4", "--out", out) == 0
+    report = _csv_columns(out / "rescaled_report.csv")
+    np.testing.assert_array_equal(report["lam"], [1e300, 4.0])
+    assert report["skipped"][0] == 1.0
+
+
+def test_csf_evolve_refuses_a_rescaling_that_is_not_positive(tmp_path, capsys, ellipse_file):
+    out = tmp_path / "run"
+    assert run("csf", "evolve", "--input", ellipse_file, "--stop-time=0.01", "--rescale",
+               "--lambdas=-4,0", "--out", out) == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
+    assert not out.exists()
+
+
 def test_distance_ratio_of_a_trajectory_matches_the_run(tmp_path, circle_file):
     traj = tmp_path / "traj"
     assert run("csf", "evolve", "--input", circle_file, "--stop-time", "0.02",
@@ -449,6 +473,15 @@ def test_csf_soliton_single_member(tmp_path, capsys):
     assert record["class"] == "shrinking"
     assert record["residual_max"] < 1e-3
     assert read_curve(out / "soliton.curve").n == 512
+
+
+def test_csf_soliton_reports_the_unit_circle_closed(tmp_path):
+    # the default start x0 = 1, y0 = 0 is the fixed point of A = 0, B = -1
+    out = tmp_path / "sol"
+    assert run("csf", "soliton", "--A=0", "--B=-1", "--out", out) == 0
+    record = json.loads((out / "soliton.json").read_text())
+    assert (record["closed"], record["p"], record["q"]) == (True, 1, 1)
+    assert record["delta_phi"] == 2.0 * np.pi
 
 
 def test_csf_soliton_single_member_keeps_the_library_message(tmp_path, capsys):
@@ -727,6 +760,27 @@ def test_biot_savart_rejects_bad_parameters(tmp_path, capsys, flags):
     assert run("vfe", "biot-savart", "--input", path, "--outer", "1.0", *flags,
                "--out", tmp_path / "o") == 2
     assert last_stderr_token(capsys) == "invalid-parameter"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eps=1e-3,1e-2", "--outer=1e300"],
+    ["--eps=1e-3,1e-2", "--outer=1e20"],
+    ["--eps=1e-320,1e-2", "--outer=1"],
+], ids=["outer-1e300", "outer-1e20", "eps-subnormal"])
+def test_biot_savart_on_an_open_helix_refuses_what_it_cannot_compute(tmp_path, capfd, flags):
+    # capfd, not capsys: LAPACK writes its complaints to the file descriptor
+    t = np.linspace(0.0, 4.0 * np.pi, 200)
+    helix = SampledCurve(3, False, np.column_stack([np.cos(t), np.sin(t), 0.3 * t]))
+    path = write_curve(tmp_path / "helix.curve", helix)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run("vfe", "biot-savart", "--input", path, "--index=100", *flags,
+                   "--out", out) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1] == "invalid-parameter"
+    assert not out.exists()
 
 
 def test_hasimoto_pipeline_round_trip(tmp_path, circle3_file):

@@ -292,6 +292,11 @@ def test_parabolic_rescale_windows(deep_ellipse_run):
     t0 = estimate_singular_time(traj)
     big, = parabolic_rescale(traj, x0, t0, [1e6])   # window entirely missed
     assert big.skipped and big.trajectory is None
+    huge, = parabolic_rescale(traj, x0, t0, [1e300])   # lam^2 overflows to inf
+    assert huge.skipped
+    for lam in (0.0, -4.0):
+        with pytest.raises(ValueError):
+            parabolic_rescale(traj, x0, t0, [lam])
     ok, = parabolic_rescale(traj, x0, t0, [4.0])
     assert not ok.skipped
     taus = np.array(ok.trajectory.times)

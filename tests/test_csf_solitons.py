@@ -205,6 +205,24 @@ def test_non_negative_dilation_returns_open_without_integrating(monkeypatch, A, 
     assert np.isnan(c.delta_phi) and np.isnan(c.period)
 
 
+@pytest.mark.parametrize("A, B, x0, y0, closed", [
+    (0.0, -1.0, 1.0, 0.0, True),
+    (0.5, -1.0, 1.0, -0.5, True),
+    (0.0, -1.0, 0.0, 0.0, False),
+], ids=["unit-circle", "rotating-circle", "straight-line"])
+def test_closure_of_a_profile_without_two_radius_minima(A, B, x0, y0, closed):
+    # a fixed point of the profile system is a circle of curvature x0, whose
+    # radius is constant: one turn is its excursion.  The line through the
+    # origin has |X| = |s|, whose one minimum is its start
+    c = detect_closure(A, B, x0, y0)
+    if closed:
+        assert (c.closed, c.p, c.q) == (True, 1, 1)
+        assert (c.delta_phi, c.period) == (2.0 * np.pi, 2.0 * np.pi / abs(x0))
+    else:
+        assert (c.closed, c.p, c.q) == (False, None, None)
+        assert np.isnan(c.delta_phi) and np.isnan(c.period)
+
+
 def test_detect_closure_refuses_a_failed_solve(monkeypatch):
     # a solve that fails stops early, so its events need not hold the two
     # radius minima of a profile that closes

@@ -211,6 +211,7 @@ NaN, INF = float("nan"), float("inf")
     dict(stop_time=1.0, dt=INF),
     dict(stop_time=1.0, cfl=NaN),
     dict(stop_time=1.0, cfl=0.25, max_steps=-1),
+    dict(stop_time=1.0, cfl=0.5, record_every=0),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_step_options_reject_non_finite_and_out_of_range(kwargs):
     with pytest.raises(ValueError):

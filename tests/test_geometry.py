@@ -7,6 +7,7 @@ from scipy.special import ellipe
 
 from conftest import circle2, circle3, ellipse2, helix3
 from curveflow.csf import distance_ratio
+from curveflow.csf_solitons import abresch_langer_partner
 from curveflow.errors import CurveFlowError
 from curveflow.geometry import (
     SampledCurve,
@@ -25,9 +26,10 @@ from curveflow.geometry import (
     segment_lengths,
     total_length,
 )
+from curveflow.hasimoto import FilamentFunction
 from curveflow.vfe import (BiotSavartOptions, biot_savart_velocity, binormal_velocity,
                            rigid_motion_fit)
-from curveflow.vfe_solitons import apply_rotation
+from curveflow.vfe_solitons import apply_rotation, transverse_rotation_profile
 
 
 def test_curve_validation():
@@ -44,6 +46,8 @@ def test_curve_validation():
 
 
 OPEN_ARC = SampledCurve(2, False, circle2(64).points[:40])
+# three collinear samples traced out and back enclose no area
+FLAT_LOOP = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
 
 
 @pytest.mark.parametrize("call, error, token", [
@@ -55,8 +59,17 @@ OPEN_ARC = SampledCurve(2, False, circle2(64).points[:40])
      ValueError, None),
     (lambda: rigid_motion_fit(circle3(64), circle3(65), 1e-3), CurveFlowError,
      "unaligned-trajectory"),
+    (lambda: SampledCurve(4, False, np.arange(20.0).reshape(5, 4)), ValueError, None),
+    (lambda: isoperimetric_ratio(SampledCurve(2, True, FLAT_LOOP)), CurveFlowError,
+     "degenerate-curve"),
+    (lambda: FilamentFunction(0.0, 0.1, np.ones(3)), ValueError, None),
+    (lambda: abresch_langer_partner(-1e-30, 1.0), CurveFlowError, "outside-annulus-branch"),
+    (lambda: transverse_rotation_profile(0.3, 0.1, (1.0, -1.0), 64), ValueError, None),
+    (lambda: transverse_rotation_profile(0.3, 0.1, (-1.0, 1.0), 8), ValueError, None),
 ], ids=["distance-ratio-open", "area-open", "resample-three", "binormal-planar",
-        "biot-savart-planar", "rigid-fit-unequal-n"])
+        "biot-savart-planar", "rigid-fit-unequal-n", "four-dimensions",
+        "area-of-a-flat-loop", "filament-three-samples", "partner-past-1e12",
+        "transverse-decreasing", "transverse-eight-samples"])
 def test_library_refusals(call, error, token):
     with pytest.raises(error) as err:
         call()

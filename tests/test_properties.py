@@ -198,29 +198,42 @@ def test_parse_range_raises_only_config_error(text):
 
 @st.composite
 def rotating_profile_argv(draw):
-    """``vfe soliton`` flags of the x-axis and planar cases, with the edges:
-    z0^2 on either end of the band or on the vertical-tangent locus
-    z0^2 = -2*C1, the separatrix C1 = -1/p, C1 = 0, and ranges up to 10^6."""
-    case = draw(st.sampled_from(("x-axis", "planar")))
-    lam = 0.0 if case == "planar" else draw(
-        st.one_of(st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 3.0)))
-    p = 1.0 + lam * lam
-    C1 = draw(st.one_of(st.sampled_from((-1.0, 0.0)), st.floats(-3.0, 0.999))) / p
-    lo, hi = z_bounds(lam, C1)
-    z2 = draw(st.one_of(st.sampled_from((lo, hi, -2.0 * C1)), st.floats(lo, hi)))
-    z0 = draw(st.sampled_from((-1.0, 1.0))) * float(np.sqrt(max(z2, 0.0)))
-    start = draw(st.floats(-10.0, 10.0))
+    """``vfe soliton`` flags of all three cases, and whether the grid is one
+    every case refuses (decreasing or under 16 samples).  The x-axis and
+    planar cases take the edges: z0^2 on either end of the band or on the
+    vertical-tangent locus z0^2 = -2*C1, the separatrix C1 = -1/p and
+    C1 = 0; the transverse case takes C1 = 0 and starts on either side of
+    its band edges.  Ranges run up to 10^6 either way."""
+    case = draw(st.sampled_from(("x-axis", "planar", "transverse-axis")))
+    if case == "transverse-axis":
+        flags = [f"--C1={draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))!r}",
+                 f"--C2={draw(st.floats(-1.5, 1.5))!r}"]
+        start = draw(st.floats(-1.5, 1.5))
+    else:
+        lam = 0.0 if case == "planar" else draw(
+            st.one_of(st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 3.0)))
+        p = 1.0 + lam * lam
+        C1 = draw(st.one_of(st.sampled_from((-1.0, 0.0)), st.floats(-3.0, 0.999))) / p
+        lo, hi = z_bounds(lam, C1)
+        z2 = draw(st.one_of(st.sampled_from((lo, hi, -2.0 * C1)), st.floats(lo, hi)))
+        z0 = draw(st.sampled_from((-1.0, 1.0))) * float(np.sqrt(max(z2, 0.0)))
+        flags = [f"--lam={lam!r}", f"--C1={C1!r}", f"--z0={z0!r}",
+                 f"--sign={draw(st.sampled_from((-1, 1)))}"]
+        start = draw(st.floats(-10.0, 10.0))
     length = draw(st.one_of(st.floats(1e-3, 50.0), st.sampled_from((200.0, 1e4, 1e6))))
-    return ["vfe", "soliton", "--case", case, f"--lam={lam!r}", f"--C1={C1!r}",
-            f"--z0={z0!r}", f"--sign={draw(st.sampled_from((-1, 1)))}",
-            f"--x={start!r}:{start + length!r}:{draw(st.integers(16, 128))}"]
+    forward = draw(st.sampled_from((True, True, True, False)))
+    count = draw(st.one_of(st.integers(16, 128), st.integers(1, 15)))
+    end = start + length if forward else start - length
+    return (["vfe", "soliton", "--case", case, *flags, f"--x={start!r}:{end!r}:{count}"],
+            not forward or count < 16)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(rotating_profile_argv())
-def test_rotating_profiles_exit_cleanly(argv):
+def test_rotating_profiles_exit_cleanly(argv_and_bad_grid):
     # a profile is written finite with x strictly increasing, or refused with
-    # exit 3 and a token; no numpy warning on the way
+    # a token, exit 2 for a grid no case takes; no numpy warning on the way
+    argv, bad_grid = argv_and_bad_grid
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -230,11 +243,12 @@ def test_rotating_profiles_exit_cleanly(argv):
         if code == 0:
             x, y, z = storage.read_curve(out / "profile.curve").points.T
     if code == 0:
+        assert not bad_grid
         assert np.isfinite([x, y, z]).all()
         assert np.all(np.diff(x) > 0.0)
         assert err.getvalue() == ""
     else:
-        assert code == 3
+        assert code == (2 if bad_grid else 3)
         assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
 
 

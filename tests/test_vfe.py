@@ -208,3 +208,10 @@ def test_biot_savart_option_validation():
         BiotSavartOptions(1e-3, 1.0, quadrature_n=4)
     with pytest.raises(ValueError):
         biot_savart_velocity(circle3(64), 0, BiotSavartOptions(1e-3, 100.0))
+    # an open curve's Taylor steps past its ends would grow without bound
+    helix = helix3(n=200)
+    with pytest.raises(ValueError, match="exceeds the curve length"):
+        biot_savart_velocity(helix, 100, BiotSavartOptions(1e-3, 15.0))
+    # an inner cutoff whose cube underflows divides zero by zero, which warns
+    with pytest.raises(ValueError, match="not finite"), np.errstate(invalid="ignore"):
+        biot_savart_velocity(helix, 100, BiotSavartOptions(1e-320, 1.0))
