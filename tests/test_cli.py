@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipeinc
 
-from conftest import circle2, circle3
+from conftest import circle2, circle3, ellipse2
 import curveflow
 from curveflow import __version__, cli, csf, csf_solitons, hasimoto, vfe_solitons
 from curveflow.errors import CurveFlowError
@@ -420,9 +420,7 @@ def test_csf_evolve_rescale_report(tmp_path):
 
 @pytest.fixture
 def ellipse_file(tmp_path):
-    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    ellipse = SampledCurve(2, True, np.column_stack([np.cos(theta), 0.5 * np.sin(theta)]))
-    return write_curve(tmp_path / "ellipse.curve", ellipse)
+    return write_curve(tmp_path / "ellipse.curve", ellipse2(1.0, 0.5, 256))
 
 
 def test_csf_evolve_skips_a_rescaling_whose_square_overflows(tmp_path, ellipse_file):
