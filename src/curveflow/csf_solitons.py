@@ -269,8 +269,10 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
     _check_finite(A, B, x0, y0)
     if B >= 0.0:
         return ClosureData(False, None, None, float("nan"), float("nan"))
-    # there A x - B y vanishes all along, and every step would be a crossing
-    if x0 * y0 + A == 0.0 and x0 * x0 + B == 0.0:
+    # there A x - B y vanishes all along, and every step would be a crossing;
+    # a start within a few ulps of one is that circle up to rounding
+    if all(abs(a + b) <= 4.0 * np.spacing(max(abs(a), abs(b)))
+           for a, b in ((x0 * y0, A), (x0 * x0, B))):
         return ClosureData(True, 1, 1, 2.0 * np.pi, 2.0 * np.pi / abs(x0))
 
     def minimum(_s, u):

@@ -285,8 +285,8 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
     asymptotically kappa * log(1/eps) + O(1).  The integrand is evaluated
     at arc offsets via a cubic Taylor step from the nearest sample; the
     singular measure is flattened with the substitution zeta = +-e^u.
-    Refuses an outer cutoff longer than an open curve or half a closed one,
-    and a velocity that is not finite.
+    Refuses an outer cutoff past half a closed curve's length or past the
+    nearer end of an open one, and a velocity that is not finite.
     """
     if curve.dimension != 3:
         raise ValueError("needs a space curve")
@@ -296,10 +296,10 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
         raise ValueError(f"sample index {i} outside [0, {n})")
     h = segment_lengths(curve)
     ds = float(h.mean())
-    L = float(h.sum())
-    # past the ends of an open curve the Taylor step extrapolates without bound
-    if opts.outer > (L / 2 if curve.closed else L):
-        raise ValueError("outer cutoff exceeds the curve length (half of it if closed)")
+    # past the ends of an open curve the Taylor step extrapolates a phantom arc
+    reach = h.sum() / 2 if curve.closed else min(h[:i].sum(), h[i:].sum())
+    if opts.outer > reach:
+        raise ValueError("outer cutoff passes the nearer end (half the length if closed)")
     d1, d2 = _lagrange_d1_d2(pts, h, curve.closed)
     d3 = _lagrange_d1_d2(d2, h, curve.closed)[0]
 

@@ -48,6 +48,15 @@ def circle3_file(tmp_path):
     return write_curve(tmp_path / "circle3.curve", circle3(256))
 
 
+def _fresh_run(script) -> list[str]:
+    """The stdout lines of a script run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(curveflow.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 def _scipy_loaded_by(argv) -> list[str]:
     """The scipy subpackages loaded before and after a CLI run in a fresh
     interpreter; this process has scipy loaded already."""
@@ -60,11 +69,7 @@ def _scipy_loaded_by(argv) -> list[str]:
         assert curveflow.cli.main({[str(a) for a in argv]!r}) == 0
         print([m for m in {heavy!r} if m in sys.modules])
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(curveflow.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                            text=True, env=env, timeout=60)
-    assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()
+    return _fresh_run(script)
 
 
 def test_a_run_loads_only_the_scipy_modules_its_command_calls(tmp_path):
@@ -92,11 +97,7 @@ def test_the_filament_modules_and_a_periodic_nls_run_load_no_scipy():
         curveflow.hasimoto.nlcse_evolve(psi, 1e-3, 3)
         print([m for m in sys.modules if m.split(".")[0] == "scipy"])
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(curveflow.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                            text=True, env=env, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "[]"]
+    assert _fresh_run(script) == ["[]", "[]"]
 
 
 def test_importing_a_module_loads_only_what_it_imports():
@@ -107,11 +108,7 @@ def test_importing_a_module_loads_only_what_it_imports():
         print(sorted(m for m in sys.modules if m.split(".")[0] == "curveflow"))
         print("numpy" in sys.modules)
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(curveflow.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                            text=True, env=env, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["['curveflow', 'curveflow.errors']", "False"]
+    assert _fresh_run(script) == ["['curveflow', 'curveflow.errors']", "False"]
 
 
 def test_every_module_uses_the_names_it_imports():

@@ -209,11 +209,13 @@ def test_non_negative_dilation_returns_open_without_integrating(monkeypatch, A, 
     (0.0, -1.0, 1.0, 0.0, True),
     (0.5, -1.0, 1.0, -0.5, True),
     (0.0, -1.0, 0.0, 0.0, False),
-], ids=["unit-circle", "rotating-circle", "straight-line"])
+    (0.0, -0.01, 0.1, 0.0, True),
+], ids=["unit-circle", "rotating-circle", "straight-line", "rounded-circle"])
 def test_closure_of_a_profile_without_two_radius_minima(A, B, x0, y0, closed):
     # a fixed point of the profile system is a circle of curvature x0, whose
     # radius is constant: one turn is its excursion.  The line through the
-    # origin has |X| = |s|, whose one minimum is its start
+    # origin has |X| = |s|, whose one minimum is its start.  0.1 * 0.1 - 0.01
+    # is 1.7e-18, not 0: that start is the circle up to rounding
     c = detect_closure(A, B, x0, y0)
     if closed:
         assert (c.closed, c.p, c.q) == (True, 1, 1)

@@ -197,13 +197,13 @@ def test_parse_range_raises_only_config_error(text):
 
 
 @st.composite
-def rotating_profile_argv(draw):
-    """``vfe soliton`` flags of all three cases, and whether the grid is one
-    every case refuses (decreasing or under 16 samples).  The x-axis and
-    planar cases take the edges: z0^2 on either end of the band or on the
-    vertical-tangent locus z0^2 = -2*C1, the separatrix C1 = -1/p and
-    C1 = 0; the transverse case takes C1 = 0 and starts on either side of
-    its band edges.  Ranges run up to 10^6 either way."""
+def rotating_profile_argv(draw, bad_grid=False):
+    """``vfe soliton`` flags of all three cases.  The x-axis and planar cases
+    take the edges: z0^2 on either end of the band or on the vertical-tangent
+    locus z0^2 = -2*C1, the separatrix C1 = -1/p and C1 = 0; the transverse
+    case takes C1 = 0 and starts on either side of its band edges.  Ranges
+    run up to 10^6, increasing with 16 to 128 samples, or with ``bad_grid``
+    the grids every case refuses: decreasing, or under 16 samples."""
     case = draw(st.sampled_from(("x-axis", "planar", "transverse-axis")))
     if case == "transverse-axis":
         flags = [f"--C1={draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))!r}",
@@ -221,35 +221,50 @@ def rotating_profile_argv(draw):
                  f"--sign={draw(st.sampled_from((-1, 1)))}"]
         start = draw(st.floats(-10.0, 10.0))
     length = draw(st.one_of(st.floats(1e-3, 50.0), st.sampled_from((200.0, 1e4, 1e6))))
-    forward = draw(st.sampled_from((True, True, True, False)))
-    count = draw(st.one_of(st.integers(16, 128), st.integers(1, 15)))
+    if bad_grid:
+        forward = draw(st.booleans())
+        count = draw(st.integers(1, 15 if forward else 128))
+    else:
+        forward, count = True, draw(st.integers(16, 128))
     end = start + length if forward else start - length
-    return (["vfe", "soliton", "--case", case, *flags, f"--x={start!r}:{end!r}:{count}"],
-            not forward or count < 16)
+    return ["vfe", "soliton", "--case", case, *flags, f"--x={start!r}:{end!r}:{count}"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(rotating_profile_argv())
-def test_rotating_profiles_exit_cleanly(argv_and_bad_grid):
-    # a profile is written finite with x strictly increasing, or refused with
-    # a token, exit 2 for a grid no case takes; no numpy warning on the way
-    argv, bad_grid = argv_and_bad_grid
+def run_quietly(argv):
+    """Exit code, stderr and, on exit 0, the written profile's x, y, z, of a
+    run in which any numpy warning is an error."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
         out = Path(tmp) / "o"
         code = main(argv + ["--out", str(out)])
-        if code == 0:
-            x, y, z = storage.read_curve(out / "profile.curve").points.T
+        xyz = storage.read_curve(out / "profile.curve").points.T if code == 0 else None
+    return code, err.getvalue(), xyz
+
+
+# 2/3 of 225 examples, 150, are x-axis or planar
+@settings(max_examples=225, deadline=None)
+@given(rotating_profile_argv())
+def test_rotating_profiles_exit_cleanly(argv):
+    # a profile is written finite with x strictly increasing, or refused with
+    # exit 3 and a token; no numpy warning on the way
+    code, err, xyz = run_quietly(argv)
     if code == 0:
-        assert not bad_grid
-        assert np.isfinite([x, y, z]).all()
-        assert np.all(np.diff(x) > 0.0)
-        assert err.getvalue() == ""
+        assert np.isfinite(xyz).all()
+        assert np.all(np.diff(xyz[0]) > 0.0)
+        assert err == ""
     else:
-        assert code == (2 if bad_grid else 3)
-        assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
+        assert code == 3
+        assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.splitlines()[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotating_profile_argv(bad_grid=True))
+def test_rotating_profiles_refuse_a_decreasing_or_short_grid(argv):
+    code, err, _ = run_quietly(argv)
+    assert code == 2
+    assert err.splitlines()[-1] == "invalid-parameter"
 
 
 # signed zeros, subnormals, the squares either side of the largest double,

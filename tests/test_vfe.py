@@ -208,10 +208,14 @@ def test_biot_savart_option_validation():
         BiotSavartOptions(1e-3, 1.0, quadrature_n=4)
     with pytest.raises(ValueError):
         biot_savart_velocity(circle3(64), 0, BiotSavartOptions(1e-3, 100.0))
-    # an open curve's Taylor steps past its ends would grow without bound
+    # past an open curve's end the Taylor step extrapolates an arc the curve
+    # lacks: without bound for outer 15 on the 14.05-long helix, and by a
+    # finite but wrong amount for outer 1 from its first sample
     helix = helix3(n=200)
-    with pytest.raises(ValueError, match="exceeds the curve length"):
+    with pytest.raises(ValueError, match="passes the nearer end"):
         biot_savart_velocity(helix, 100, BiotSavartOptions(1e-3, 15.0))
+    with pytest.raises(ValueError, match="passes the nearer end"):
+        biot_savart_velocity(helix, 0, BiotSavartOptions(1e-3, 1.0))
     # an inner cutoff whose cube underflows divides zero by zero, which warns
     with pytest.raises(ValueError, match="not finite"), np.errstate(invalid="ignore"):
         biot_savart_velocity(helix, 100, BiotSavartOptions(1e-320, 1.0))
