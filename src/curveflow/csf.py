@@ -18,6 +18,7 @@ trajectory it reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .geometry import (
     _pdist,
     _signed_curvature,
     _solve_tridiagonal,
+    _unit_scale,
     chord_lengths,
     cumulative_arclength,
     enclosed_area,
@@ -114,15 +116,19 @@ def _step(pts, h, vel, closed, dt, last):
     w = 0 is backward Euler: at the start, after a resample (``last`` is None)
     and when dt exceeds ``MAX_STEP_RATIO`` dt_prev.  Pinned open ends are copied.
     """
+    # 1/dt and the stencil's 2/h^2 set the scale of the system: for c the power
+    # of 4 that brings it near 1 (c = 1 in range), the system on dt / c and
+    # h / sqrt(c) has the same solution and keeps its products normal doubles
+    c = _unit_scale(1.0 / dt + 1.0 / h.min() ** 2)
     if last is None or dt > MAX_STEP_RATIO * last[2]:
-        a, rhs, h_star = 1.0 / dt, pts / dt, h
+        a, rhs, h_star = 1.0 / (dt / c), pts / (dt / c), h
     else:
         pts_prev, h_prev, dt_prev = last
         w = dt / dt_prev
-        a = (1.0 + 2.0 * w) / ((1.0 + w) * dt)
-        rhs = ((1.0 + w) * pts - (w * w / (1.0 + w)) * pts_prev) / dt
+        a = (1.0 + 2.0 * w) / ((1.0 + w) * (dt / c))
+        rhs = ((1.0 + w) * pts - (w * w / (1.0 + w)) * pts_prev) / (dt / c)
         h_star = (1.0 + w) * h - w * h_prev
-    new = _implicit_solve(a, h_star, rhs, closed)
+    new = _implicit_solve(a, h_star / math.sqrt(c), rhs, closed)
     if not closed:
         new[[0, -1]] = pts[[0, -1]]
     return new

@@ -13,6 +13,10 @@ Each step calls the engine's velocity once, which measures the chord
 lengths on the way; the step receives both, and the binormal engine's
 first RK4 stage reuses that velocity.
 
+The driver refuses a curve whose curvature is not finite, where it turns
+back on itself (``invalid-input``), and a step that a small ``cfl`` rounds
+below the smallest normal double (``invalid-parameter``).
+
 Stop reasons, checked in this order before every step:
 
 * ``approaching-singularity``: max|kappa| times the longest segment exceeds
@@ -48,7 +52,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, CurveFlowError
-from .geometry import SampledCurve, frenet, integrate_along, resample_points, total_length
+from .geometry import (SampledCurve, _unit_scale, frenet, integrate_along, resample_points,
+                       total_length)
 
 # relative chord-length spread, max h / min h - 1, above which a check
 # resamples the curve
@@ -56,6 +61,9 @@ SPACING_TOL = 0.02
 
 # fraction of the initial length below which the singularity guard stops a run
 SINGULAR_LENGTH_FRACTION = 0.01
+
+# the smallest normal double: no step, and no time left to step, is smaller
+TINY = float(np.finfo(float).tiny)
 
 
 @dataclass
@@ -83,13 +91,14 @@ class StepOptions:
     def __post_init__(self):
         if (self.dt is None) == (self.cfl is None):
             raise ValueError("set exactly one of dt and cfl")
-        # written as range checks so that NaN fails them too
-        if self.dt is not None and not 0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
+        # written as range checks so that NaN fails them too; a subnormal
+        # step or stop time has no reciprocal
+        if self.dt is not None and not TINY <= self.dt < np.inf:
+            raise ValueError("dt must be positive, normal and finite")
         if self.cfl is not None and not 0 < self.cfl <= 1:
             raise ValueError("cfl must lie in (0, 1]")
-        if not 0 < self.stop_time < np.inf:
-            raise ValueError("stop_time must be positive and finite")
+        if not TINY <= self.stop_time < np.inf:
+            raise ValueError("stop_time must be positive, normal and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         if self.resample_every < 1 or self.record_every < 1:
@@ -140,8 +149,11 @@ def frame_measures(traj: FlowTrajectory) -> dict[str, np.ndarray]:
         tau = np.nan
         if fr.torsion is not None and fr.torsion_defined.any():
             tau = np.nanmax(np.abs(fr.torsion[fr.torsion_defined]))
-        rows.append((total_length(f), np.abs(fr.curvature).max(),
-                     integrate_along(f, fr.curvature**2), tau))
+        kappa = np.abs(fr.curvature).max()
+        # the frame a guard stops on can have a kappa^2 past the largest double
+        scale = _unit_scale(kappa)
+        rows.append((total_length(f), kappa,
+                     integrate_along(f, (fr.curvature * scale) ** 2) / scale / scale, tau))
     length, kappa, bending, torsion = np.array(rows, dtype=float).reshape(-1, 4).T
     return {"time": np.array(traj.times, dtype=float), "length": length,
             "max_curvature": kappa, "bending": bending, "max_torsion": torsion}
@@ -194,6 +206,10 @@ class FlowSpec:
     later stages do, computes it itself.  ``last`` is the history:
     ``(points, h, dt)`` of the state the previous step started from, or None
     at the start and after a resample.
+    The arrays ``velocity`` and ``step`` return stay valid for as long as
+    the caller holds them: an engine may keep buffers for a run, as the
+    binormal engine's stage plan does, but it never returns one, so no
+    later call overwrites a returned array.
     """
 
     dimension: int
@@ -210,8 +226,13 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
     traj = FlowTrajectory()
     t = 0.0
     steps = 0
-    eps = 1e-12 * max(1.0, opts.stop_time)
+    # relative, so that a stop time far below 1 is still stepped to
+    eps = max(1e-12 * opts.stop_time, TINY)
     h, vel, kappa = spec.velocity(pts, closed)
+    # where a curve turns back on itself its tangent estimate vanishes
+    if not np.isfinite(kappa).all():
+        raise ConfigError("invalid-input", "the curvature is not finite: the curve "
+                          "turns back on itself")
     length0 = float(h.sum())
     last = None
     while True:
@@ -239,6 +260,8 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
             if dt_base > limit:
                 raise ConfigError("cfl-violation", f"dt={dt_base:g} exceeds the "
                                   f"largest allowed step {limit:g}")
+            if dt_base < TINY:
+                raise ConfigError("invalid-parameter", f"the step cfl * {unit:g} is subnormal")
 
         dt = min(dt_base, opts.stop_time - t)
         new_pts = spec.step(pts, h, vel, closed, dt, last)

@@ -14,6 +14,7 @@ curve differentiate the cubic through their four nearest samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -30,6 +31,11 @@ KAPPA_FLOOR_SCALE = 1e-8
 MAX_TURN_ANGLE = 1.0
 _COS_MAX_TURN = np.cos(MAX_TURN_ANGLE)
 
+# the shortest chord whose square is a normal double (2**-511); a curve's
+# chords lie between it and the longest chord whose square is finite, so
+# h^2 and, under the guard's kappa * h <= 1, kappa^2 stay finite
+MIN_CHORD = float(np.sqrt(np.finfo(float).tiny))
+
 
 @dataclass(frozen=True)
 class SampledCurve:
@@ -38,7 +44,8 @@ class SampledCurve:
     ``points`` is a read-only copy of the input, so a curve never changes
     after it is validated.  Callers copy it (``np.array(curve.points)``)
     before handing it to C extensions that need writable buffers, such as
-    scipy >= 1.17's ``Rotation.apply``.
+    scipy >= 1.17's ``Rotation.apply``.  Each chord is at least
+    ``MIN_CHORD`` long, and its square is finite.
     """
 
     dimension: int
@@ -56,8 +63,12 @@ class SampledCurve:
             raise ValueError("a sampled curve needs at least 4 points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("curve coordinates must be finite")
-        if np.any(chord_lengths(pts, self.closed) == 0.0):
-            raise ValueError("consecutive points must be distinct")
+        # an overflowing chord reads inf and is refused below, without a warning
+        with np.errstate(over="ignore"):
+            h = chord_lengths(pts, self.closed)
+        if not np.all((h >= MIN_CHORD) & (h < np.inf)):
+            raise ValueError(f"consecutive points must be distinct, {MIN_CHORD:.3g} or "
+                             f"more apart, with chord squares that do not overflow")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -114,16 +125,16 @@ def _cross(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def _cross_next(t: np.ndarray) -> np.ndarray:
-    # t[:, j] x t[:, j + 1] in column j of a (3, m) result whose last column
-    # is junk: with t's rows laid out flat as (0, 1, 2, 0, 1), each factor of
-    # a1 b2 - a2 b1 for all three components is one contiguous 1-D slice
-    m = t.shape[1]
-    rows = np.concatenate([t, t[:2]]).ravel()
-    out = np.empty(3 * m)
-    np.multiply(rows[m:4 * m - 1], rows[2 * m + 1:5 * m], out=out[:-1])
-    out[:-1] -= rows[2 * m:5 * m - 1] * rows[m + 1:4 * m]
-    return out.reshape(3, m)
+def _unit_scale(x: float) -> float:
+    """1.0 for a positive ``x`` within 2**+-128 of 1, else the power of 4 that
+    brings it near 1.
+
+    A chord, a curvature or a matrix entry in that band keeps its fourth power
+    a normal double.  A power-of-two factor scales exactly, so a computation
+    run on scaled inputs and scaled back changes no bit inside the band.
+    """
+    e = math.frexp(x)[1]
+    return 1.0 if -128 <= e <= 128 else math.ldexp(1.0, -(e // 2) * 2)
 
 
 def chord_lengths(points: np.ndarray, closed: bool) -> np.ndarray:
@@ -257,6 +268,10 @@ def resample_points(points: np.ndarray, closed: bool, n: int) -> np.ndarray:
     """``resample_arclength`` on a raw ``(m, d)`` point array."""
     if n < 4:
         raise ValueError("resampling needs n >= 4")
+    # the circumcircles take fourth powers of the chords
+    scale = _unit_scale(float(chord_lengths(points, closed).max()))
+    if scale != 1.0:
+        return resample_points(points * scale, closed, n) / scale
     pts = np.ascontiguousarray(points.T)
     return np.ascontiguousarray(_resample_pass(_resample_pass(pts, closed, n), closed, n).T)
 
@@ -369,6 +384,13 @@ def _signed_curvature(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
 def frenet(curve: SampledCurve) -> FrenetData:
     """Discrete Frenet data; see FrenetData for conventions."""
     h = segment_lengths(curve)
+    # the torsion takes products of up to the fourth power of 1/h
+    scale = _unit_scale(float(h.max()))
+    if scale != 1.0:
+        fr = frenet(curve.with_points(curve.points * scale))
+        return FrenetData(fr.arclength / scale, fr.tangent, fr.normal, fr.curvature * scale,
+                          fr.binormal, None if fr.torsion is None else fr.torsion * scale,
+                          fr.torsion_defined)
     pts = curve.points
     d1, d2 = _lagrange_d1_d2(pts, h, curve.closed)
     s = cumulative_arclength(curve)

@@ -7,12 +7,17 @@ the dispersive bound dt <= cfl * ds^2 on the shared driver in ``flow``,
 with cfl at most ``STABILITY_FACTOR``.  With t- and t+ the unit chords on
 either side of a sample and h- and h+ their lengths, the chord-slope
 stencil's d1 x d2 is exactly 2 (t- x t+)/(h- + h+), which ``_binormal``
-evaluates without forming d1 or d2; each stage takes its cross products on
-contiguous spans (``_cross_next``).  The state is coordinate-major: the
-velocity and the step return the (n, 3) transpose of a (3, n) array, which
-the driver hands back as it is.  The velocity also gives the driver the
-chord lengths it measured.  The first stage reuses the driver's velocity; the
-others skip the guard's curvature.  A pinned end does not move.
+evaluates without forming d1 or d2.  ``evolve`` allocates one stage plan
+(``_StagePlan``) per run, for its sample count and closedness: the padded
+state, the chord, unit-chord and cross-product buffers, RK4's k2 to k4 and
+every slice view a stage reads.  A stage is then about 14 ufunc calls that
+write into the plan and allocate nothing; the velocity, the step and
+``binormal_velocity`` all run this one stage code, and the arrays they
+return are new.  The state is coordinate-major: the velocity and the step
+return the (n, 3) transpose of a (3, n) array, which the driver hands back
+as it is.  The velocity also gives the driver the chord lengths it
+measured.  The first stage reuses the driver's velocity; the others skip
+the guard's curvature.  A pinned end does not move.
 
 Also here: residual checks for the curvature/torsion/frame evolution
 laws, the tangent/time commutator, a rigid-motion fitter for detecting
@@ -31,8 +36,6 @@ from .errors import CurveFlowError
 from .flow import FlowTrajectory, ScalarSeries, StepOptions, interior_frames
 from .geometry import (
     SampledCurve,
-    _cross_next,
-    _dot,
     _lagrange_d1_d2,
     frenet,
     segment_lengths,
@@ -47,44 +50,110 @@ STABILITY_FACTOR = 0.7
 KAPPA_REL_FLOOR = 1e-2
 
 
-def _binormal(p: np.ndarray, closed: bool, vel: np.ndarray):
-    """Write 2 (t- x t+)/(h- + h+) into the moving samples of ``vel``.
+class _StagePlan:
+    """The buffers and bound views of the binormal stages for one (n, closed).
 
-    ``p`` and ``vel`` are coordinate-major, (3, n); a closed curve is padded
-    with its wrap as ``_lagrange_d1_d2`` pads it.  Returns ``vel``, the unit
-    chords and their lengths, padded alike; the lengths have the bits of
-    ``chord_lengths``, plus the wrap in front on a closed curve.
+    A stage reads its input points, coordinate-major, from ``state``; a
+    closed curve's padded state holds its wrap in columns 0 and n + 1, as
+    ``_lagrange_d1_d2`` pads it.  The unit chords ``t`` sit in a flat buffer
+    with their rows laid out as (0, 1, 2, 0, 1), so each factor of
+    a1 b2 - a2 b1 for all three cross components is one contiguous span.
+    ``k`` holds RK4's k2 to k4, whose pinned open ends stay 0, and ``moving``
+    picks the samples that move.
     """
-    if closed:
-        p = np.concatenate([p[:, -1:], p, p[:, :1]], axis=1)
-    seg = p[:, 1:] - p[:, :-1]
-    h = np.sqrt(_dot(seg, seg))
-    t = seg / h
-    np.multiply(_cross_next(t)[:, :-1], 2.0 / (h[:-1] + h[1:]),
-                out=vel[:, slice(None) if closed else slice(1, -1)])
-    return vel, t, h
+
+    def __init__(self, n: int, closed: bool):
+        m = n + 1 if closed else n - 1
+        self.moving = slice(None) if closed else slice(1, -1)
+        pad = np.empty((3, n + 2 if closed else n))
+        self.state = pad[:, 1:-1] if closed else pad
+        # a closed curve's columns 0 and n + 1 take its last and first samples
+        self.wrap_to = pad[:, ::n + 1] if closed else None
+        self.wrap_from = pad[:, n:0:1 - n] if closed else None
+        self.ahead, self.behind = pad[:, 1:], pad[:, :-1]
+        self.seg, self.sq, self.h = np.empty((3, m)), np.empty((3, m)), np.empty(m)
+        self.h_lo, self.h_hi = self.h[:-1], self.h[1:]
+        # the chord lengths in geometry.chord_lengths' order
+        self.chords = self.h_hi if closed else self.h
+        rows = np.empty(5 * m)
+        self.t = rows[:3 * m].reshape(3, m)
+        self.t_lo, self.t_hi = self.t[:, :-1], self.t[:, 1:]
+        self.t01, self.t01_again = rows[:2 * m], rows[3 * m:]
+        self.a1, self.b2 = rows[m:4 * m - 1], rows[2 * m + 1:5 * m]
+        self.a2, self.b1 = rows[2 * m:5 * m - 1], rows[m + 1:4 * m]
+        # t[:, j] x t[:, j + 1] in column j; the flat buffer's last entry is junk
+        cross = np.empty(3 * m)
+        self.cross, self.cross_b = cross[:-1], np.empty(3 * m - 1)
+        self.cross_cols = cross.reshape(3, m)[:, :-1]
+        self.h_sum, self.weight = np.empty(m - 1), np.empty(m - 1)
+        self.d1, self.d1_b = np.empty((3, m - 1)), np.empty((3, m - 1))
+        self.speed2, self.speed3 = np.empty(m - 1), np.empty(m - 1)
+        self.scratch = np.empty((3, n))
+        self.k = [np.zeros((3, n)) for _ in range(3)]
+        self.k_moving = [k[:, self.moving] for k in self.k]
 
 
-def _velocity(pts: np.ndarray, closed: bool):
+def _binormal(p: _StagePlan, out: np.ndarray) -> np.ndarray:
+    """Write 2 (t- x t+)/(h- + h+) at the plan's ``state`` into ``out``, the moving samples.
+
+    Every operation writes into a buffer of the plan ``p``, so a stage
+    allocates nothing; the plan keeps the chord lengths ``h`` (with the wrap
+    in front on a closed curve, the bits of ``chord_lengths`` otherwise), the
+    unit chords ``t`` and ``h_sum`` = h- + h+ until the next stage.
+    """
+    if p.wrap_to is not None:
+        np.copyto(p.wrap_to, p.wrap_from)
+    np.subtract(p.ahead, p.behind, out=p.seg)
+    np.multiply(p.seg, p.seg, out=p.sq)
+    # a reduction over the 3 coordinate rows sums them in order, as _dot does
+    np.add.reduce(p.sq, axis=0, out=p.h)
+    np.sqrt(p.h, out=p.h)
+    np.divide(p.seg, p.h, out=p.t)
+    np.copyto(p.t01_again, p.t01)
+    np.multiply(p.a1, p.b2, out=p.cross)
+    np.multiply(p.a2, p.b1, out=p.cross_b)
+    np.subtract(p.cross, p.cross_b, out=p.cross)
+    np.add(p.h_lo, p.h_hi, out=p.h_sum)
+    np.divide(2.0, p.h_sum, out=p.weight)
+    return np.multiply(p.cross_cols, p.weight, out=out)
+
+
+def _velocity(pts: np.ndarray, closed: bool, plan: _StagePlan | None = None):
     """The chord lengths, the binormal velocity and the curvature |d1 x d2| / |d1|^3
-    the guard reads, from one pass over the chords.
+    the guard reads, from one stage on ``plan`` (a fresh one if None).
 
-    The velocity and the curvature are 0 at a pinned open end.
+    The guard's d1 = (h- t+ + h+ t-)/(h- + h+) reuses the stage's unit chords
+    and sums.  The three returned arrays are new, never the plan's.  The
+    velocity and the curvature are 0 at a pinned open end.
     """
-    vel, t, h = _binormal(np.ascontiguousarray(pts.T), closed, np.zeros(pts.shape[::-1]))
-    d1 = (h[:-1] * t[:, 1:] + h[1:] * t[:, :-1]) / (h[:-1] + h[1:])
-    speed2 = _dot(d1, d1)
-    kappa = np.sqrt(_dot(vel, vel))
-    kappa[slice(None) if closed else slice(1, -1)] /= speed2 * np.sqrt(speed2)
-    return h[1:] if closed else h, vel.T, kappa
+    p = plan if plan is not None else _StagePlan(len(pts), closed)
+    np.copyto(p.state, pts.T)
+    vel = np.zeros(pts.shape[::-1])
+    _binormal(p, vel[:, p.moving])
+    np.multiply(p.h_lo, p.t_hi, out=p.d1)
+    np.multiply(p.h_hi, p.t_lo, out=p.d1_b)
+    np.add(p.d1, p.d1_b, out=p.d1)
+    np.divide(p.d1, p.h_sum, out=p.d1)
+    np.multiply(p.d1, p.d1, out=p.d1_b)
+    np.add.reduce(p.d1_b, axis=0, out=p.speed2)
+    np.sqrt(p.speed2, out=p.speed3)
+    np.multiply(p.speed2, p.speed3, out=p.speed3)
+    np.multiply(vel, vel, out=p.scratch)
+    kappa = np.sqrt(np.add.reduce(p.scratch, axis=0))
+    moving = kappa[p.moving]
+    np.divide(moving, p.speed3, out=moving)
+    return p.chords.copy(), vel.T, kappa
 
 
 def binormal_velocity(curve: SampledCurve) -> np.ndarray:
     """Discrete gamma_s x gamma_ss per sample (zero at pinned open ends)."""
     if curve.dimension != 3:
         raise ValueError("binormal flow needs a space curve")
-    return _binormal(np.ascontiguousarray(curve.points.T), curve.closed,
-                     np.zeros(curve.points.shape).T)[0].T
+    plan = _StagePlan(curve.n, curve.closed)
+    np.copyto(plan.state, curve.points.T)
+    vel = np.zeros(curve.points.shape)
+    _binormal(plan, vel.T[:, plan.moving])
+    return vel
 
 
 def _step_limits(h: np.ndarray, kappa: np.ndarray):
@@ -92,35 +161,44 @@ def _step_limits(h: np.ndarray, kappa: np.ndarray):
     return unit, STABILITY_FACTOR * unit
 
 
-def _step(pts, h, k1, closed, dt, last):
+def _step(pts, h, k1, closed, dt, last, plan: _StagePlan | None = None):
     """One classical Runge-Kutta step from the velocity ``k1`` at ``pts``.
 
-    The stages run on the (3, n) coordinate-major state, where per-sample
-    scalars broadcast along the contiguous axis.
+    The stages run on ``plan`` (a fresh one if None): each writes its input
+    into the plan's state and its k into the plan's k buffers, in the
+    coordinate-major layout, where per-sample scalars broadcast along the
+    contiguous axis.  The returned points are a new array.
     """
-    def f(p):
-        return _binormal(p, closed, np.zeros(p.shape))[0]
-
-    p, k1 = np.ascontiguousarray(pts.T), np.ascontiguousarray(k1.T)
-    k2 = f(p + 0.5 * dt * k1)
-    k3 = f(p + 0.5 * dt * k2)
-    k4 = f(p + dt * k3)
+    p = plan if plan is not None else _StagePlan(len(pts), closed)
+    x, k1 = pts.T, k1.T
+    k2, k3, k4 = p.k
+    for k, c, out in ((k1, 0.5 * dt, p.k_moving[0]), (k2, 0.5 * dt, p.k_moving[1]),
+                      (k3, dt, p.k_moving[2])):
+        np.multiply(k, c, out=p.scratch)
+        np.add(x, p.scratch, out=p.state)
+        _binormal(p, out)
     # k1 + 2 k2 + 2 k3 + k4 in one buffer, summed left to right: the order fixes the bits
-    acc = k1 + 2.0 * k2
-    acc += 2.0 * k3
-    acc += k4
-    return np.add(p, np.multiply(acc, dt / 6.0, out=acc), out=acc).T
+    acc = np.multiply(k2, 2.0)
+    np.add(k1, acc, out=acc)
+    np.add(acc, np.multiply(k3, 2.0, out=p.scratch), out=acc)
+    np.add(acc, k4, out=acc)
+    np.multiply(acc, dt / 6.0, out=acc)
+    return np.add(x, acc, out=acc).T
 
 
-def _spec() -> flow.FlowSpec:
-    # built per call, so a rebinding of _velocity or _step takes effect
-    return flow.FlowSpec(dimension=3, velocity=_velocity, step_limits=_step_limits,
-                         step=_step)
+def _spec(plan: _StagePlan | None = None) -> flow.FlowSpec:
+    # built per run around the run's stage plan (None: a fresh plan per call);
+    # the lambdas look _velocity and _step up at each call, so a rebinding of
+    # either takes effect
+    return flow.FlowSpec(
+        dimension=3, velocity=lambda pts, closed: _velocity(pts, closed, plan),
+        step_limits=_step_limits,
+        step=lambda pts, h, vel, closed, dt, last: _step(pts, h, vel, closed, dt, last, plan))
 
 
 def evolve(curve: SampledCurve, opts: StepOptions) -> FlowTrajectory:
     """Run the binormal flow; stop reasons as in ``flow.evolve``."""
-    return flow.evolve(curve, opts, _spec())
+    return flow.evolve(curve, opts, _spec(_StagePlan(curve.n, curve.closed)))
 
 
 # ---------------------------------------------------------------------------

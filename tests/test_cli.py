@@ -231,6 +231,25 @@ def test_step_above_the_stability_bound_exits_two(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flow, curve, scale", [("csf", circle2(32), 1e-160),
+                                                ("vfe", circle3(16), 1e155),
+                                                ("vfe", circle3(16), 1e-160)],
+                         ids=["csf-1e-160", "vfe-1e155", "vfe-1e-160"])
+def test_chord_squares_outside_the_normal_doubles_exit_two(tmp_path, capsys, flow, curve,
+                                                           scale):
+    # a square past the largest double overflowed (a traceback, or an inf length
+    # after one step of dt = stop-time), and a subnormal one stopped the run at
+    # t = 0 with an infinite curvature
+    path = tmp_path / "in.curve"
+    path.write_text(json.dumps({"dimension": curve.dimension, "closed": True,
+                                "points": (scale * curve.points).tolist()}))
+    out = tmp_path / "o"
+    assert run(flow, "evolve", "--input", path, "--cfl", "0.5", "--stop-time", "1",
+               "--out", out) == 2
+    assert last_stderr_token(capsys) == "invalid-input"
+    assert not out.exists()
+
+
 def test_frames_of_an_unlabeled_input_keep_a_null_label(tmp_path):
     path = write_curve(tmp_path / "in.curve", SampledCurve(2, True, circle2(64).points))
     out = tmp_path / "run"

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import circle2, circle3, ellipse2, helix3
 from curveflow import csf, flow, vfe
+from curveflow.errors import ConfigError
 from curveflow.flow import StepOptions
 from curveflow.geometry import SampledCurve, chord_lengths
 
@@ -212,6 +213,8 @@ NaN, INF = float("nan"), float("inf")
     dict(stop_time=1.0, cfl=NaN),
     dict(stop_time=1.0, cfl=0.25, max_steps=-1),
     dict(stop_time=1.0, cfl=0.5, record_every=0),
+    dict(stop_time=5e-324, cfl=0.25),
+    dict(stop_time=1.0, dt=1e-320),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_step_options_reject_non_finite_and_out_of_range(kwargs):
     with pytest.raises(ValueError):
@@ -299,6 +302,58 @@ def test_spacing_drift_is_resampled(monkeypatch):
     assert len(calls) >= 1
     h = chord_lengths(traj.final.points, True)
     assert h.max() <= (1.0 + flow.SPACING_TOL) * h.min()
+
+
+@pytest.mark.parametrize("engine", [csf, vfe])
+def test_a_cfl_step_below_the_normal_doubles_is_refused(engine):
+    # 5e-324 times the unit step rounds to 0 or to a subnormal, whose
+    # reciprocal the implicit step would need
+    curve = circle2(16) if engine is csf else circle3(16)
+    with pytest.raises(ConfigError) as err:
+        engine.evolve(curve, StepOptions(stop_time=1.0, cfl=5e-324))
+    assert err.value.token == "invalid-parameter"
+
+
+@pytest.mark.parametrize("engine", [csf, vfe])
+def test_a_stop_time_far_below_one_is_stepped_to(engine):
+    # an absolute tolerance of 1e-12 stopped such runs at t = 0
+    curve = circle2(16) if engine is csf else circle3(16)
+    traj = engine.evolve(curve, StepOptions(stop_time=1e-13, cfl=0.25))
+    assert (traj.stop_reason, traj.steps_taken, traj.final_time) == ("stop-time", 1, 1e-13)
+
+
+@pytest.mark.parametrize("engine", [csf, vfe])
+def test_a_curve_that_turns_back_on_itself_is_refused(engine):
+    # at the middle sample of (0, 0), (1, 0), (0, 0) the tangent estimate is 0
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
+    dim = 2 if engine is csf else 3
+    curve = SampledCurve(dim, False, np.pad(pts, ((0, 0), (0, dim - 2))))
+    with pytest.raises(ConfigError) as err, np.errstate(divide="ignore", invalid="ignore"):
+        engine.evolve(curve, StepOptions(stop_time=1.0, cfl=0.25))
+    assert err.value.token == "invalid-input"
+
+
+@pytest.mark.parametrize("power", [250, -250])
+@pytest.mark.parametrize("engine, curve, kwargs", [
+    (csf, ellipse2(2.0, 1.0, 64), dict(stop_time=0.3, cfl=0.25, record_every=5)),
+    (vfe, helix3(n=48), dict(stop_time=0.5, cfl=0.5, record_every=5)),
+], ids=["csf", "vfe"])
+def test_runs_scale_exactly_by_powers_of_four(engine, curve, kwargs, power):
+    # x -> s x, t -> s^2 t maps both flows onto themselves, and a power of 4
+    # scales every double exactly; at 4**+-250 fourth powers of the chords
+    # leave the doubles, so the steps, resampling and Frenet data rescale
+    s = 4.0**power
+    base = engine.evolve(curve, StepOptions(**kwargs))
+    scaled = engine.evolve(curve.with_points(s * curve.points),
+                           StepOptions(**{**kwargs, "stop_time": kwargs["stop_time"] * s * s}))
+    assert (scaled.stop_reason, scaled.steps_taken) == (base.stop_reason, base.steps_taken)
+    assert np.array_equal(np.array(scaled.times) / s / s, base.times)
+    for a, b in zip(scaled.frames, base.frames, strict=True):
+        assert np.array_equal(a.points / s, b.points)
+    got, want = flow.frame_measures(scaled), flow.frame_measures(base)
+    for key, unit in (("length", s), ("max_curvature", 1 / s), ("bending", 1 / s),
+                      ("max_torsion", 1 / s)):
+        assert np.array_equal(got[key] / unit, want[key], equal_nan=True)
 
 
 if __name__ == "__main__":

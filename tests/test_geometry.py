@@ -10,6 +10,7 @@ from curveflow.csf import distance_ratio
 from curveflow.csf_solitons import abresch_langer_partner
 from curveflow.errors import CurveFlowError
 from curveflow.geometry import (
+    MIN_CHORD,
     SampledCurve,
     _solve_tridiagonal,
     _tridiagonal_solver,
@@ -43,6 +44,21 @@ def test_curve_validation():
     pts[2, 0] = np.nan
     with pytest.raises(ValueError):
         SampledCurve(2, False, pts)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_chord_squares_stay_normal_doubles(closed):
+    # a unit-spaced line's chords are exactly the scale; sqrt(tiny) = 2**-511
+    line = np.column_stack([np.arange(4.0), [0.0, 1.0, 1.0, 0.0]])
+    assert MIN_CHORD == 2.0**-511
+    SampledCurve(2, closed, MIN_CHORD * line)
+    SampledCurve(2, closed, 1e153 * line)
+    for scale in (MIN_CHORD / 2, 1e-160, 1e155):
+        with pytest.raises(ValueError, match="distinct"):
+            SampledCurve(2, closed, scale * line)
+    # finite points whose difference overflows
+    with pytest.raises(ValueError, match="distinct"):
+        SampledCurve(2, closed, [[-1e308, 0.0], [1e308, 0.0], [1e308, 1.0], [0.0, 1.0]])
 
 
 OPEN_ARC = SampledCurve(2, False, circle2(64).points[:40])

@@ -5,11 +5,15 @@ hand-written 3-D products."""
 from __future__ import annotations
 
 import contextlib
+import csv
+import dataclasses
 import io
+import json
 import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,11 +24,12 @@ from scipy.linalg import solve_banded
 from scipy.spatial.transform import Rotation
 
 from conftest import helix3
-from curveflow import storage, vfe
+from curveflow import cli, storage, vfe
+from curveflow.cli import _step_options as cli_step_options
 from curveflow.cli import main, parse_range
 from curveflow.errors import ConfigError
 from curveflow.flow import FlowTrajectory, StepOptions
-from curveflow.geometry import (KAPPA_FLOOR_SCALE, SampledCurve, _cross, _cross_next,
+from curveflow.geometry import (KAPPA_FLOOR_SCALE, SampledCurve, _cross,
                                 _lagrange_d1_d2, chord_lengths, curve_diameter,
                                 frenet, hausdorff_distance, resample_arclength)
 from curveflow.hasimoto import (FilamentFunction, FrameState, HasimotoSolitonSpec,
@@ -317,6 +322,96 @@ def test_cheap_commands_exit_cleanly(argv):
         assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
 
 
+# a step size or stop time: an edge value, or a multiple of the curve's squared
+# scale, the size of its steps
+STEP_EDGES = (0.0, 5e-324, 1e-300, 1e-10, 1e300, -1.0, float("nan"), float("inf"))
+CFL_EDGES = (0.0, 5e-324, 1e-10, 0.7, 0.7000000000000001, 1.0, 1.0000000000000002,
+             float("nan"))
+EVOLVE_MAX_STEPS = 100
+
+
+@st.composite
+def evolve_argv(draw):
+    """``csf evolve`` or ``vfe evolve`` flags and the curve file they read: 4 to
+    64 samples, open or closed, in the plane or in space, on a wobbled circle or
+    at random points, scaled by 1e-150, 1e150, a scale either side of the chord
+    bounds, or a factor in [0.1, 10].  ``--dt`` and ``--cfl`` take their edges or
+    lie in range, and the stop time is an edge or small."""
+    flow = draw(st.sampled_from(("csf", "vfe")))
+    dim = draw(st.sampled_from((2, 3, 3 if flow == "vfe" else 2)))
+    n, closed = draw(st.integers(4, 64)), draw(st.booleans())
+    if draw(st.booleans()):
+        t = np.linspace(0.0, 2.0 * np.pi if closed else draw(st.floats(0.5, 5.0)), n,
+                        endpoint=not closed)
+        coef = draw(arrays(float, (2, dim), elements=st.floats(-0.3, 0.3)))
+        pts = np.zeros((n, dim))
+        pts[:, 0], pts[:, 1] = np.cos(t), np.sin(t)
+        pts += np.cos(2.0 * t)[:, None] * coef[0] + np.sin(3.0 * t)[:, None] * coef[1]
+    else:
+        pts = draw(arrays(float, (n, dim), elements=st.floats(-1.0, 1.0), unique=True))
+    scale = draw(st.one_of(st.sampled_from((1e-150, 1e150, 1e-160, 1e155)),
+                           st.floats(0.1, 10.0)))
+
+    def step_size(edges):
+        return repr(draw(st.one_of(st.sampled_from(edges),
+                                   st.floats(1e-4, 1.0).map(lambda f: f * scale * scale))))
+
+    step = draw(st.sampled_from(("--dt", "--cfl", None)))
+    flags = ["--stop-time", step_size(STEP_EDGES)]
+    if step == "--dt":
+        flags.append(f"--dt={step_size(STEP_EDGES)}")
+    elif step == "--cfl":
+        cfl = draw(st.one_of(st.sampled_from(CFL_EDGES), st.floats(0.01, 1.0)))
+        flags.append(f"--cfl={cfl!r}")
+    flags += draw(st.sampled_from(([], ["--record-every=1"], ["--n=32"])))
+    curve = {"dimension": dim, "closed": closed, "points": (scale * pts).tolist()}
+    return [flow, "evolve", *flags], curve
+
+
+def _capped_step_options(args):
+    return dataclasses.replace(cli_step_options(args), max_steps=EVOLVE_MAX_STEPS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(evolve_argv())
+def test_evolve_commands_exit_cleanly(case):
+    # exit 0 with every written value finite, a time, length, curvature and
+    # bending in each diagnostics row, and a stop-time run at its stop time;
+    # or exit 2 or 3 with a token last.
+    # The CLI sets no step cap; a run here stops after EVOLVE_MAX_STEPS
+    # steps, so that a subnormal step ends in seconds too
+    argv, curve = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            mock.patch.object(cli, "_step_options", _capped_step_options):
+        path, out = Path(tmp) / "in.curve", Path(tmp) / "o"
+        path.write_text(json.dumps(curve))
+        code = main(argv + ["--input", str(path), "--out", str(out)])
+        written = {f.name: f.read_text() for f in out.iterdir()} if out.exists() else {}
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert not any("NaN" in text or "Infinity" in text for text in written.values())
+        rows = list(csv.DictReader(io.StringIO(written["diagnostics.csv"])))
+        assert rows
+        summary = json.loads(written["summary.json"])
+        # a curvature past the largest double is a singularity: the guard stops
+        # on the frame that has one, so only that last frame may read inf
+        if summary["stop_reason"] == "approaching-singularity":
+            rows[-1] = {k: v for k, v in rows[-1].items() if k not in ("max_curvature",
+                                                                       "bending")}
+        for row in rows:
+            assert all(np.isfinite(float(row[col]))
+                       for col in ("time", "length", "max_curvature", "bending")
+                       if col in row)
+            assert all(cell == "" or np.isfinite(float(cell)) for cell in row.values())
+        if summary["stop_reason"] == "stop-time":
+            stop_time = float(argv[argv.index("--stop-time") + 1])
+            assert summary["final_time"] >= stop_time * (1.0 - 1e-12)
+    else:
+        assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
+
+
 # ---------------------------------------------------------------------------
 # the 3-D path writes its cross products and norms by hand; these pin it to
 # np.cross, np.linalg.norm and einsum bit for bit
@@ -348,8 +443,6 @@ def test_cross_matches_numpy(uv):
     u, v = uv
     assert_same_bits(_cross(u.T, v.T).T, np.cross(u, v))
     assert_same_bits(_cross(u[0][:, None], v.T).T, np.cross(u[0], v))
-    assert_same_bits(_cross_next(np.ascontiguousarray(u.T))[:, :-1].T,
-                     np.cross(u[:-1], u[1:]))
 
 
 @BOUNDED

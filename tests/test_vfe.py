@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import circle3, helix3
+from curveflow import flow, vfe
 from curveflow.csf import curvature_evolution_residual
 from curveflow.errors import ConfigError, CurveFlowError
 from curveflow.flow import FlowTrajectory, StepOptions, frame_measures
@@ -219,3 +220,81 @@ def test_biot_savart_option_validation():
     # an inner cutoff whose cube underflows divides zero by zero, which warns
     with pytest.raises(ValueError, match="not finite"), np.errstate(invalid="ignore"):
         biot_savart_velocity(helix, 100, BiotSavartOptions(1e-320, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the stage plan: one set of buffers per run, none of them ever handed out
+
+
+def _plan_buffers(plan) -> list[np.ndarray]:
+    return [*plan.k, *(v for v in vars(plan).values() if isinstance(v, np.ndarray))]
+
+
+def test_velocity_is_looked_up_once_per_step(monkeypatch):
+    # the driver calls vfe._velocity through the module global: once at the
+    # start and once after each step, so a rebinding counts every call
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return velocity(*args)
+
+    velocity = vfe._velocity
+    monkeypatch.setattr(vfe, "_velocity", counting)
+    traj = evolve(helix3(n=64), StepOptions(stop_time=1.0, dt=1e-4, max_steps=10))
+    assert (traj.stop_reason, traj.steps_taken) == ("max-steps", 10)
+    assert len(calls) == 11
+
+
+def _run(curve, spec=None):
+    opts = StepOptions(stop_time=1.0, dt=1e-4, max_steps=12, record_every=5)
+    return evolve(curve, opts) if spec is None else flow.evolve(curve, opts, spec)
+
+
+def test_interleaved_runs_keep_the_bits_of_fresh_buffers():
+    # a run on its own plan, next to a run whose every call builds a fresh plan;
+    # the open run goes again after the closed one
+    ring = SampledCurve(3, True, circle3(48).points + 0.05 * np.sin(
+        3.0 * np.arange(48))[:, None] * [0.0, 0.0, 1.0])
+    for curve in (helix3(n=64), ring, helix3(n=64)):
+        got, want = _run(curve), _run(curve, vfe._spec())
+        assert got.times == want.times
+        for a, b in zip(got.frames, want.frames, strict=True):
+            assert np.array_equal(a.points, b.points)
+
+
+def test_binormal_velocity_returns_independent_arrays():
+    first = binormal_velocity(helix3(n=64))
+    kept = first.copy()
+    second = binormal_velocity(helix3(0.5, 0.2, n=64))
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+
+
+def test_nothing_the_driver_holds_is_a_plan_buffer(monkeypatch):
+    # every (h, vel, kappa), every stepped state and every frame stays as it
+    # was returned while later steps reuse the plan
+    returned, plans = [], []
+    velocity, step = vfe._velocity, vfe._step
+
+    def watched_velocity(pts, closed, plan):
+        plans.append(plan)
+        out = velocity(pts, closed, plan)
+        returned.append((out, [a.copy() for a in out]))
+        return out
+
+    def watched_step(*args):
+        out = step(*args)
+        returned.append(((out,), [out.copy()]))
+        return out
+
+    monkeypatch.setattr(vfe, "_velocity", watched_velocity)
+    monkeypatch.setattr(vfe, "_step", watched_step)
+    traj = _run(helix3(n=64))
+    buffers = _plan_buffers(plans[0])
+    assert all(plan is plans[0] for plan in plans)
+    for arrays, copies in returned:
+        for a, kept in zip(arrays, copies):
+            assert np.array_equal(a, kept)
+            assert not any(np.shares_memory(a, b) for b in buffers)
+    assert not any(np.shares_memory(f.points, b) for f in traj.frames for b in buffers)
