@@ -53,13 +53,11 @@ KAPPA_REL_FLOOR = 1e-2
 class _StagePlan:
     """The buffers and bound views of the binormal stages for one (n, closed).
 
-    A stage reads its input points, coordinate-major, from ``state``; a
-    closed curve's padded state holds its wrap in columns 0 and n + 1, as
-    ``_lagrange_d1_d2`` pads it.  The unit chords ``t`` sit in a flat buffer
-    with their rows laid out as (0, 1, 2, 0, 1), so each factor of
-    a1 b2 - a2 b1 for all three cross components is one contiguous span.
-    ``k`` holds RK4's k2 to k4, whose pinned open ends stay 0, and ``moving``
-    picks the samples that move.
+    A stage reads its points, coordinate-major, from ``state``, padded with
+    a closed curve's wrap as ``_lagrange_d1_d2`` pads it.  The unit chords'
+    rows lie flat as (0, 1, 2, 0, 1), so each factor of a1 b2 - a2 b1 for all
+    three cross components is one contiguous span.  RK4's k2 to k4 keep
+    their pinned open ends at 0.
     """
 
     def __init__(self, n: int, closed: bool):

@@ -304,7 +304,7 @@ def test_spacing_drift_is_resampled(monkeypatch):
     assert h.max() <= (1.0 + flow.SPACING_TOL) * h.min()
 
 
-@pytest.mark.parametrize("engine", [csf, vfe])
+@pytest.mark.parametrize("engine", [csf, vfe], ids=["csf", "vfe"])
 def test_a_cfl_step_below_the_normal_doubles_is_refused(engine):
     # 5e-324 times the unit step rounds to 0 or to a subnormal, whose
     # reciprocal the implicit step would need
@@ -314,7 +314,7 @@ def test_a_cfl_step_below_the_normal_doubles_is_refused(engine):
     assert err.value.token == "invalid-parameter"
 
 
-@pytest.mark.parametrize("engine", [csf, vfe])
+@pytest.mark.parametrize("engine", [csf, vfe], ids=["csf", "vfe"])
 def test_a_stop_time_far_below_one_is_stepped_to(engine):
     # an absolute tolerance of 1e-12 stopped such runs at t = 0
     curve = circle2(16) if engine is csf else circle3(16)
@@ -322,7 +322,7 @@ def test_a_stop_time_far_below_one_is_stepped_to(engine):
     assert (traj.stop_reason, traj.steps_taken, traj.final_time) == ("stop-time", 1, 1e-13)
 
 
-@pytest.mark.parametrize("engine", [csf, vfe])
+@pytest.mark.parametrize("engine", [csf, vfe], ids=["csf", "vfe"])
 def test_a_curve_that_turns_back_on_itself_is_refused(engine):
     # at the middle sample of (0, 0), (1, 0), (0, 0) the tangent estimate is 0
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
