@@ -103,7 +103,11 @@ def _write_run(out: Path, args, traj, columns, summary: dict, **series) -> list[
 def _load_input_curve(args) -> SampledCurve:
     curve = read_curve(args.input)
     if args.n and curve.n != args.n:
-        curve = resample_arclength(curve, args.n)
+        # fewer samples lengthen the chords, which may pass their bounds
+        try:
+            curve = resample_arclength(curve, args.n)
+        except ValueError as exc:
+            raise ConfigError("invalid-parameter", f"--n {args.n}: {exc}") from exc
     return curve
 
 
@@ -287,9 +291,10 @@ def cmd_vfe_biot_savart(args, out: Path) -> list[Path]:
     ss_res = float(np.sum((speeds_arr - fitted) ** 2))
     ss_tot = float(np.sum((speeds_arr - speeds_arr.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
+    # equal speeds, as on a straight filament, leave r^2 undefined: null in JSON
     report = {"epsilon": eps_values, "speed": speeds, "outer": float(outer),
-              "index": args.index, "slope": float(slope),
-              "intercept": float(intercept), "r_squared": r_squared}
+              "index": args.index, "slope": float(slope), "intercept": float(intercept),
+              "r_squared": r_squared if ss_tot > 0 else None}
     print(f"slope {float(slope):.6g} r_squared {r_squared:.6g}")
     return [dump_json(out / "biot_savart.json", report)]
 

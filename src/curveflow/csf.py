@@ -86,7 +86,10 @@ def _implicit_solve(a: float, h: np.ndarray, rhs: np.ndarray, closed: bool) -> n
     else:
         hm, hp = h[:-1], h[1:]
     hs = hm + hp
-    lo, up = 2.0 / (hm * hs), 2.0 / (hp * hs)
+    # at a step far below h^2 the scaled h^2 overflows, and 2/h^2 reads 0, the
+    # value it rounds to beside a
+    with np.errstate(over="ignore"):
+        lo, up = 2.0 / (hm * hs), 2.0 / (hp * hs)
     if not closed:
         # the pinned end rows are a x = rhs
         dl, du = np.concatenate([-lo, [0.0]]), np.concatenate([[0.0], -up])

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CurveFlowError
-from .geometry import SampledCurve, frenet
+from .geometry import SampledCurve, _check_grid, frenet
 
 # |x| or |y| beyond this truncates the profile with the escaped flag set.
 ESCAPE_LIMIT = 1e8
@@ -61,11 +61,7 @@ class CsfSolitonSpec:
 
     def __post_init__(self):
         _check_finite(self.A, self.B, self.x0, self.y0)
-        a, b = self.s_range
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise ValueError("s_range must be a finite nonempty interval")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 16:
-            raise ValueError("n must be an integer of at least 16")
+        _check_grid("s_range", self.s_range, self.n)
 
 
 @dataclass

@@ -137,6 +137,15 @@ def _unit_scale(x: float) -> float:
     return 1.0 if -128 <= e <= 128 else math.ldexp(1.0, -(e // 2) * 2)
 
 
+def _check_grid(name: str, span: tuple[float, float], n: int):
+    """Refuse a profile grid (``name``'s ``span`` on ``n`` samples) no stencil can use."""
+    a, b = span
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise ValueError(f"{name} must be a finite nonempty interval")
+    if not isinstance(n, (int, np.integer)) or n < 16:
+        raise ValueError("n must be an integer of at least 16")
+
+
 def chord_lengths(points: np.ndarray, closed: bool) -> np.ndarray:
     """Chord lengths of a point array, including the wrap segment if closed."""
     if closed:
@@ -378,7 +387,10 @@ def _signed_curvature(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Signed curvature of a planar curve from its first two derivatives."""
     cross = d1 * d2[:, ::-1]
     speed2 = _dot(d1.T, d1.T)
-    return (cross[:, 0] - cross[:, 1]) / (speed2 * np.sqrt(speed2))
+    # where the curve turns back on itself d1 is 0 or nearly so, and the inf
+    # or NaN there is the answer the driver checks
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return (cross[:, 0] - cross[:, 1]) / (speed2 * np.sqrt(speed2))
 
 
 def frenet(curve: SampledCurve) -> FrenetData:
@@ -443,9 +455,12 @@ def enclosed_area(curve: SampledCurve) -> float:
     """Absolute shoelace area of a closed planar curve."""
     if curve.dimension != 2 or not curve.closed:
         raise ValueError("enclosed_area needs a closed planar curve")
-    x, y = curve.points[:, 0], curve.points[:, 1]
+    # products of coordinates past 2^512 overflow: an exact power of 4 keeps
+    # them finite, and only an area past the largest double reads inf
+    scale = _unit_scale(float(np.abs(curve.points).max()))
+    x, y = curve.points[:, 0] * scale, curve.points[:, 1] * scale
     xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return float(0.5 * abs(np.sum(x * yn - xn * y)))
+    return float(0.5 * abs(np.sum(x * yn - xn * y))) / scale / scale
 
 
 def isoperimetric_ratio(curve: SampledCurve) -> float:

@@ -15,9 +15,9 @@ write into the plan and allocate nothing; the velocity, the step and
 ``binormal_velocity`` all run this one stage code, and the arrays they
 return are new.  The state is coordinate-major: the velocity and the step
 return the (n, 3) transpose of a (3, n) array, which the driver hands back
-as it is.  The velocity also gives the driver the chord lengths it
-measured.  The first stage reuses the driver's velocity; the others skip
-the guard's curvature.  A pinned end does not move.
+as it is.  The velocity also gives the driver the chord lengths and the
+guard's curvature, in plain numpy once per step.  The first stage reuses
+the driver's velocity; the others skip the guard.  A pinned end is fixed.
 
 Also here: residual checks for the curvature/torsion/frame evolution
 laws, the tangent/time commutator, a rigid-motion fitter for detecting
@@ -57,7 +57,7 @@ class _StagePlan:
     a closed curve's wrap as ``_lagrange_d1_d2`` pads it.  The unit chords'
     rows lie flat as (0, 1, 2, 0, 1), so each factor of a1 b2 - a2 b1 for all
     three cross components is one contiguous span.  RK4's k2 to k4 keep
-    their pinned open ends at 0.
+    their pinned open ends at 0.  The once-per-step guard keeps no buffers.
     """
 
     def __init__(self, n: int, closed: bool):
@@ -84,8 +84,6 @@ class _StagePlan:
         self.cross, self.cross_b = cross[:-1], np.empty(3 * m - 1)
         self.cross_cols = cross.reshape(3, m)[:, :-1]
         self.h_sum, self.weight = np.empty(m - 1), np.empty(m - 1)
-        self.d1, self.d1_b = np.empty((3, m - 1)), np.empty((3, m - 1))
-        self.speed2, self.speed3 = np.empty(m - 1), np.empty(m - 1)
         self.scratch = np.empty((3, n))
         self.k = [np.zeros((3, n)) for _ in range(3)]
         self.k_moving = [k[:, self.moving] for k in self.k]
@@ -120,7 +118,8 @@ def _velocity(pts: np.ndarray, closed: bool, plan: _StagePlan | None = None):
     """The chord lengths, the binormal velocity and the curvature |d1 x d2| / |d1|^3
     the guard reads, from one stage on ``plan`` (a fresh one if None).
 
-    The guard's d1 = (h- t+ + h+ t-)/(h- + h+) reuses the stage's unit chords
+    The stage writes into the plan and allocates nothing; the guard is plain
+    numpy, whose d1 = (h- t+ + h+ t-)/(h- + h+) reuses the stage's unit chords
     and sums.  The three returned arrays are new, never the plan's.  The
     velocity and the curvature are 0 at a pinned open end.
     """
@@ -128,18 +127,13 @@ def _velocity(pts: np.ndarray, closed: bool, plan: _StagePlan | None = None):
     np.copyto(p.state, pts.T)
     vel = np.zeros(pts.shape[::-1])
     _binormal(p, vel[:, p.moving])
-    np.multiply(p.h_lo, p.t_hi, out=p.d1)
-    np.multiply(p.h_hi, p.t_lo, out=p.d1_b)
-    np.add(p.d1, p.d1_b, out=p.d1)
-    np.divide(p.d1, p.h_sum, out=p.d1)
-    np.multiply(p.d1, p.d1, out=p.d1_b)
-    np.add.reduce(p.d1_b, axis=0, out=p.speed2)
-    np.sqrt(p.speed2, out=p.speed3)
-    np.multiply(p.speed2, p.speed3, out=p.speed3)
-    np.multiply(vel, vel, out=p.scratch)
-    kappa = np.sqrt(np.add.reduce(p.scratch, axis=0))
-    moving = kappa[p.moving]
-    np.divide(moving, p.speed3, out=moving)
+    d1 = (p.h_lo * p.t_hi + p.h_hi * p.t_lo) / p.h_sum
+    speed2 = np.add.reduce(d1 * d1, axis=0)
+    kappa = np.sqrt(np.add.reduce(vel * vel, axis=0))
+    # where the curve turns back on itself d1 is 0 or nearly so, and the inf
+    # or NaN kappa there is the answer the driver checks
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kappa[p.moving] /= speed2 * np.sqrt(speed2)
     return p.chords.copy(), vel.T, kappa
 
 
@@ -290,7 +284,7 @@ def commutator_residual(traj: FlowTrajectory) -> ScalarSeries:
     for k in range(1, len(frames) - 1):
         dt2 = times[k + 1] - times[k - 1]
         lhs = (d1s[k + 1] - d1s[k - 1]) / dt2
-        vel = _velocity(frames[k].points, closed)[1]
+        vel = binormal_velocity(frames[k])
         rhs = _lagrange_d1_d2(vel, hs[k], closed)[0]
         vals[k - 1] = np.linalg.norm((lhs - rhs)[keep], axis=1).max()
     return ScalarSeries(times[1:-1], vals)

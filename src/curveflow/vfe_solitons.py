@@ -29,16 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurveFlowError
-from .geometry import SampledCurve, _cross, _dot, _lagrange_d1_d2, segment_lengths
-
-
-def _check_grid(x_range: tuple[float, float], n: int):
-    # every family writes x increasing, on enough samples for its stencils
-    a, b = x_range
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError("x_range must be a finite nonempty interval")
-    if not isinstance(n, (int, np.integer)) or n < 16:
-        raise ValueError("n must be an integer of at least 16")
+from .geometry import (SampledCurve, _check_grid, _cross, _dot, _lagrange_d1_d2,
+                       segment_lengths)
 
 
 @dataclass(frozen=True)
@@ -56,7 +48,7 @@ class VfeRotatingSpec:
             raise ValueError("case must be x-axis or planar")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +-1")
-        _check_grid(self.x_range, self.n)
+        _check_grid("x_range", self.x_range, self.n)
         if self.case == "planar" and self.lam != 0.0:
             raise ValueError("the planar profile is the lam = 0 case")
 
@@ -216,7 +208,7 @@ def transverse_rotation_profile(C1: float, C2: float,
     q = (1+C1^2)(x^2+2C2)/2 is solvable only while |q| < 1; the range is
     truncated at the first violation, which is found in closed form.
     """
-    _check_grid(x_range, n)
+    _check_grid("x_range", x_range, n)
     # C1 * C1, not C1**2: a float power raises OverflowError
     if not np.isfinite(C1 * C1):
         raise ValueError("C1 must be finite, with C1^2 finite")

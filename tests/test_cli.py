@@ -250,6 +250,22 @@ def test_chord_squares_outside_the_normal_doubles_exit_two(tmp_path, capsys, flo
     assert not out.exists()
 
 
+def test_a_resampling_whose_chords_overflow_names_n(tmp_path, capsys):
+    # the 64-gon is valid; its 32-sample resampling has chord squares past the
+    # largest double, which the refusal blamed on the file
+    t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    path = tmp_path / "in.curve"
+    path.write_text(json.dumps({"dimension": 2, "closed": True, "points": (
+        1e155 * np.column_stack([np.cos(t), np.sin(t)])).tolist()}))
+    out = tmp_path / "o"
+    assert run("csf", "evolve", "--input", path, "--n", "32", "--stop-time", "1e300",
+               "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "invalid-parameter"
+    assert "--n 32" in err[-2]
+    assert not out.exists()
+
+
 def test_frames_of_an_unlabeled_input_keep_a_null_label(tmp_path):
     path = write_curve(tmp_path / "in.curve", SampledCurve(2, True, circle2(64).points))
     out = tmp_path / "run"
@@ -760,6 +776,22 @@ def test_biot_savart_reports_log_slope(tmp_path, circle3_file, capsys):
     report = json.loads((out / "biot_savart.json").read_text())
     assert report["slope"] == pytest.approx(1.0, rel=0.05)
     assert report["r_squared"] > 0.999
+
+
+def test_biot_savart_on_a_straight_filament_writes_a_null_r_squared(tmp_path, capsys):
+    # every speed is 0, so r^2 is undefined: null in the file, nan on stdout
+    line = SampledCurve(3, False, np.column_stack([np.arange(64.0), np.zeros(64),
+                                                   np.zeros(64)]))
+    path = write_curve(tmp_path / "line.curve", line)
+    out = tmp_path / "bs"
+    assert run("vfe", "biot-savart", "--input", path, "--index", "32", "--outer", "2",
+               "--out", out) == 0
+    assert capsys.readouterr().out == "slope 0 r_squared nan\n"
+    text = (out / "biot_savart.json").read_text()
+    assert "NaN" not in text
+    report = json.loads(text)
+    assert report["speed"] == [0.0, 0.0, 0.0]
+    assert report["r_squared"] is None
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -114,6 +116,15 @@ def test_circle_length_and_area():
     assert total_length(c) == pytest.approx(2 * np.pi * 1.3, rel=1e-4)
     assert enclosed_area(c) == pytest.approx(np.pi * 1.3**2, rel=1e-4)
     assert isoperimetric_ratio(circle2(2048)) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_an_area_whose_coordinate_products_overflow_is_exact():
+    # corners out to 2e154 multiply past the largest double; the area is 1e308
+    square = SampledCurve(2, True, 1e154 * np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0],
+                                                     [1.0, 2.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert enclosed_area(square) == 1e154 * 1e154
 
 
 def test_ellipse_perimeter_matches_quadrature():

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
@@ -372,19 +372,40 @@ def _capped_step_options(args):
     return dataclasses.replace(cli_step_options(args), max_steps=EVOLVE_MAX_STEPS)
 
 
+# an open polyline out along the x-axis and back, whose tangent estimate
+# vanishes at the turn; an arc of scale 1e154 stepped by 1e-300, where the
+# implicit CSF step's scaled h^2 overflows; and a 64-gon of radius 1e154, whose
+# coordinate products overflow in its area
+TURNING_BACK = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [2.0, 0.0], [1.0, 0.0],
+                [0.0, 0.0]]
+HUGE_ARC = (1e154 * np.column_stack([np.cos(np.linspace(0.0, 2.0, 16)),
+                                     np.sin(np.linspace(0.0, 2.0, 16))])).tolist()
+HUGE_POLYGON = (1e154 * np.column_stack([np.cos(np.arange(64) * np.pi / 32),
+                                         np.sin(np.arange(64) * np.pi / 32)])).tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(evolve_argv())
+@example((["csf", "evolve", "--stop-time", "1.0"],
+          {"dimension": 2, "closed": False, "points": TURNING_BACK}))
+@example((["vfe", "evolve", "--stop-time", "1.0"],
+          {"dimension": 3, "closed": False, "points": [p + [0.0] for p in TURNING_BACK]}))
+@example((["csf", "evolve", "--stop-time", "1e-300", "--dt=1e-300"],
+          {"dimension": 2, "closed": False, "points": HUGE_ARC}))
+@example((["csf", "evolve", "--stop-time", "1e300"],
+          {"dimension": 2, "closed": True, "points": HUGE_POLYGON}))
 def test_evolve_commands_exit_cleanly(case):
     # exit 0 with every written value finite, a time, length, curvature and
     # bending in each diagnostics row, and a stop-time run at its stop time;
-    # or exit 2 or 3 with a token last.
+    # or exit 2 or 3 with a token last; no numpy warning on the way.
     # The CLI sets no step cap; a run here stops after EVOLVE_MAX_STEPS
     # steps, so that a subnormal step ends in seconds too
     argv, curve = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings(), \
             mock.patch.object(cli, "_step_options", _capped_step_options):
+        warnings.simplefilter("error")
         path, out = Path(tmp) / "in.curve", Path(tmp) / "o"
         path.write_text(json.dumps(curve))
         code = main(argv + ["--input", str(path), "--out", str(out)])
