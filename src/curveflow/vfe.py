@@ -17,7 +17,7 @@ return are new.  The state is coordinate-major: the velocity and the step
 return the (n, 3) transpose of a (3, n) array, which the driver hands back
 as it is.  The velocity also gives the driver the chord lengths and the
 guard's curvature, in plain numpy once per step.  The first stage reuses
-the driver's velocity; the others skip the guard.  A pinned end is fixed.
+the driver's velocity; the others skip the guard.  A pinned end does not move.
 
 Also here: residual checks for the curvature/torsion/frame evolution
 laws, the tangent/time commutator, a rigid-motion fitter for detecting
