@@ -37,7 +37,6 @@ from .geometry import (
     chord_lengths,
     cumulative_arclength,
     enclosed_area,
-    frenet,
     integrate_along,
     isoperimetric_ratio,
     resample_arclength,
@@ -111,26 +110,27 @@ def _implicit_solve(a: float, h: np.ndarray, rhs: np.ndarray, closed: bool) -> n
 
 
 def _step(pts, h, vel, closed, dt, last):
-    """One linearly implicit BDF2 step, or backward Euler where BDF2 does not fit.
+    """One linearly implicit variable-step BDF2 step.
 
     With w = dt / dt_prev, the step solves
     (a I - D2(h*)) x' = ((1+w) x - w^2/(1+w) x_prev) / dt with
     a = (1+2w) / ((1+w) dt), at the extrapolated chords h* = (1+w) h - w h_prev.
-    w = 0 is backward Euler: at the start, after a resample (``last`` is None)
-    and when dt exceeds ``MAX_STEP_RATIO`` dt_prev.  Pinned open ends are copied.
+    The start, a resample (``last`` is None) and dt > ``MAX_STEP_RATIO`` dt_prev take
+    a zero history at dt_prev = inf: w = 0 is backward Euler.  Pinned ends are copied.
     """
     # 1/dt and the stencil's 2/h^2 set the scale of the system: for c the power
     # of 4 that brings it near 1 (c = 1 in range), the system on dt / c and
     # h / sqrt(c) has the same solution and keeps its products normal doubles
     c = _unit_scale(1.0 / dt + 1.0 / h.min() ** 2)
     if last is None or dt > MAX_STEP_RATIO * last[2]:
-        a, rhs, h_star = 1.0 / (dt / c), pts / (dt / c), h
-    else:
-        pts_prev, h_prev, dt_prev = last
-        w = dt / dt_prev
-        a = (1.0 + 2.0 * w) / ((1.0 + w) * (dt / c))
-        rhs = ((1.0 + w) * pts - (w * w / (1.0 + w)) * pts_prev) / (dt / c)
-        h_star = (1.0 + w) * h - w * h_prev
+        # scalar zeros make every w term an exact +0, so the bits are backward
+        # Euler's, signed zeros included
+        last = (0.0, 0.0, math.inf)
+    pts_prev, h_prev, dt_prev = last
+    w = dt / dt_prev
+    a = (1.0 + 2.0 * w) / ((1.0 + w) * (dt / c))
+    rhs = ((1.0 + w) * pts - (w * w / (1.0 + w)) * pts_prev) / (dt / c)
+    h_star = (1.0 + w) * h - w * h_prev
     new = _implicit_solve(a, h_star / math.sqrt(c), rhs, closed)
     if not closed:
         new[[0, -1]] = pts[[0, -1]]
@@ -180,12 +180,10 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> ScalarSeries:
     n = frames[0].n
     closed = frames[0].closed
 
-    kappas = []
-    lengths = []
-    for f in frames:
-        rf = resample_arclength(f, n)
-        kappas.append(frenet(rf).curvature)
-        lengths.append(total_length(rf))
+    # the engine's velocity gives each resampled frame's chords and curvature
+    measured = [_velocity(resample_arclength(f, n).points, closed) for f in frames]
+    kappas = [kappa for _, _, kappa in measured]
+    lengths = [float(h.sum()) for h, _, _ in measured]
 
     out = np.empty(len(frames) - 2)
     for k in range(1, len(frames) - 1):
