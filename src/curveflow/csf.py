@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
-from .errors import CurveFlowError
+from .errors import ConfigError, CurveFlowError
 from .flow import (FlowTrajectory, ScalarSeries, StepOptions, frame_measures,
                    interior_frames)
 from .geometry import (
@@ -283,7 +283,11 @@ def estimate_shrink_point(traj: FlowTrajectory) -> np.ndarray:
 
 def estimate_singular_time(traj: FlowTrajectory) -> float:
     """Final time plus the area law remainder A/(2 pi)."""
-    return traj.final_time + enclosed_area(traj.final) / (2.0 * np.pi)
+    area = enclosed_area(traj.final)
+    if not math.isfinite(area):
+        raise ConfigError("invalid-input", "the final frame's enclosed area lies past "
+                          "the largest double, so the area law gives no singular time")
+    return traj.final_time + area / (2.0 * np.pi)
 
 
 @dataclass

@@ -165,15 +165,18 @@ def nlcse_residual(prev: FilamentFunction, now: FilamentFunction,
     if not prev.time < now.time < nxt.time:
         raise ValueError("snapshot times must strictly increase")
     dt2 = nxt.time - prev.time
-    psi_t = (nxt.values - prev.values) / dt2
     v = now.values
     ds = now.grid_step
     out = np.full(now.n, np.nan)
-    psi_ss = (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2]
-              + 16.0 * v[1:-3] - v[:-4]) / (12.0 * ds**2)
-    out[2:-2] = np.abs(
-        -1j * psi_t[2:-2] - psi_ss - 0.5 * (np.abs(v[2:-2]) ** 2 + now.gauge_A) * v[2:-2]
-    )
+    # a quotient or product past the largest double reads inf or NaN, which
+    # the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_t = (nxt.values - prev.values) / dt2
+        psi_ss = (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2]
+                  + 16.0 * v[1:-3] - v[:-4]) / (12.0 * ds**2)
+        out[2:-2] = np.abs(
+            -1j * psi_t[2:-2] - psi_ss - 0.5 * (np.abs(v[2:-2]) ** 2 + now.gauge_A) * v[2:-2]
+        )
     if not np.isfinite(out[2:-2]).all():
         raise ValueError("the residual overflows: |psi|^2 psi or a difference "
                          "quotient lies past the largest double")
@@ -308,9 +311,14 @@ def hasimoto_soliton(spec: HasimotoSolitonSpec, t: float, s_grid):
     # mu (1 - S^2) for q = nu^2 + tau0^2, which stay bounded where S^2 need not
     q = nu**2 + tau0**2
     mu, mu_s = nu**2 / q, nu * tau0 / q
-    eta = nu * (s - 2.0 * tau0 * t)
-    theta = tau0 * s + (nu**2 - tau0**2) * t
-    sech = 1.0 / np.cosh(eta)
+    # far from the core eta or cosh(eta) overflows, where sech = 0 and
+    # tanh = +-1 are the kink's values
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = nu * (s - 2.0 * tau0 * t)
+        theta = tau0 * s + (nu**2 - tau0**2) * t
+        sech = 1.0 / np.cosh(eta)
+    if not np.isfinite(theta).all():
+        raise ValueError("the kink's phase tau0 s + (nu^2 - tau0^2) t must be finite")
     tanh = np.tanh(eta)
     ph = np.exp(1j * theta)
 
@@ -346,8 +354,11 @@ def hasimoto_soliton(spec: HasimotoSolitonSpec, t: float, s_grid):
 def hasimoto_soliton_filament(spec: HasimotoSolitonSpec, t: float, s_grid) -> FilamentFunction:
     """psi of the kink under the gauge A = 2(tau0^2 - nu^2) (no extra phase)."""
     s, ds = _grid_and_step(s_grid)
-    eta = spec.nu * (s - 2.0 * spec.tau0 * t)
-    values = 2.0 * spec.nu / np.cosh(eta) * np.exp(1j * spec.tau0 * s)
+    # sech = 0 where eta or cosh(eta) overflows; FilamentFunction refuses the
+    # NaN of a phase tau0 s past the largest double
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = spec.nu * (s - 2.0 * spec.tau0 * t)
+        values = 2.0 * spec.nu / np.cosh(eta) * np.exp(1j * spec.tau0 * s)
     return FilamentFunction(float(s[0]), ds, values, spec.gauge_A, t)
 
 
@@ -378,5 +389,9 @@ def dilating_filament(a: float, t: float, x_grid) -> FilamentFunction:
     if not math.isfinite(a * a / t):
         raise ValueError("a and t must be finite, with a^2/t finite")
     x, ds = _grid_and_step(x_grid)
+    # numpy forms the phase as x^2 * (1/(4t)), largest at max |x|
+    m = float(np.abs(x).max())
+    if not math.isfinite(m * m * (1.0 / (4.0 * t))):
+        raise ValueError("the phase x^2/(4t) must be finite on the grid")
     values = (a / np.sqrt(t)) * np.exp(1j * x**2 / (4.0 * t))
     return FilamentFunction(float(x[0]), ds, values, -a**2 / t, t)

@@ -16,10 +16,10 @@ from conftest import circle2, circle3, ellipse2
 import curveflow
 from curveflow import __version__, cli, csf, csf_solitons, hasimoto, vfe_solitons
 from curveflow.errors import CurveFlowError
-from curveflow.flow import frame_measures
+from curveflow.flow import StepOptions, frame_measures
 from curveflow.geometry import SampledCurve
-from curveflow.storage import (file_sha256, read_curve, read_filament,
-                               read_trajectory, write_curve, write_filament)
+from curveflow.storage import (file_sha256, read_curve, read_filament, read_trajectory,
+                               write_curve, write_filament, write_trajectory)
 
 
 def run(*argv):
@@ -264,6 +264,24 @@ def test_a_resampling_whose_chords_overflow_names_n(tmp_path, capsys):
     assert err[-1] == "invalid-parameter"
     assert "--n 32" in err[-2]
     assert not out.exists()
+
+
+def test_an_area_past_the_largest_double_is_refused_naming_the_area(tmp_path, capsys):
+    # the 64-gon of radius 1e154 runs; its area pi * 1e308 reads inf, so the
+    # area law gives no singular time, which the refusal blamed on x0 and t0
+    t = np.arange(64) * np.pi / 32
+    polygon = SampledCurve(2, True, 1e154 * np.column_stack([np.cos(t), np.sin(t)]))
+    path = write_curve(tmp_path / "in.curve", polygon)
+    traj = tmp_path / "traj"
+    write_trajectory(traj, csf.evolve(polygon, StepOptions(stop_time=1e300, cfl=0.25)))
+    for argv in (("csf", "evolve", "--input", path, "--stop-time", "1e300"),
+                 ("diagnose", "huisken", "--trajectory", traj)):
+        out = tmp_path / "o"
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "invalid-input"
+        assert "enclosed area" in err[-2]
+        assert not out.exists()
 
 
 def test_frames_of_an_unlabeled_input_keep_a_null_label(tmp_path):

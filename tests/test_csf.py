@@ -143,6 +143,25 @@ def test_step_after_a_step_size_jump_is_backward_euler(dt_prev):
     assert np.abs(radius - np.sqrt(1.0 - 2.0 * (dt_prev + dt))).max() < 2e-4
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_a_step_with_no_history_is_the_backward_euler_solve(closed):
+    # BDF2 at w = 0 is backward Euler bit for bit, signed zeros included: the
+    # open curve is a straight line whose ordinates are all -0.0
+    th = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    if closed:
+        pts = np.column_stack([np.cos(th), np.sin(th)])
+        pts[0, 1] = pts[8, 0] = -0.0
+    else:
+        pts = np.column_stack([th, np.full(32, -0.0)])
+    h, dt = chord_lengths(pts, closed), 1e-3
+    want = csf._implicit_solve(1.0 / dt, h, pts / dt, closed)
+    if not closed:
+        want[[0, -1]] = pts[[0, -1]]
+    got = csf._step(pts, h, None, closed, dt, None)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("cfl", [0.95, 0.99, 1.0])
 def test_cfl_up_to_one_reaches_the_stop_time(cfl):
     traj = evolve(ellipse2(2.0, 1.0, 64), StepOptions(stop_time=0.9, cfl=cfl))
