@@ -168,9 +168,9 @@ def nlcse_residual(prev: FilamentFunction, now: FilamentFunction,
     v = now.values
     ds = now.grid_step
     out = np.full(now.n, np.nan)
-    # a quotient or product past the largest double reads inf or NaN, which
-    # the check below refuses
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a quotient or product past the largest double, or over a step whose
+    # square is 0, reads inf or NaN, which the check below refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         psi_t = (nxt.values - prev.values) / dt2
         psi_ss = (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2]
                   + 16.0 * v[1:-3] - v[:-4]) / (12.0 * ds**2)

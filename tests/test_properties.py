@@ -304,16 +304,20 @@ def cheap_command_argv(draw):
 
 # the kink far from its core, where cosh and then eta overflow to a zero sech;
 # a kink phase, a dilating phase x^2/(4t), and a residual stencil and product
-# past the largest double, each refused
+# past the largest double, and a stencil over a step whose square is 0, each
+# refused
 @settings(max_examples=200, deadline=None)
 @given(cheap_command_argv())
 @example(["hasimoto", "soliton", "--nu=1.0", "--tau0=0.5", "--t=0.0", "--s=-1000.0:1000.0:64"])
-@example(["hasimoto", "soliton", "--nu=9e153", "--tau0=0.0", "--t=0.0", "--s=1e155:1.1e155:16"])
+@example(["hasimoto", "soliton", "--nu=9e153", "--tau0=0.0", "--t=0.0",
+          "--s=1e155:1.1e155:16"])
 @example(["hasimoto", "soliton", "--nu=1.0", "--tau0=1e154", "--t=0.0", "--s=0.0:1e300:16"])
 @example(["hasimoto", "dilating", "--a=1e-320", "--t=1e-320", "--x=-2.0:1e-320:37"])
 @example(["hasimoto", "dilating", "--a=-3e-134", "--t=0.65", "--x=-1e-160:-0.0:56",
           "--check-residual"])
 @example(["hasimoto", "dilating", "--a=1e154", "--t=2.3", "--x=2.3:1e154:54",
+          "--check-residual"])
+@example(["hasimoto", "dilating", "--a=1.0", "--t=1.0", "--x=0.0:1e-161:64",
           "--check-residual"])
 def test_cheap_commands_exit_cleanly(argv):
     # exit 0 with every written value finite, or exit 2 or 3 with a token
