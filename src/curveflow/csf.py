@@ -180,7 +180,7 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> ScalarSeries:
     n = frames[0].n
     closed = frames[0].closed
 
-    # the engine's velocity gives each resampled frame's chords and curvature
+    # _velocity's kappa is frenet's planar kappa, and its chords give the length
     measured = [_velocity(resample_arclength(f, n).points, closed) for f in frames]
     kappas = [kappa for _, _, kappa in measured]
     lengths = [float(h.sum()) for h, _, _ in measured]
