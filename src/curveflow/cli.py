@@ -39,6 +39,18 @@ CSF_COLUMNS = ("time", "length", "bending", "huisken",
                "distance_ratio", "max_curvature")
 VFE_COLUMNS = ("time", "length", "max_curvature", "max_torsion")
 
+# the largest grid, sample, quadrature or sweep-member count a run may ask
+# for, checked before anything of that size is allocated: a grid this long
+# takes 32 MiB, and 2**22 is 1,024 times the largest count the tests and
+# examples use (4,096)
+MAX_COUNT = 2**22
+
+
+def _check_count(what: str, count: int) -> None:
+    if count > MAX_COUNT:
+        raise ConfigError("invalid-parameter",
+                          f"{what} is {count}, above the largest count {MAX_COUNT}")
+
 
 def parse_range(text: str):
     """Grid syntax start:end:count -> numpy linspace."""
@@ -49,8 +61,8 @@ def parse_range(text: str):
         a, b, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError("invalid-range", f"bad range {text!r}: {exc}") from exc
-    if count < 1:
-        raise ConfigError("invalid-range", "count must be positive")
+    if not 1 <= count <= MAX_COUNT:
+        raise ConfigError("invalid-range", f"count must lie in 1..{MAX_COUNT}, got {count}")
     # also catches a NaN or infinite bound
     if not math.isfinite(b - a):
         raise ConfigError("invalid-range", f"range {text!r} needs finite bounds")
@@ -101,6 +113,7 @@ def _write_run(out: Path, args, traj, columns, summary: dict, **series) -> list[
 
 
 def _load_input_curve(args) -> SampledCurve:
+    _check_count("--n", args.n)
     curve = read_curve(args.input)
     if args.n and curve.n != args.n:
         # fewer samples lengthen the chords, which may pass their bounds
@@ -185,6 +198,8 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
         b_vals = parse_range(args.B_range) if args.B_range else [args.B]
         x_vals = parse_range(args.x0_range) if args.x0_range else [args.x0]
         y_vals = parse_range(args.y0_range) if args.y0_range else [args.y0]
+        _check_count("the sweep's member count",
+                     math.prod(map(len, (a_vals, b_vals, x_vals, y_vals))))
         # every member is computed before any file is written, so a member
         # that raises leaves no partial sweep behind; a member that fails at
         # run time is listed with its error token and no curve
@@ -273,6 +288,7 @@ def cmd_vfe_soliton(args, out: Path) -> list[Path]:
 
 
 def cmd_vfe_biot_savart(args, out: Path) -> list[Path]:
+    _check_count("--quadrature-n", args.quadrature_n)
     curve = read_curve(args.input)
     eps_values = parse_floats(args.eps)
     if len(set(eps_values)) < 2:
@@ -377,17 +393,19 @@ def cmd_diagnose_distance_ratio(args, out: Path) -> list[Path]:
 
 def cmd_diagnose_residuals(args, out: Path) -> list[Path]:
     traj = read_trajectory(args.trajectory)
+    # both series are formed before either is written, so a refusal writes nothing
     if args.flow == "csf":
-        return [_series_table(out, args, "arclength_residual",
-                              csf.arclength_rate_residual(traj)),
-                _series_table(out, args, "curvature_residual",
-                              csf.curvature_evolution_residual(traj))]
+        arclength = csf.arclength_rate_residual(traj)
+        curvature = csf.curvature_evolution_residual(traj)
+        return [_series_table(out, args, "arclength_residual", arclength),
+                _series_table(out, args, "curvature_residual", curvature)]
     res = vfe.frenet_evolution_residuals(traj)
+    commutator = vfe.commutator_residual(traj)
     return [_table(out, args, "frenet_residuals",
                    ("time", "res_kappa", "res_tau", "res_normal", "res_binormal"),
                    np.column_stack([res.times, res.res_kappa, res.res_tau,
                                     res.res_normal, res.res_binormal])),
-            _series_table(out, args, "commutator_residual", vfe.commutator_residual(traj))]
+            _series_table(out, args, "commutator_residual", commutator)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +444,42 @@ def _add_evolve_flags(parser):
     parser.add_argument("--record-every", type=int, default=10)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every group with its help and its commands, in the order --help lists them
+_GROUPS = {
+    "csf": ("curve shortening flow", ("evolve", "soliton")),
+    "vfe": ("binormal flow", ("evolve", "soliton", "biot-savart")),
+    "hasimoto": ("filament transform and NLCSE",
+                 ("transform", "evolve", "reconstruct", "soliton", "dilating")),
+    "diagnose": ("post-hoc diagnostics", ("huisken", "distance-ratio", "residuals")),
+}
+_COMMANDS = {(group, name) for group, (_, names) in _GROUPS.items() for name in names}
+
+
+def _named_command(argv) -> tuple[str, str] | None:
+    """The (group, command) pair that opens argv after its global flags.
+
+    Only the exact spellings --out X, --out=X, --format X, --format=X and
+    --force are skipped.  Anything else (help, --version, --, an
+    abbreviated flag, a flag between the group and the command, an
+    unknown name) gives None, and argparse then reads argv against the
+    full parser.
+    """
+    i = 0
+    while i < len(argv):
+        if argv[i] in ("--out", "--format"):
+            i += 2
+        elif argv[i] == "--force" or argv[i].startswith(("--out=", "--format=")):
+            i += 1
+        else:
+            break
+    pair = tuple(argv[i:i + 2])
+    return pair if pair in _COMMANDS else None
+
+
+def build_parser(only: tuple[str, str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given a (group, command) pair, it registers
+    that group and command alone, which parse an argv naming them as the
+    full parser does."""
     parser = _Parser(prog="curveflow",
                      description="curve shortening and binormal flow laboratory")
     parser.add_argument("--version", action="version", version=__version__)
@@ -435,98 +488,100 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(common)
 
     top = parser.add_subparsers(required=True, dest="group",
-                                metavar="{csf,vfe,hasimoto,diagnose}")
+                                metavar="{%s}" % ",".join(_GROUPS))
+    groups = {}
 
     def command(group, name, handler):
-        p = group.add_parser(name, parents=[common])
+        # None for a command this parser leaves out
+        if only not in (None, (group, name)):
+            return None
+        if group not in groups:
+            help_text, names = _GROUPS[group]
+            groups[group] = top.add_parser(group, help=help_text).add_subparsers(
+                required=True, dest="command", metavar="{%s}" % ",".join(names))
+        p = groups[group].add_parser(name, parents=[common])
         p.set_defaults(handler=handler)
         return p
 
-    csf_group = top.add_parser("csf", help="curve shortening flow").add_subparsers(
-        required=True, dest="command", metavar="{evolve,soliton}")
-    p = command(csf_group, "evolve", cmd_csf_evolve)
-    _add_evolve_flags(p)
-    p.add_argument("--rescale", action="store_true")
-    p.add_argument("--lambdas", default="2,4,8")
-    p = command(csf_group, "soliton", cmd_csf_soliton)
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--B", type=float, default=None)
-    p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--y0", type=float, default=0.0)
-    p.add_argument("--s", default="-10:10:1024", help="arclength grid start:end:count")
-    # any range turns the run into a sweep over the grid of all ranges
-    p.add_argument("--A-range", dest="A_range", default=None)
-    p.add_argument("--B-range", dest="B_range", default=None)
-    p.add_argument("--x0-range", dest="x0_range", default=None)
-    p.add_argument("--y0-range", dest="y0_range", default=None)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--grim-reaper", action="store_true")
-    mode.add_argument("--abresch-langer", action="store_true")
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--x", default="-1.5:1.5:512", help="spatial grid for the grim reaper")
-    p.add_argument("--r-min", dest="r_min", type=float, default=None)
+    if p := command("csf", "evolve", cmd_csf_evolve):
+        _add_evolve_flags(p)
+        p.add_argument("--rescale", action="store_true")
+        p.add_argument("--lambdas", default="2,4,8")
+    if p := command("csf", "soliton", cmd_csf_soliton):
+        p.add_argument("--A", type=float, default=None)
+        p.add_argument("--B", type=float, default=None)
+        p.add_argument("--x0", type=float, default=1.0)
+        p.add_argument("--y0", type=float, default=0.0)
+        p.add_argument("--s", default="-10:10:1024", help="arclength grid start:end:count")
+        # any range turns the run into a sweep over the grid of all ranges
+        p.add_argument("--A-range", dest="A_range", default=None)
+        p.add_argument("--B-range", dest="B_range", default=None)
+        p.add_argument("--x0-range", dest="x0_range", default=None)
+        p.add_argument("--y0-range", dest="y0_range", default=None)
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--grim-reaper", action="store_true")
+        mode.add_argument("--abresch-langer", action="store_true")
+        p.add_argument("--t", type=float, default=0.0)
+        p.add_argument("--x", default="-1.5:1.5:512", help="spatial grid for the grim reaper")
+        p.add_argument("--r-min", dest="r_min", type=float, default=None)
 
-    vfe_group = top.add_parser("vfe", help="binormal flow").add_subparsers(
-        required=True, dest="command", metavar="{evolve,soliton,biot-savart}")
-    _add_evolve_flags(command(vfe_group, "evolve", cmd_vfe_evolve))
-    p = command(vfe_group, "soliton", cmd_vfe_soliton)
-    p.add_argument("--case", required=True,
-                   choices=("transverse-axis", "x-axis", "planar"))
-    p.add_argument("--C1", type=float, required=True)
-    p.add_argument("--C2", type=float, default=0.0)
-    p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--z0", type=float, default=None)
-    p.add_argument("--sign", type=int, choices=(-1, 1), default=1)
-    p.add_argument("--x", default="0:5:1024", help="profile parameter grid")
-    p = command(vfe_group, "biot-savart", cmd_vfe_biot_savart)
-    p.add_argument("--input", required=True)
-    p.add_argument("--eps", default="1e-2,1e-3,1e-4")
-    p.add_argument("--outer", type=float, default=None)
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--quadrature-n", dest="quadrature_n", type=int, default=256)
+    if p := command("vfe", "evolve", cmd_vfe_evolve):
+        _add_evolve_flags(p)
+    if p := command("vfe", "soliton", cmd_vfe_soliton):
+        p.add_argument("--case", required=True,
+                       choices=("transverse-axis", "x-axis", "planar"))
+        p.add_argument("--C1", type=float, required=True)
+        p.add_argument("--C2", type=float, default=0.0)
+        p.add_argument("--lam", type=float, default=0.0)
+        p.add_argument("--z0", type=float, default=None)
+        p.add_argument("--sign", type=int, choices=(-1, 1), default=1)
+        p.add_argument("--x", default="0:5:1024", help="profile parameter grid")
+    if p := command("vfe", "biot-savart", cmd_vfe_biot_savart):
+        p.add_argument("--input", required=True)
+        p.add_argument("--eps", default="1e-2,1e-3,1e-4")
+        p.add_argument("--outer", type=float, default=None)
+        p.add_argument("--index", type=int, default=0)
+        p.add_argument("--quadrature-n", dest="quadrature_n", type=int, default=256)
 
-    has_group = top.add_parser("hasimoto", help="filament transform and NLCSE").add_subparsers(
-        required=True, dest="command", metavar="{transform,evolve,reconstruct,soliton,dilating}")
-    p = command(has_group, "transform", cmd_hasimoto_transform)
-    p.add_argument("--input", required=True)
-    p.add_argument("--gauge-A", dest="gauge_A", type=float, default=0.0)
-    p = command(has_group, "evolve", cmd_hasimoto_evolve)
-    p.add_argument("--input", required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--periodic", action="store_true")
-    p = command(has_group, "reconstruct", cmd_hasimoto_reconstruct)
-    p.add_argument("--input", required=True)
-    p = command(has_group, "soliton", cmd_hasimoto_soliton)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--tau0", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--s", default="-20:20:1024")
-    p = command(has_group, "dilating", cmd_hasimoto_dilating)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", default="-10:10:4096")
-    p.add_argument("--check-residual", action="store_true")
+    if p := command("hasimoto", "transform", cmd_hasimoto_transform):
+        p.add_argument("--input", required=True)
+        p.add_argument("--gauge-A", dest="gauge_A", type=float, default=0.0)
+    if p := command("hasimoto", "evolve", cmd_hasimoto_evolve):
+        p.add_argument("--input", required=True)
+        p.add_argument("--dt", type=float, required=True)
+        p.add_argument("--steps", type=int, required=True)
+        p.add_argument("--periodic", action="store_true")
+    if p := command("hasimoto", "reconstruct", cmd_hasimoto_reconstruct):
+        p.add_argument("--input", required=True)
+    if p := command("hasimoto", "soliton", cmd_hasimoto_soliton):
+        p.add_argument("--nu", type=float, required=True)
+        p.add_argument("--tau0", type=float, required=True)
+        p.add_argument("--t", type=float, default=0.0)
+        p.add_argument("--s", default="-20:20:1024")
+    if p := command("hasimoto", "dilating", cmd_hasimoto_dilating):
+        p.add_argument("--a", type=float, required=True)
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--x", default="-10:10:4096")
+        p.add_argument("--check-residual", action="store_true")
 
-    diag_group = top.add_parser("diagnose", help="post-hoc diagnostics").add_subparsers(
-        required=True, dest="command", metavar="{huisken,distance-ratio,residuals}")
-    p = command(diag_group, "huisken", cmd_diagnose_huisken)
-    p.add_argument("--trajectory", required=True, help="trajectory output directory")
-    p.add_argument("--x0", default=None, help="kernel center as x,y")
-    p.add_argument("--t0", type=float, default=None)
-    source = command(diag_group, "distance-ratio",
-                     cmd_diagnose_distance_ratio).add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", default=None)
-    source.add_argument("--trajectory", default=None)
-    p = command(diag_group, "residuals", cmd_diagnose_residuals)
-    p.add_argument("--trajectory", required=True)
-    p.add_argument("--flow", choices=("csf", "vfe"), required=True)
+    if p := command("diagnose", "huisken", cmd_diagnose_huisken):
+        p.add_argument("--trajectory", required=True, help="trajectory output directory")
+        p.add_argument("--x0", default=None, help="kernel center as x,y")
+        p.add_argument("--t0", type=float, default=None)
+    if p := command("diagnose", "distance-ratio", cmd_diagnose_distance_ratio):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", default=None)
+        source.add_argument("--trajectory", default=None)
+    if p := command("diagnose", "residuals", cmd_diagnose_residuals):
+        p.add_argument("--trajectory", required=True)
+        p.add_argument("--flow", choices=("csf", "vfe"), required=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_named_command(argv)).parse_args(argv)
     start = time.perf_counter()
     out = Path(args.out)
     created = not out.exists()

@@ -173,7 +173,8 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> ScalarSeries:
     converted to the material rate by subtracting the advection term
     kappa_s * w, where w is the relative arclength drift of a
     fixed-fraction observer against a material point.  The defect is read
-    on the samples ``flow.interior_frames`` keeps.
+    on the samples ``flow.interior_frames`` keeps; one that does not fit
+    in a double is refused with ``invalid-input``.
     """
     times, keep = interior_frames(traj, 2)
     frames = traj.frames
@@ -186,24 +187,29 @@ def curvature_evolution_residual(traj: FlowTrajectory) -> ScalarSeries:
     lengths = [float(h.sum()) for h, _, _ in measured]
 
     out = np.empty(len(frames) - 2)
-    for k in range(1, len(frames) - 1):
-        kap = kappas[k]
-        L = lengths[k]
-        ds = L / n if closed else L / (n - 1)
-        h = np.full(n if closed else n - 1, ds)
-        khat_t = (kappas[k + 1] - kappas[k - 1]) / (times[k + 1] - times[k - 1])
+    # on a curve of scale 1e-150, kappa^3 and kappa_t pass the largest double
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(frames) - 1):
+            kap = kappas[k]
+            L = lengths[k]
+            ds = L / n if closed else L / (n - 1)
+            h = np.full(n if closed else n - 1, ds)
+            khat_t = (kappas[k + 1] - kappas[k - 1]) / (times[k + 1] - times[k - 1])
 
-        # a closed curve's trapezoids run through the wrap back to sample 0
-        k2 = np.append(kap**2, kap[0] ** 2) if closed else kap**2
-        seg = 0.5 * (k2[:-1] + k2[1:]) * ds
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        total = float(seg.sum()) if closed else float(cum[-1])
-        s = np.arange(n) * ds
-        w = cum[:n] - (s / L) * total
+            # a closed curve's trapezoids run through the wrap back to sample 0
+            k2 = np.append(kap**2, kap[0] ** 2) if closed else kap**2
+            seg = 0.5 * (k2[:-1] + k2[1:]) * ds
+            cum = np.concatenate([[0.0], np.cumsum(seg)])
+            total = float(seg.sum()) if closed else float(cum[-1])
+            s = np.arange(n) * ds
+            w = cum[:n] - (s / L) * total
 
-        d1k, d2k = _lagrange_d1_d2(kap[:, None], h, closed)
-        res = khat_t - d1k[:, 0] * w - (d2k[:, 0] + kap**3)
-        out[k - 1] = float(np.abs(res[keep]).max())
+            d1k, d2k = _lagrange_d1_d2(kap[:, None], h, closed)
+            res = khat_t - d1k[:, 0] * w - (d2k[:, 0] + kap**3)
+            out[k - 1] = float(np.abs(res[keep]).max())
+    if not np.all(np.isfinite(out)):
+        raise ConfigError("invalid-input", "the curvature residual lies past the "
+                          "largest double: kappa^3 or kappa_t overflows at this scale")
     return ScalarSeries(times[1:-1], out)
 
 

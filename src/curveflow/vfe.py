@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
-from .errors import CurveFlowError
+from .errors import ConfigError, CurveFlowError
 from .flow import FlowTrajectory, ScalarSeries, StepOptions, interior_frames
 from .geometry import (
     SampledCurve,
@@ -221,7 +221,8 @@ def frenet_evolution_residuals(traj: FlowTrajectory) -> FrenetResidualSeries:
     index is the material gauge and plain time central differences
     apply.  Of the samples ``flow.interior_frames`` keeps, those with
     curvature below ``KAPPA_REL_FLOOR`` times the frame maximum are
-    excluded.
+    excluded.  A defect that does not fit in a double is refused with
+    ``invalid-input``.
     """
     times, keep = interior_frames(traj, 3)
     frames = traj.frames
@@ -233,40 +234,45 @@ def frenet_evolution_residuals(traj: FlowTrajectory) -> FrenetResidualSeries:
     out = {k: np.full(m, np.nan) for k in ("kappa", "tau", "normal", "binormal")}
     skipped = np.zeros(m, dtype=bool)
 
-    for k in range(1, len(frames) - 1):
-        fr = data[k]
-        kap = fr.curvature
-        mask = np.zeros(n, dtype=bool)
-        mask[keep] = kap[keep] >= KAPPA_REL_FLOOR * kap[keep].max()
-        mask &= (fr.torsion_defined & data[k - 1].torsion_defined
-                 & data[k + 1].torsion_defined)
-        if not mask.any():
-            skipped[k - 1] = True
-            continue
-        dt2 = times[k + 1] - times[k - 1]
-        tau = fr.torsion
-        h = segment_lengths(frames[k])
-        # the stencil works column by column: kappa and tau share one call
-        d1, d2 = _lagrange_d1_d2(np.column_stack([kap, tau]), h, closed)
-        kap_s, tau_s, kap_ss = d1[:, 0], d1[:, 1], d2[:, 0]
-        kap_sss = _lagrange_d1_d2(kap_ss[:, None], h, closed)[0][:, 0]
+    # on a curve of scale 1e-150, kappa_ss and kappa_sss pass the largest double
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(frames) - 1):
+            fr = data[k]
+            kap = fr.curvature
+            mask = np.zeros(n, dtype=bool)
+            mask[keep] = kap[keep] >= KAPPA_REL_FLOOR * kap[keep].max()
+            mask &= (fr.torsion_defined & data[k - 1].torsion_defined
+                     & data[k + 1].torsion_defined)
+            if not mask.any():
+                skipped[k - 1] = True
+                continue
+            dt2 = times[k + 1] - times[k - 1]
+            tau = fr.torsion
+            h = segment_lengths(frames[k])
+            # the stencil works column by column: kappa and tau share one call
+            d1, d2 = _lagrange_d1_d2(np.column_stack([kap, tau]), h, closed)
+            kap_s, tau_s, kap_ss = d1[:, 0], d1[:, 1], d2[:, 0]
+            kap_sss = _lagrange_d1_d2(kap_ss[:, None], h, closed)[0][:, 0]
 
-        kap_t = (data[k + 1].curvature - data[k - 1].curvature) / dt2
-        tau_t = (data[k + 1].torsion - data[k - 1].torsion) / dt2
-        n_t = (data[k + 1].normal - data[k - 1].normal) / dt2
-        b_t = (data[k + 1].binormal - data[k - 1].binormal) / dt2
+            kap_t = (data[k + 1].curvature - data[k - 1].curvature) / dt2
+            tau_t = (data[k + 1].torsion - data[k - 1].torsion) / dt2
+            n_t = (data[k + 1].normal - data[k - 1].normal) / dt2
+            b_t = (data[k + 1].binormal - data[k - 1].binormal) / dt2
 
-        big_f = tau**2 - kap_ss / kap
-        r_kap = kap_t + (2.0 * kap_s * tau + tau_s * kap)
-        r_tau = tau_t - (-kap * kap_s + 2.0 * tau * tau_s - kap_sss / kap
-                         + kap_ss * kap_s / kap**2)
-        r_n = n_t - (tau * kap)[:, None] * fr.tangent + big_f[:, None] * fr.binormal
-        r_b = b_t + kap_s[:, None] * fr.tangent - big_f[:, None] * fr.normal
+            big_f = tau**2 - kap_ss / kap
+            r_kap = kap_t + (2.0 * kap_s * tau + tau_s * kap)
+            r_tau = tau_t - (-kap * kap_s + 2.0 * tau * tau_s - kap_sss / kap
+                             + kap_ss * kap_s / kap**2)
+            r_n = n_t - (tau * kap)[:, None] * fr.tangent + big_f[:, None] * fr.binormal
+            r_b = b_t + kap_s[:, None] * fr.tangent - big_f[:, None] * fr.normal
 
-        out["kappa"][k - 1] = np.where(mask, np.abs(r_kap), 0.0).max()
-        out["tau"][k - 1] = np.where(mask, np.abs(r_tau), 0.0).max()
-        out["normal"][k - 1] = np.where(mask, np.linalg.norm(r_n, axis=1), 0.0).max()
-        out["binormal"][k - 1] = np.where(mask, np.linalg.norm(r_b, axis=1), 0.0).max()
+            out["kappa"][k - 1] = np.where(mask, np.abs(r_kap), 0.0).max()
+            out["tau"][k - 1] = np.where(mask, np.abs(r_tau), 0.0).max()
+            out["normal"][k - 1] = np.where(mask, np.linalg.norm(r_n, axis=1), 0.0).max()
+            out["binormal"][k - 1] = np.where(mask, np.linalg.norm(r_b, axis=1), 0.0).max()
+    if not np.all(np.isfinite(np.column_stack(list(out.values()))[~skipped])):
+        raise ConfigError("invalid-input", "the Frenet residuals lie past the largest "
+                          "double: the curvature's derivatives overflow at this scale")
 
     return FrenetResidualSeries(
         times[1:-1], out["kappa"], out["tau"], out["normal"], out["binormal"], skipped

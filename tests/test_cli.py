@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ellipeinc
 
 from conftest import circle2, circle3, ellipse2
@@ -153,6 +157,122 @@ def test_unknown_flag_exits_two(capsys):
         run("csf", "evolve", "--frobnicate")
     assert exc.value.code == 2
     assert last_stderr_token(capsys) == "invalid-arguments"
+
+
+# ---------------------------------------------------------------------------
+# a run builds only the command argv names; argparse reads every argv as the
+# full parser does
+
+COMMANDS = [("csf", "evolve"), ("csf", "soliton"),
+            ("vfe", "evolve"), ("vfe", "soliton"), ("vfe", "biot-savart"),
+            ("hasimoto", "transform"), ("hasimoto", "evolve"), ("hasimoto", "reconstruct"),
+            ("hasimoto", "soliton"), ("hasimoto", "dilating"),
+            ("diagnose", "huisken"), ("diagnose", "distance-ratio"), ("diagnose", "residuals")]
+
+
+def _parse(argv, full: bool):
+    """Exit code, stdout, stderr and namespace of parsing argv with the
+    parser a run builds, or with the full parser."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    parser = cli.build_parser(None if full else cli._named_command(argv))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([group, "--help"] for group in
+                                                 dict(COMMANDS)),
+                                  *([*pair, "--help"] for pair in COMMANDS)], ids=" ".join)
+def test_help_matches_the_full_parser(argv):
+    got = _parse(argv, full=False)
+    assert got == _parse(argv, full=True)
+    assert got[0] == 0 and got[1].startswith("usage: curveflow")
+
+
+def test_a_run_builds_only_the_command_it_names(tmp_path, circle_file, monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build(only))
+    assert run("--out", tmp_path / "o", "--force", "csf", "evolve", "--input", circle_file,
+               "--stop-time", "0.01") == 0
+    # an abbreviated global flag leaves the reading to argparse
+    with pytest.raises(SystemExit):
+        run("--ou", tmp_path / "p", "csf", "evolve", "--help")
+    assert built == [("csf", "evolve"), None]
+
+
+# the global flags a run skips when it reads the command from argv, and the
+# words that make it leave the reading to argparse: abbreviations, a flag
+# missing its value, help, the version and the end of options
+EXACT_GLOBALS = (["--out", "o"], ["--out=o"], ["--format", "csv"],
+                 ["--format=structured-text"], ["--format", "tsv"], ["--force"])
+OTHER_GLOBALS = (["--force=1"], ["--ou", "o"], ["--form", "csv"], ["--fo"], ["--out"],
+                 ["--"], ["-h"], ["--version"])
+# a complete argv tail for each command
+COMPLETE_TAILS = {
+    ("csf", "evolve"): ["--input", "c", "--stop-time", "1"],
+    ("csf", "soliton"): ["--A", "0.5", "--B", "2"],
+    ("vfe", "evolve"): ["--input", "c", "--stop-time", "1"],
+    ("vfe", "soliton"): ["--case", "planar", "--C1", "0.25"],
+    ("vfe", "biot-savart"): ["--input", "c"],
+    ("hasimoto", "transform"): ["--input", "c"],
+    ("hasimoto", "evolve"): ["--input", "f", "--dt", "0.1", "--steps", "2"],
+    ("hasimoto", "reconstruct"): ["--input", "f"],
+    ("hasimoto", "soliton"): ["--nu", "1", "--tau0", "0.5"],
+    ("hasimoto", "dilating"): ["--a", "1", "--t", "1"],
+    ("diagnose", "huisken"): ["--trajectory", "t"],
+    ("diagnose", "distance-ratio"): ["--input", "c"],
+    ("diagnose", "residuals"): ["--trajectory", "t", "--flow", "csf"],
+}
+# every command's flags, abbreviations and one no command has
+COMMAND_FLAGS = sorted({flag for tail in COMPLETE_TAILS.values() for flag in tail
+                        if flag.startswith("--")} | {
+    "--n", "--dt", "--cfl", "--record-every", "--rescale", "--lambdas", "--x0", "--y0",
+    "--s", "--A-range", "--B-range", "--x0-range", "--y0-range", "--grim-reaper",
+    "--abresch-langer", "--t", "--x", "--r-min", "--C2", "--lam", "--z0", "--sign",
+    "--eps", "--outer", "--index", "--quadrature-n", "--gauge-A", "--periodic",
+    "--check-residual", "--t0", "--out", "--format", "--force", "--inp", "--stop",
+    "--frobnicate", "-h", "--help"})
+VALUES = ("1", "-1", "0.5", "nan", "1e999", "x", "0:1:16", "1,2", "csv", "vfe", "planar",
+          "x-axis", "evolve", "--", "")
+
+
+@st.composite
+def cli_argv(draw):
+    """Exactly spelled global flags, a group and its command; two thirds of
+    them with one word that leaves the reading to argparse: another global flag,
+    a wrong group or command name, or a flag between the group and the
+    command.  Then the command's complete flags (two thirds) or none, and
+    drawn flags with good and bad values."""
+    words = draw(st.lists(st.sampled_from(EXACT_GLOBALS), max_size=2))
+    pair = draw(st.sampled_from(COMMANDS))
+    group, between, command = [pair[0]], [], [pair[1]]
+    wrong = draw(st.sampled_from((None, None, "global", "group", "command", "between")))
+    if wrong == "global":
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(OTHER_GLOBALS)))
+    elif wrong == "group":
+        group = [draw(st.sampled_from(("csv", "evolve", "CSF", "", "-h")))]
+    elif wrong == "command":
+        command = [draw(st.sampled_from(("evolv", "help", "csf", "", "-h")))]
+    elif wrong == "between":
+        between = draw(st.sampled_from((["--out", "o"], ["--force"], ["--help"])))
+    argv = [word for flag in words for word in flag] + group + between + command
+    if draw(st.sampled_from((True, True, False))):
+        argv += COMPLETE_TAILS[pair]
+    extra = st.lists(st.tuples(st.sampled_from(COMMAND_FLAGS), st.sampled_from(VALUES)),
+                     max_size=2)
+    for flag, value in draw(st.one_of(st.just([]), extra)):
+        argv += draw(st.sampled_from(([flag, value], [f"{flag}={value}"], [flag])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_a_run_parses_as_the_full_parser_does(argv):
+    assert _parse(argv, full=False) == _parse(argv, full=True)
 
 
 def test_csf_evolve_writes_the_full_artifact_set(tmp_path, circle_file):
@@ -307,11 +427,26 @@ def test_bad_range_exits_two(tmp_path, capsys):
     (("csf", "evolve", "--input", "{arc}", "--stop-time", "0.01", "--rescale"),
      "invalid-parameter"),
     (("vfe", "soliton", "--case", "x-axis", "--C1", "0.5"), "invalid-parameter"),
-], ids=["zero-count", "bad-lambda", "rescale-open-curve", "x-axis-without-z0"])
+    # counts past the ceiling, refused before anything of their size is
+    # allocated, and --n and --quadrature-n before the input is read
+    (("hasimoto", "soliton", "--nu", "1", "--tau0", "0.5", "--s=0:1:1000000000000000"),
+     "invalid-range"),
+    (("hasimoto", "dilating", "--a", "1", "--t", "1", f"--x=0:1:{cli.MAX_COUNT + 1}"),
+     "invalid-range"),
+    (("csf", "soliton", "--A-range", "0:1:4096", "--B-range", "0:1:1025"),
+     "invalid-parameter"),
+    (("csf", "evolve", "--input", "{missing}", "--stop-time", "1",
+      f"--n={cli.MAX_COUNT + 1}"), "invalid-parameter"),
+    (("vfe", "biot-savart", "--input", "{missing}", f"--quadrature-n={cli.MAX_COUNT + 1}"),
+     "invalid-parameter"),
+], ids=["zero-count", "bad-lambda", "rescale-open-curve", "x-axis-without-z0",
+        "huge-count", "count-past-the-ceiling", "sweep-past-the-ceiling",
+        "n-past-the-ceiling", "quadrature-n-past-the-ceiling"])
 def test_refusals_exit_two_and_write_nothing(tmp_path, capsys, argv, token):
     files = {"circle": write_curve(tmp_path / "circle.curve", circle2(64)),
              "arc": write_curve(tmp_path / "arc.curve",
-                                SampledCurve(2, False, circle2(64).points[:40]))}
+                                SampledCurve(2, False, circle2(64).points[:40])),
+             "missing": tmp_path / "missing.curve"}
     out = tmp_path / "o"
     assert run(*(a.format(**files) for a in argv), "--out", out) == 2
     assert last_stderr_token(capsys) == token
@@ -422,6 +557,34 @@ def test_residuals_reject_the_other_flows_trajectory(tmp_path, circle_file,
         assert f"need frames in R^{dimension}" in err
         assert err.strip().splitlines()[-1] == "invalid-parameter"
         assert not out.exists()
+
+
+RING = np.arange(64) * np.pi / 32
+
+
+@pytest.mark.parametrize("flow, curve, record_every, stop_time", [
+    ("csf", SampledCurve(2, True, 1e-150 * ellipse2(n=64).points), "20", "1e-301"),
+    ("vfe", SampledCurve(3, True, 1e-150 * np.column_stack(
+        [np.cos(RING), np.sin(RING), 0.2 * np.sin(3.0 * RING)])), "1", "1e-302"),
+], ids=["csf", "vfe"])
+def test_a_residual_past_the_largest_double_is_refused(tmp_path, capsys, flow, curve,
+                                                       record_every, stop_time):
+    # on a curve of scale 1e-150 kappa is about 1e150: kappa^3, kappa_t and
+    # the curvature's arclength derivatives pass the largest double, which
+    # wrote an empty cell in every row, after numpy warnings
+    path = write_curve(tmp_path / "in.curve", curve)
+    traj, out = tmp_path / "traj", tmp_path / "o"
+    assert run(flow, "evolve", "--input", path, "--stop-time", stop_time,
+               "--record-every", record_every, "--out", traj) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("diagnose", "residuals", "--trajectory", traj, "--flow", flow,
+                   "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "invalid-input"
+    assert "residual" in err[-2]
+    assert not out.exists()
 
 
 def test_residuals_reject_a_repeated_frame_time(tmp_path, circle_file, capsys):

@@ -448,6 +448,65 @@ def test_evolve_commands_exit_cleanly(case):
 
 
 # ---------------------------------------------------------------------------
+# the diagnose commands on drawn trajectories
+
+DIAGNOSE_SCALES = (2.0**-500, 1e-150, 1e150, 2.0**500)
+
+
+@st.composite
+def diagnose_case(draw):
+    """A ``csf evolve`` or ``vfe evolve`` run of a wobbled circle or arc of 16
+    to 48 samples, scaled near 2^-500 or 2^500 or by a factor in [0.1, 10],
+    recording every step to a stop time of a few steps; and a ``diagnose``
+    command on its trajectory."""
+    flow = draw(st.sampled_from(("csf", "vfe")))
+    dim = 2 if flow == "csf" else 3
+    n, closed = draw(st.integers(16, 48)), draw(st.booleans())
+    t = np.linspace(0.0, 2.0 * np.pi if closed else draw(st.floats(0.5, 5.0)), n,
+                    endpoint=not closed)
+    coef = draw(arrays(float, (2, dim), elements=st.floats(-0.1, 0.1)))
+    pts = np.zeros((n, dim))
+    pts[:, 0], pts[:, 1] = np.cos(t), np.sin(t)
+    pts += np.cos(2.0 * t)[:, None] * coef[0] + np.sin(3.0 * t)[:, None] * coef[1]
+    scale = draw(st.one_of(st.sampled_from(DIAGNOSE_SCALES), st.floats(0.1, 10.0)))
+    stop = draw(st.floats(0.05, 0.4)) * scale * scale
+    evolve = [flow, "evolve", f"--stop-time={stop!r}", "--record-every=1"]
+    command = draw(st.sampled_from(("residuals", "huisken", "distance-ratio")))
+    diagnose = ["diagnose", command] + (["--flow", flow] if command == "residuals" else [])
+    curve = {"dimension": dim, "closed": closed, "points": (scale * pts).tolist()}
+    return evolve, curve, diagnose
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagnose_case())
+def test_diagnose_commands_exit_cleanly(case):
+    # a diagnose command exits 0 with a finite value in every table cell, or
+    # exits 2 or 3 with a token last; no numpy warning on the way
+    evolve, curve, diagnose = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(), \
+            mock.patch.object(cli, "_step_options", _capped_step_options):
+        warnings.simplefilter("error")
+        path, traj, out = Path(tmp) / "in.curve", Path(tmp) / "traj", Path(tmp) / "o"
+        path.write_text(json.dumps(curve))
+        with contextlib.redirect_stderr(io.StringIO()):
+            if main(evolve + ["--input", str(path), "--out", str(traj)]) != 0:
+                return
+        with contextlib.redirect_stderr(err):
+            code = main(diagnose + ["--trajectory", str(traj), "--out", str(out)])
+        tables = [f.read_text() for f in out.glob("*.csv")] if out.exists() else []
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert tables
+        for table in tables:
+            for row in list(csv.reader(io.StringIO(table)))[1:]:
+                assert all(np.isfinite(float(cell)) for cell in row), row
+    else:
+        assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
+
+
+# ---------------------------------------------------------------------------
 # the 3-D path writes its cross products and norms by hand; these pin it to
 # np.cross, np.linalg.norm and einsum bit for bit
 
