@@ -369,8 +369,20 @@ def cmd_hasimoto_dilating(args, out: Path) -> list[Path]:
 # diagnose
 
 
+def _check_closed_planar(frames, source: str, why: str) -> None:
+    # an open or space curve is the input's fault, not a parameter's
+    for frame in frames:
+        if not (frame.closed and frame.dimension == 2):
+            shape = "a space curve" if frame.closed else "an open curve"
+            raise ConfigError("invalid-input", f"{source} holds {shape}, but {why}")
+
+
 def cmd_diagnose_huisken(args, out: Path) -> list[Path]:
     traj = read_trajectory(args.trajectory)
+    if args.t0 is None:
+        _check_closed_planar(traj.frames[-1:], f"trajectory {args.trajectory}",
+                             "its singular time is estimated from the area a closed "
+                             "planar curve encloses: give it with --t0")
     if args.x0 is None:
         x0 = csf.estimate_shrink_point(traj)
     else:
@@ -383,11 +395,16 @@ def cmd_diagnose_huisken(args, out: Path) -> list[Path]:
 
 
 def cmd_diagnose_distance_ratio(args, out: Path) -> list[Path]:
+    why = "the distance ratio needs a closed planar curve"
     if args.input:
-        value = csf.distance_ratio(read_curve(args.input))
+        curve = read_curve(args.input)
+        _check_closed_planar([curve], f"input curve {args.input}", why)
+        value = csf.distance_ratio(curve)
         print(repr(value))
         return [dump_json(out / "distance_ratio.json", {"distance_ratio": value})]
-    series = csf.distance_ratio_series(read_trajectory(args.trajectory))
+    traj = read_trajectory(args.trajectory)
+    _check_closed_planar(traj.frames, f"trajectory {args.trajectory}", why)
+    series = csf.distance_ratio_series(traj)
     return [_series_table(out, args, "distance_ratio", series, "distance_ratio")]
 
 

@@ -259,9 +259,11 @@ def distance_ratio(curve: SampledCurve) -> float:
     L = total_length(curve)
     d = _pdist(curve.points)
     l = _pdist(s[:, None], "cityblock")
-    l = np.minimum(l, L - l)
+    # (L / (pi d)) sin(pi l / L), one operation at a time into the two tables
+    np.minimum(l, L - l, out=l)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (L / (np.pi * d)) * np.sin(np.pi * l / L)
+        ratio = np.divide(L, np.multiply(np.pi, d, out=d), out=d)
+        ratio *= np.sin(np.divide(np.multiply(np.pi, l, out=l), L, out=l), out=l)
     ratio[~np.isfinite(ratio)] = 0.0
     return float(ratio.max())
 

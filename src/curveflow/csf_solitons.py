@@ -31,6 +31,12 @@ ESCAPE_LIMIT = 1e8
 # arclength over which detect_closure looks for two radius minima
 CLOSURE_MAX_S = 400.0
 
+# right-hand-side calls past which a profile solve is refused: about 6,700
+# DOP853 steps of 15 calls (12 stages and 3 for the dense output), 76 times
+# the 1,301 calls of the largest solve in the tests, README examples and
+# benchmark workloads
+MAX_RHS_CALLS = 100_000
+
 
 def classify(A: float, B: float) -> str:
     """Sign-dispatch on (rotation, dilation) rates: "rotating", "rotating-expanding",
@@ -87,32 +93,86 @@ def _solve_from_origin(A: float, B: float, u0, s_end: float, s0: float = 0.0,
 
     u0 is (x, y, theta), or six components for both halves at once: u(r),
     then v(r) = u(-r), which obeys v' = -f(v), over r in [0, s_end].  A solve
-    that fails raises, since its dense output and events need not reach s_end.
+    that fails raises, since its dense output and events need not reach s_end,
+    and so does one that passes MAX_RHS_CALLS: a stiff member (|B| of 1e9
+    makes y' = -x^2 - B a fast oscillator) would take ever shorter steps and
+    keep a dense output per step.
     """
     from scipy.integrate import solve_ivp
+    # no event stops a solve that starts past the escape limit
+    if not _escape(s0, u0) < 0.0:
+        raise CurveFlowError("profile-solve-failed", f"the state at s = {s0!r} lies "
+                             f"past the escape limit {ESCAPE_LIMIT:g}")
+    calls = 0
+    over_budget = CurveFlowError(
+        "profile-solve-failed",
+        f"the profile solve passed {MAX_RHS_CALLS} right-hand-side calls before s = {s_end!r}")
+
     # the state is read once as Python floats: the same IEEE operations as on
     # numpy scalars, without a scalar object per operation
     def rhs(_s, u):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_RHS_CALLS:
+            raise over_budget
         x, y, _ = u.tolist()
         return x * y + A, -x * x - B, x
 
     def joint_rhs(_r, u):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_RHS_CALLS:
+            raise over_budget
         x, y, _, X, Y, _ = u.tolist()
         return x * y + A, -x * x - B, x, -X * Y - A, X * X + B, -X
 
-    sol = solve_ivp(
-        rhs if len(u0) == 3 else joint_rhs,
-        (s0, s_end),
-        u0,
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-11,
-        dense_output=True,
-        events=events,
-    )
+    # a step past the largest double fails the solve, and an event's root
+    # search on a dense output past it raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            sol = solve_ivp(
+                rhs if len(u0) == 3 else joint_rhs,
+                (s0, s_end),
+                u0,
+                method="DOP853",
+                rtol=1e-11,
+                atol=1e-11,
+                dense_output=True,
+                events=events,
+            )
+        except ValueError as exc:
+            raise CurveFlowError("profile-solve-failed", str(exc)) from exc
     if sol.status == -1:
         raise CurveFlowError("profile-solve-failed", sol.message)
     return sol
+
+
+def _dense_values(sol, t: np.ndarray) -> np.ndarray:
+    """``sol.sol(t)`` for a DOP853 solve, evaluated at all of t in one pass.
+
+    Each point takes the step that scipy's ``OdeSolution`` assigns it, and
+    its value comes from scipy's own recurrence over that step's ``F`` rows,
+    so it has the bits of ``sol.sol(t)``.  ``F``, ``h``, ``t_old`` and
+    ``y_old`` are attributes that scipy sets on each ``Dop853DenseOutput``
+    without documenting them; a test pins the bits.
+    """
+    ts, steps = sol.sol.ts, sol.sol.interpolants
+    last = len(steps) - 1
+    if ts[-1] >= ts[0]:
+        k = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, last)
+    else:
+        k = last - np.clip(np.searchsorted(ts[::-1], t, side="right") - 1, 0, last)
+    t_old = np.array([step.t_old for step in steps])
+    h = np.array([step.h for step in steps])
+    x = ((t - t_old[k]) / h[k])[:, None]
+    # F[j] holds row j of every step's coefficients
+    F = np.stack([step.F for step in steps], axis=1)
+    y = np.zeros((t.size, F.shape[2]))
+    for j, f in enumerate(F[::-1]):
+        y += f[k]
+        y *= x if j % 2 == 0 else 1 - x
+    y += np.array([step.y_old for step in steps])[k]
+    return y.T
 
 
 def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
@@ -135,7 +195,7 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
         joint_end = float(joint.t[-1])
         states = np.split(joint.y[:, -1], 2)
         # one dense evaluation at |s| serves both halves
-        both = lambda s: np.where(s >= 0, *np.split(joint.sol(np.abs(s)), 2))
+        both = lambda s: np.where(s >= 0, *np.split(_dense_values(joint, np.abs(s)), 2))
         pieces = [(-joint_end, joint_end, both)]
         if joint.status == 1:
             # the half at the largest |x| or |y| escaped, and so did the
@@ -151,7 +211,8 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
             if sol.status == 1:
                 ends[k] = float(sol.t[-1])
                 escaped = True
-            pieces.append((*sorted((sign * joint_end, ends[k])), sol.sol))
+            pieces.append((*sorted((sign * joint_end, ends[k])),
+                           lambda s, sol=sol: _dense_values(sol, s)))
     hi, lo = ends
     if not lo < hi:
         raise CurveFlowError("profile-escape", "profile escapes before s_range")
@@ -168,7 +229,15 @@ def reconstruct_curve(profile: SolitonProfile, A: float, B: float) -> SampledCur
     """Plane curve X = e^{i theta}(x + i y)/(A - i B) from a profile."""
     if A == 0.0 and B == 0.0:
         raise CurveFlowError("degenerate-family", "(A, B) = (0, 0) has no reconstruction")
-    w = np.exp(1j * profile.theta) * (profile.x + 1j * profile.y) / (A - 1j * B)
+    # a tiny A - iB puts the curve far out: numpy's complex division passes
+    # the largest double when A - iB is subnormal, and X, whose samples lie
+    # about ds apart (it has unit speed in s), may hold ds to fewer than 10
+    # bits, or lie past the largest double
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(1j * profile.theta) * (profile.x + 1j * profile.y) / (A - 1j * B)
+    if not 1024.0 * np.spacing(np.abs(w.view(float)).max()) <= profile.s[1] - profile.s[0]:
+        raise ValueError(f"at (A, B) = ({A!r}, {B!r}) the curve X = e^(i theta) (x + i y) "
+                         "/ (A - i B) lies too far out for doubles to resolve its samples")
     return SampledCurve(2, False, np.column_stack([w.real, w.imag]))
 
 
@@ -282,7 +351,7 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
         return ClosureData(False, None, None, float("nan"), float("nan"))
     s1, s2 = float(hits[0]), float(hits[1])
     fine = np.linspace(s1, s2, 4096)
-    xs, ys, thetas = sol.sol(fine)
+    xs, ys, thetas = _dense_values(sol, fine)
     args = np.unwrap(np.arctan2(ys, xs))
     delta_phi = (thetas[-1] - thetas[0]) + (args[-1] - args[0])
     ratio = delta_phi / (2.0 * np.pi)

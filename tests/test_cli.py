@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from conftest import circle2, circle3, ellipse2
 import curveflow
 from curveflow import __version__, cli, csf, csf_solitons, hasimoto, vfe_solitons
 from curveflow.errors import CurveFlowError
-from curveflow.flow import StepOptions, frame_measures
+from curveflow.flow import FlowTrajectory, StepOptions, frame_measures
 from curveflow.geometry import SampledCurve
 from curveflow.storage import (file_sha256, read_curve, read_filament, read_trajectory,
                                write_curve, write_filament, write_trajectory)
@@ -439,14 +440,24 @@ def test_bad_range_exits_two(tmp_path, capsys):
       f"--n={cli.MAX_COUNT + 1}"), "invalid-parameter"),
     (("vfe", "biot-savart", "--input", "{missing}", f"--quadrature-n={cli.MAX_COUNT + 1}"),
      "invalid-parameter"),
+    # measures of closed plane curves, asked of an open or a space curve
+    (("diagnose", "huisken", "--trajectory", "{arc_run}"), "invalid-input"),
+    (("diagnose", "distance-ratio", "--trajectory", "{arc_run}"), "invalid-input"),
+    (("diagnose", "distance-ratio", "--input", "{arc}"), "invalid-input"),
+    (("diagnose", "distance-ratio", "--input", "{ring3}"), "invalid-input"),
 ], ids=["zero-count", "bad-lambda", "rescale-open-curve", "x-axis-without-z0",
         "huge-count", "count-past-the-ceiling", "sweep-past-the-ceiling",
-        "n-past-the-ceiling", "quadrature-n-past-the-ceiling"])
+        "n-past-the-ceiling", "quadrature-n-past-the-ceiling",
+        "huisken-of-an-open-trajectory", "distance-ratio-of-an-open-trajectory",
+        "distance-ratio-of-an-open-curve", "distance-ratio-of-a-space-curve"])
 def test_refusals_exit_two_and_write_nothing(tmp_path, capsys, argv, token):
+    arc = SampledCurve(2, False, circle2(64).points[:40])
     files = {"circle": write_curve(tmp_path / "circle.curve", circle2(64)),
-             "arc": write_curve(tmp_path / "arc.curve",
-                                SampledCurve(2, False, circle2(64).points[:40])),
+             "arc": write_curve(tmp_path / "arc.curve", arc),
+             "ring3": write_curve(tmp_path / "ring3.curve", circle3(64)),
+             "arc_run": tmp_path / "arc_run",
              "missing": tmp_path / "missing.curve"}
+    write_trajectory(files["arc_run"], FlowTrajectory([0.0, 0.01], [arc, arc]))
     out = tmp_path / "o"
     assert run(*(a.format(**files) for a in argv), "--out", out) == 2
     assert last_stderr_token(capsys) == token
@@ -666,6 +677,24 @@ def test_distance_ratio_of_a_trajectory_matches_the_run(tmp_path, circle_file):
     np.testing.assert_array_equal(series["distance_ratio"], diagnostics["distance_ratio"])
 
 
+def test_an_open_trajectory_is_named_in_the_refusal(tmp_path, capsys):
+    arc = write_curve(tmp_path / "arc.curve", SampledCurve(2, False, circle2(64).points[:32]))
+    traj = tmp_path / "traj"
+    assert run("csf", "evolve", "--input", arc, "--stop-time", "0.01", "--record-every", "1",
+               "--out", traj) == 0
+    capsys.readouterr()
+    for command, named in (("huisken", "--t0"), ("distance-ratio", "closed planar")):
+        assert run("diagnose", command, "--trajectory", traj, "--out", tmp_path / "x") == 2
+        *lines, token = capsys.readouterr().err.strip().splitlines()
+        assert token == "invalid-input"
+        assert f"trajectory {traj} holds an open curve" in lines[-1] and named in lines[-1]
+    # with the singular time given, nothing needs an enclosed area
+    out = tmp_path / "h"
+    assert run("diagnose", "huisken", "--trajectory", traj, "--t0", "0.5", "--out", out) == 0
+    values = _csv_columns(out / "huisken.csv")["huisken"]
+    assert len(values) == len(read_trajectory(traj).frames) and np.isfinite(values).all()
+
+
 def test_structured_text_format(tmp_path, circle_file):
     out = tmp_path / "run"
     assert run("csf", "evolve", "--input", circle_file, "--stop-time", "0.01",
@@ -710,11 +739,13 @@ def test_csf_soliton_single_member_keeps_the_library_message(tmp_path, capsys):
     assert atlas[1]["file"] == "soliton_0001.curve"
 
 
-# the profile step collapses at s = 0, so DOP853 fails before it starts
+# the profile step collapses at s = 0, so DOP853 fails before it starts; at
+# A = 1e306 the escape event's root search meets a NaN dense output
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("flags", [["--A=1e308", "--B=3"], ["--A=0.5", "--B=1e308"],
-                                   ["--A=0.5", "--B=0.5", "--x0=1e308"]],
-                         ids=["huge-A", "huge-B", "huge-x0"])
+                                   ["--A=0.5", "--B=0.5", "--x0=1e308"],
+                                   ["--A=1e306", "--B=-0.5", "--x0=0.9", "--y0=0.1"]],
+                         ids=["huge-A", "huge-B", "huge-x0", "nan-in-the-event-search"])
 def test_csf_soliton_refuses_a_failed_profile_solve(tmp_path, capsys, flags):
     out = tmp_path / "o"
     assert run("csf", "soliton", *flags, "--s=-5:5:64", "--out", out) == 3
@@ -730,6 +761,34 @@ def test_a_sweep_lists_a_failed_profile_solve(tmp_path):
     atlas = json.loads((out / "atlas.json").read_text())
     assert atlas == [{"A": 1e308, "B": 3.0, "x0": 1.0, "y0": 0.0,
                       "error": "profile-solve-failed"}]
+
+
+# a stiff expander over a long range, and a stiff oscillator (|B| = 1e9)
+# over a short one: DOP853 would take ever more steps, keeping a dense output
+# for each, until the solve is refused at its right-hand-side call budget
+RUNAWAYS = {"long-expander": ["--A=0.5", "--B=2", "--x0=0.9", "--y0=0.1", "--s=0:300:64"],
+            "stiff-oscillator": ["--A=0.5", "--B=-1e9", "--x0=0.3", "--y0=0", "--s=-1:1:64"]}
+
+
+@pytest.mark.parametrize("flags", RUNAWAYS.values(), ids=RUNAWAYS.keys())
+def test_a_runaway_profile_solve_is_refused_at_its_budget(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert run("csf", "soliton", *flags, "--out", out) == 3
+    # about 1.5 s on a 2-core host; unbounded, the oscillator ran for minutes
+    assert time.perf_counter() - start < 15.0
+    assert last_stderr_token(capsys) == "profile-solve-failed"
+    assert not out.exists()
+
+
+def test_a_sweep_lists_a_runaway_profile_solve(tmp_path):
+    out = tmp_path / "sweep"
+    assert run("csf", "soliton", "--A=0.5", "--B-range=-1e9:-1:2", "--x0=0.3",
+               "--s=-1:1:64", "--out", out) == 0
+    atlas = json.loads((out / "atlas.json").read_text())
+    assert atlas[0] == {"A": 0.5, "B": -1e9, "x0": 0.3, "y0": 0.0,
+                        "error": "profile-solve-failed"}
+    assert atlas[1]["file"] == "soliton_0001.curve"
 
 
 def test_csf_soliton_sweep(tmp_path):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from conftest import circle2
@@ -298,3 +302,105 @@ def test_profile_accuracy_on_asymmetric_and_one_sided_ranges(s_range):
     # the reference solves both sides of s = 0, so give it samples on each
     want = _reference_profile(spec, np.append(prof.s, -prof.s))[:, :prof.s.size]
     assert np.abs(np.vstack([prof.x, prof.y, prof.theta]) - want).max() < 3.6e-10
+
+
+@st.composite
+def ranged_specs(draw):
+    """A spec and its range kind: across s = 0, evenly or not, wholly above
+    or below it, or a member of the B = -1e9 escape family, whose y runs
+    past the escape limit within |s| < 0.2 on one side or both."""
+    kind = draw(st.sampled_from(("symmetric", "straddling", "above", "below", "escape")))
+    n = draw(st.integers(16, 1200))
+    if kind == "escape":
+        s_range = (-draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0)))
+        return kind, CsfSolitonSpec(0.0, -1e9, 0.0, draw(st.floats(-9e7, 9e7)), s_range, n)
+    A, B, x0 = (draw(st.floats(-1.5, 1.5)) for _ in range(3))
+    length = draw(st.floats(0.5, 10.0))
+    start = draw(st.floats(0.0, 5.0))
+    s_range = {"symmetric": (-length, length),
+               "straddling": (-length, draw(st.floats(0.1, 10.0))),
+               "above": (start, start + length),
+               "below": (-start - length, -start)}[kind]
+    return kind, CsfSolitonSpec(A, B, x0, draw(st.floats(-1.0, 1.0)), s_range, n)
+
+
+def _checked_dense_values(ascending: list):
+    """``_dense_values`` that also asserts the bits of scipy's dense output
+    and records whether each solve it evaluates runs up in s."""
+    dense_values = csf_solitons._dense_values
+
+    def checked(sol, t):
+        got = dense_values(sol, t)
+        assert np.array_equal(got, sol.sol(t))
+        ascending.append(bool(sol.sol.ts[-1] > sol.sol.ts[0]))
+        return got
+
+    return mock.patch.object(csf_solitons, "_dense_values", checked)
+
+
+# DOP853's F, h, t_old and y_old are scipy attributes without documentation:
+# a scipy that renames or reshapes them fails here, not in the numbers
+@settings(max_examples=80, deadline=None)
+@given(ranged_specs())
+@example(("escape", CsfSolitonSpec(0.0, -1e9, 0.0, 5e7, (-1.0, 1.0), 64)))
+@example(("escape", CsfSolitonSpec(0.0, -1e9, 0.0, -5e7, (-1.0, 1.0), 64)))
+def test_one_pass_evaluation_has_the_bits_of_the_dense_output(case):
+    kind, spec = case
+    ascending = []
+    with _checked_dense_values(ascending):
+        try:
+            profile = integrate_profile(spec)
+        except CurveFlowError as exc:
+            # an escape before the range starts
+            assert exc.token == "profile-escape" and kind == "escape"
+            return
+    # a range below s = 0 is one descending solve, one above it or evenly
+    # across it one ascending solve, and a longer backward half continues
+    # by a descending solve
+    a, b = spec.s_range
+    if kind == "below":
+        assert ascending == [False]
+    elif kind in ("above", "symmetric"):
+        assert ascending == [True]
+    elif kind == "straddling" and not profile.escaped:
+        assert ascending == [True] + [b > -a] * (-a != b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(-1.5, -0.2), st.floats(0.2, 1.5),
+       st.floats(-0.5, 0.5))
+@example(0.0, -1.0, AL_23_X0, 0.0)
+def test_closure_grid_has_the_bits_of_the_dense_output(A, B, x0, y0):
+    ascending = []
+    with _checked_dense_values(ascending):
+        closure = detect_closure(A, B, x0, y0)
+    # the fine grid between two radius minima is evaluated once, up in s
+    assert ascending == ([True] if np.isfinite(closure.delta_phi) else [])
+
+
+def test_a_profile_solve_is_refused_past_its_call_budget(monkeypatch):
+    # a budget of the calls a solve takes keeps its bits; one call fewer fails it
+    spec = CsfSolitonSpec(0.8, -0.5, 0.9, 0.1, s_range=(-5.0, 5.0), n=256)
+    calls = csf_solitons._solve_from_origin(0.8, -0.5, [0.9, 0.1, 0.0] * 2, 5.0).nfev
+    want = integrate_profile(spec)
+    monkeypatch.setattr(csf_solitons, "MAX_RHS_CALLS", calls)
+    got = integrate_profile(spec)
+    for name in ("s", "x", "y", "theta"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    monkeypatch.setattr(csf_solitons, "MAX_RHS_CALLS", calls - 1)
+    with pytest.raises(CurveFlowError) as exc:
+        integrate_profile(spec)
+    assert exc.value.token == "profile-solve-failed"
+    assert f"{calls - 1} right-hand-side calls" in str(exc.value)
+
+
+@pytest.mark.parametrize("x0, y0", [(2e8, 0.0), (0.9, -1e100)])
+def test_a_start_past_the_escape_limit_is_refused_before_solving(x0, y0):
+    # the escape event never crosses zero there, so the solve would run to
+    # its budget
+    for compute in (lambda: integrate_profile(CsfSolitonSpec(0.5, -0.5, x0, y0)),
+                    lambda: detect_closure(0.5, -0.5, x0, y0)):
+        with pytest.raises(CurveFlowError) as exc:
+            compute()
+        assert exc.value.token == "profile-solve-failed"
+        assert "past the escape limit" in str(exc.value)

@@ -336,6 +336,60 @@ def test_cheap_commands_exit_cleanly(argv):
         assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
 
 
+@st.composite
+def planar_soliton_argv(draw):
+    """``csf soliton`` flags of a planar profile: A, B, x0 and y0 each an edge
+    value or in [-3, 3], an arclength range of length up to 5 on either side
+    of s = 0 or across it, 16 to 256 samples, and now and then a 2 x 2 sweep
+    over two of the four values."""
+    def value():
+        return draw(st.one_of(st.sampled_from((0.0, -0.0, 1e-160, 1e154, -1e154, 1e300)),
+                              st.floats(-3.0, 3.0)))
+
+    values = {name: value() for name in ("A", "B", "x0", "y0")}
+    start = draw(st.floats(-5.0, 5.0))
+    end = start + draw(st.floats(1e-3, 5.0))
+    argv = ["csf", "soliton", f"--s={start!r}:{end!r}:{draw(st.integers(16, 256))}"]
+    swept = draw(st.sampled_from(((), (), (), ("A", "B"), ("x0", "y0"), ("B", "y0"))))
+    for name, v in values.items():
+        if name in swept:
+            argv.append(f"--{name}-range={v!r}:{value()!r}:2")
+        else:
+            argv.append(f"--{name}={v!r}")
+    return argv
+
+
+# a stiff oscillator: |B| = 1e9 makes DOP853 take ever shorter steps over
+# |s| <= 1, until the solve is refused at its call budget; a start past the
+# escape limit, where scipy's first step norm overflows; a subnormal A - iB,
+# whose reciprocal numpy's complex division overflows; and a tiny one, which
+# puts the curve out where doubles round its samples onto each other
+@settings(max_examples=60, deadline=None)
+@given(planar_soliton_argv())
+@example(["csf", "soliton", "--A=0.5", "--B=-1e9", "--x0=0.3", "--y0=0.0", "--s=-1:1:64"])
+@example(["csf", "soliton", "--A=0.0", "--B=0.0", "--x0=1e-160", "--y0=1e154",
+          "--s=0.0:1.0:16"])
+@example(["csf", "soliton", "--A=0.0", "--B=5e-324", "--x0=0.0", "--y0=0.0",
+          "--s=0.0:1.0:16"])
+@example(["csf", "soliton", "--A=0.0", "--B=1e-160", "--x0=1.5625", "--y0=0.125",
+          "--s=4.0:5.66015625:32"])
+def test_planar_solitons_exit_cleanly(argv):
+    # exit 0 with every written value finite, or exit 2 or 3 with a token
+    # last; no numpy warning on the way
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Path(tmp) / "o"
+        code = main(argv + ["--out", str(out)])
+        written = [f.read_text() for f in out.iterdir()] if out.exists() else []
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert not any("NaN" in text or "Infinity" in text for text in written)
+    else:
+        assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
+
+
 # a step size or stop time: an edge value, or a multiple of the curve's squared
 # scale, the size of its steps
 STEP_EDGES = (0.0, 5e-324, 1e-300, 1e-10, 1e300, -1.0, float("nan"), float("inf"))
