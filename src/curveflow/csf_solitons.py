@@ -236,8 +236,8 @@ def reconstruct_curve(profile: SolitonProfile, A: float, B: float) -> SampledCur
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.exp(1j * profile.theta) * (profile.x + 1j * profile.y) / (A - 1j * B)
     if not 1024.0 * np.spacing(np.abs(w.view(float)).max()) <= profile.s[1] - profile.s[0]:
-        raise ValueError(f"at (A, B) = ({A!r}, {B!r}) the curve X = e^(i theta) (x + i y) "
-                         "/ (A - i B) lies too far out for doubles to resolve its samples")
+        raise CurveFlowError("degenerate-family", f"(A, B) = ({A!r}, {B!r}) lies so near "
+                             "(0, 0) that doubles cannot resolve the reconstruction's samples")
     return SampledCurve(2, False, np.column_stack([w.real, w.imag]))
 
 

@@ -739,9 +739,27 @@ def test_csf_soliton_single_member_keeps_the_library_message(tmp_path, capsys):
     assert atlas[1]["file"] == "soliton_0001.curve"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("B", [5e-324, 1e-160], ids=["subnormal", "tiny"])
+def test_csf_soliton_refuses_a_reconstruction_doubles_cannot_hold(tmp_path, capsys, B):
+    # 1/(A - iB) overflows in numpy's complex division at a subnormal A - iB;
+    # at 1e-160 the curve lies near |X| = 1e160 with samples 0.05 apart
+    assert run("csf", "soliton", "--A=0", f"--B={B!r}", "--x0=1.5", "--y0=0.1",
+               "--s=0:2:32", "--out", tmp_path / "o") == 3
+    assert last_stderr_token(capsys) == "degenerate-family"
+    # a sweep lists the member with its token and goes on to the next
+    out = tmp_path / "sweep"
+    assert run("csf", "soliton", "--A=0", f"--B-range={B!r}:1:2", "--x0=1.5", "--y0=0.1",
+               "--s=0:2:32", "--out", out) == 0
+    atlas = json.loads((out / "atlas.json").read_text())
+    assert atlas[0] == {"A": 0.0, "B": B, "x0": 1.5, "y0": 0.1, "error": "degenerate-family"}
+    assert atlas[1]["file"] == "soliton_0001.curve"
+
+
 # the profile step collapses at s = 0, so DOP853 fails before it starts; at
-# A = 1e306 the escape event's root search meets a NaN dense output
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# A = 1e306 the escape event's root search meets a NaN dense output; neither
+# warns, since the solve runs under np.errstate
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flags", [["--A=1e308", "--B=3"], ["--A=0.5", "--B=1e308"],
                                    ["--A=0.5", "--B=0.5", "--x0=1e308"],
                                    ["--A=1e306", "--B=-0.5", "--x0=0.9", "--y0=0.1"]],
@@ -753,7 +771,7 @@ def test_csf_soliton_refuses_a_failed_profile_solve(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_sweep_lists_a_failed_profile_solve(tmp_path):
     out = tmp_path / "sweep"
     assert run("csf", "soliton", "--B=3", "--A-range", "1e308:1e308:1",

@@ -272,6 +272,23 @@ def test_rotating_profiles_refuse_a_decreasing_or_short_grid(argv):
     assert err.splitlines()[-1] == "invalid-parameter"
 
 
+def assert_exits_cleanly(argv):
+    """A run exits 0 with every written value finite, or exits 2 or 3 with a
+    token last; no numpy warning on the way."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Path(tmp) / "o"
+        code = main(argv + ["--out", str(out)])
+        written = [f.read_text() for f in out.iterdir()] if out.exists() else []
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert not any("NaN" in text or "Infinity" in text for text in written)
+    else:
+        assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
+
+
 # signed zeros, subnormals, the squares either side of the largest double,
 # and the values no parameter may take
 EDGE_VALUES = (0.0, -0.0, 1e-160, -1e-160, 1e-320, 5e-324, 1e154, 1e155, 1e300, -1e300,
@@ -320,20 +337,7 @@ def cheap_command_argv(draw):
 @example(["hasimoto", "dilating", "--a=1.0", "--t=1.0", "--x=0.0:1e-161:64",
           "--check-residual"])
 def test_cheap_commands_exit_cleanly(argv):
-    # exit 0 with every written value finite, or exit 2 or 3 with a token
-    # last; no numpy warning on the way
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = Path(tmp) / "o"
-        code = main(argv + ["--out", str(out)])
-        written = [f.read_text() for f in out.iterdir()] if out.exists() else []
-    assert code in (0, 2, 3)
-    if code == 0:
-        assert not any("NaN" in text or "Infinity" in text for text in written)
-    else:
-        assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
+    assert_exits_cleanly(argv)
 
 
 @st.composite
@@ -343,8 +347,7 @@ def planar_soliton_argv(draw):
     of s = 0 or across it, 16 to 256 samples, and now and then a 2 x 2 sweep
     over two of the four values."""
     def value():
-        return draw(st.one_of(st.sampled_from((0.0, -0.0, 1e-160, 1e154, -1e154, 1e300)),
-                              st.floats(-3.0, 3.0)))
+        return draw(st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-3.0, 3.0)))
 
     values = {name: value() for name in ("A", "B", "x0", "y0")}
     start = draw(st.floats(-5.0, 5.0))
@@ -374,20 +377,7 @@ def planar_soliton_argv(draw):
 @example(["csf", "soliton", "--A=0.0", "--B=1e-160", "--x0=1.5625", "--y0=0.125",
           "--s=4.0:5.66015625:32"])
 def test_planar_solitons_exit_cleanly(argv):
-    # exit 0 with every written value finite, or exit 2 or 3 with a token
-    # last; no numpy warning on the way
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = Path(tmp) / "o"
-        code = main(argv + ["--out", str(out)])
-        written = [f.read_text() for f in out.iterdir()] if out.exists() else []
-    assert code in (0, 2, 3)
-    if code == 0:
-        assert not any("NaN" in text or "Infinity" in text for text in written)
-    else:
-        assert re.fullmatch(r"[a-z]+(-[a-z]+)*", err.getvalue().splitlines()[-1])
+    assert_exits_cleanly(argv)
 
 
 # a step size or stop time: an edge value, or a multiple of the curve's squared
