@@ -438,17 +438,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_global_flags(parser, top: bool = False):
-    # leaves default to SUPPRESS so a flag given before the subcommand
-    # is not clobbered by the subparser's defaults
-    parser.add_argument("--out", default="out" if top else argparse.SUPPRESS,
+def _add_global_flags(parser):
+    # every level defaults to SUPPRESS, so a flag given before the subcommand
+    # is not clobbered by the subparser's defaults; build_parser sets the
+    # defaults once, on the top parser
+    parser.add_argument("--out", default=argparse.SUPPRESS,
                         help="output directory (default: out)")
-    parser.add_argument("--force", action="store_true",
-                        default=False if top else argparse.SUPPRESS,
+    parser.add_argument("--force", action="store_true", default=argparse.SUPPRESS,
                         help="allow writing into a non-empty output directory")
     parser.add_argument("--format", choices=("csv", "structured-text"),
-                        default="csv" if top else argparse.SUPPRESS,
-                        help="diagnostics table format")
+                        default=argparse.SUPPRESS, help="diagnostics table format")
 
 
 def _add_evolve_flags(parser):
@@ -500,7 +499,8 @@ def build_parser(only: tuple[str, str] | None = None) -> argparse.ArgumentParser
     parser = _Parser(prog="curveflow",
                      description="curve shortening and binormal flow laboratory")
     parser.add_argument("--version", action="version", version=__version__)
-    _add_global_flags(parser, top=True)
+    _add_global_flags(parser)
+    parser.set_defaults(out="out", force=False, format="csv")
     common = _Parser(add_help=False)
     _add_global_flags(common)
 
@@ -602,26 +602,18 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     out = Path(args.out)
     created = not out.exists()
-    done = False
+    paths = None
     try:
         prepare_out_dir(out, args.force)
         paths = args.handler(args, out)
-        done = True
-    except ConfigError as exc:
+    except (CurveFlowError, ValueError) as exc:
+        # a ValueError is a parameter the library refused
         print(f"error: {exc}", file=sys.stderr)
-        print(exc.token, file=sys.stderr)
-        return 2
-    except CurveFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(exc.token, file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("invalid-parameter", file=sys.stderr)
-        return 2
+        print(getattr(exc, "token", "invalid-parameter"), file=sys.stderr)
+        return 2 if isinstance(exc, (ConfigError, ValueError)) else 3
     finally:
         # a failed run takes back the directory it made, never a file in it
-        if created and not done:
+        if created and paths is None:
             with contextlib.suppress(OSError):
                 out.rmdir()
     append_run_manifest(out, {

@@ -187,16 +187,13 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
     a, b = spec.s_range
     start = [spec.x0, spec.y0, 0.0]
     ends = [b, a]                      # of the forward and backward halves
-    joint_end, states = 0.0, [start, start]     # both halves at |s| = joint_end
-    pieces = []                        # (s_lo, s_hi, values at s in between)
+    joint, joint_end, states = None, 0.0, [start, start]  # both halves at |s| = joint_end
+    continuations = []                 # (sign, solve) of a half beyond joint_end
     escaped = False
     if a < 0 < b:
         joint = _solve_from_origin(spec.A, spec.B, start * 2, min(b, -a))
         joint_end = float(joint.t[-1])
         states = np.split(joint.y[:, -1], 2)
-        # one dense evaluation at |s| serves both halves
-        both = lambda s: np.where(s >= 0, *np.split(_dense_values(joint, np.abs(s)), 2))
-        pieces = [(-joint_end, joint_end, both)]
         if joint.status == 1:
             # the half at the largest |x| or |y| escaped, and so did the
             # other one if it is at the limit too
@@ -211,17 +208,23 @@ def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
             if sol.status == 1:
                 ends[k] = float(sol.t[-1])
                 escaped = True
-            pieces.append((*sorted((sign * joint_end, ends[k])),
-                           lambda s, sol=sol: _dense_values(sol, s)))
+            continuations.append((sign, sol))
     hi, lo = ends
     if not lo < hi:
         raise CurveFlowError("profile-escape", "profile escapes before s_range")
     s = np.linspace(lo, hi, spec.n)
     vals = np.empty((3, spec.n))
-    for s_lo, s_hi, at in pieces:
-        inside = (s >= s_lo) & (s <= s_hi)
-        if inside.any():
-            vals[:, inside] = at(s[inside])
+    # each solve reaches an end of s, which is exactly lo or hi, so none is
+    # evaluated at no sample
+    if joint is not None:
+        inside = np.abs(s) <= joint_end
+        # one dense evaluation at |s| serves both halves
+        halves = np.split(_dense_values(joint, np.abs(s[inside])), 2)
+        vals[:, inside] = np.where(s[inside] >= 0, *halves)
+    # a continuation, evaluated last, keeps its own value at +-joint_end
+    for sign, sol in continuations:
+        beyond = sign * s >= joint_end
+        vals[:, beyond] = _dense_values(sol, s[beyond])
     return SolitonProfile(s, vals[0], vals[1], vals[2], escaped)
 
 

@@ -54,10 +54,6 @@ class FilamentFunction:
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self.grid_start + self.grid_step * np.arange(self.n)
-
 
 def hasimoto_transform(fr: FrenetData, gauge_A: float = 0.0) -> FilamentFunction:
     """psi = kappa exp(i int_0^s tau), phase integrated from the first sample.

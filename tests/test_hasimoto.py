@@ -29,8 +29,7 @@ def test_filament_validation():
         FilamentFunction(0.0, -0.1, np.ones(8, dtype=complex))
     with pytest.raises(ValueError):
         FilamentFunction(0.0, 0.1, np.array([1.0, np.nan, 1.0, 1.0]))
-    f = FilamentFunction(-1.0, 0.5, np.ones(4, dtype=complex))
-    assert np.allclose(f.grid, [-1.0, -0.5, 0.0, 0.5])
+    assert FilamentFunction(-1.0, 0.5, np.ones(4, dtype=complex)).n == 4
 
 
 @pytest.mark.parametrize("field", ["grid_start", "grid_step", "gauge_A", "time"])
