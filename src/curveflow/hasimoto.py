@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurveFlowError
-from .geometry import FrenetData, SampledCurve, _tridiagonal_solver
+from .geometry import MIN_CHORD, FrenetData, SampledCurve, _tridiagonal_solver
 
 
 @dataclass
@@ -46,8 +46,10 @@ class FilamentFunction:
         if not all(map(math.isfinite, (self.grid_start, self.grid_step,
                                        self.gauge_A, self.time))):
             raise ValueError("grid_start, grid_step, gauge_A and time must be finite")
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be positive")
+        # SampledCurve's chord bounds: the step's square is a finite normal double
+        if not (MIN_CHORD <= self.grid_step and self.grid_step * self.grid_step < math.inf):
+            raise ValueError(f"grid_step must lie between {MIN_CHORD:.3g} and the longest "
+                             "step whose square is finite")
         self.values = vals
 
     @property
@@ -133,14 +135,17 @@ def nlcse_evolve(psi: FilamentFunction, dt: float, n_steps: int) -> FilamentFunc
     if not psi.periodic and dt > 10.0 * psi.grid_step**2:
         warnings.warn("accuracy-degraded: dt above 10*ds^2 in clamped mode",
                       RuntimeWarning, stacklevel=2)
-    dispersion = _dispersion(psi.n, psi.grid_step, dt, psi.periodic)
     gauge, time = psi.gauge_A, psi.time
-    vals = psi.values * np.exp(0.25j * dt * (np.abs(psi.values) ** 2 + gauge))
-    for k in range(n_steps):
-        vals = dispersion(vals)
-        phase = 0.25j * dt if k == n_steps - 1 else 0.5j * dt
-        vals = vals * np.exp(phase * (np.abs(vals) ** 2 + gauge))
-        time += dt
+    # |psi|^2 dt or the Fourier symbol k^2 dt past the largest double makes the
+    # values NaN, which the FilamentFunction below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        dispersion = _dispersion(psi.n, psi.grid_step, dt, psi.periodic)
+        vals = psi.values * np.exp(0.25j * dt * (np.abs(psi.values) ** 2 + gauge))
+        for k in range(n_steps):
+            vals = dispersion(vals)
+            phase = 0.25j * dt if k == n_steps - 1 else 0.5j * dt
+            vals = vals * np.exp(phase * (np.abs(vals) ** 2 + gauge))
+            time += dt
     return FilamentFunction(psi.grid_start, psi.grid_step, vals, gauge, time,
                             psi.periodic)
 
@@ -246,10 +251,14 @@ def reconstruct_frame(psi: FilamentFunction, seed: FrameState | None = None):
     # with psi = a + ib the rows (T, N, B) obey Y' = [w]x Y, w = (0, b, -a);
     # the Magnus commutator term (sqrt 3 / 12) h^2 (w2 x w1) then has only
     # an x component, a2 b1 - a1 b2 = Im(conj(psi2) psi1)
-    p1, p2 = _gauss_values(psi.values).T
-    mean = 0.5 * h * (p1 + p2)
-    omega = np.column_stack([(math.sqrt(3.0) / 12.0) * h**2 * (np.conj(p2) * p1).imag,
-                             mean.imag, -mean.real])
+    # h psi or h^2 psi past the largest double makes a rotation or a position
+    # inf or NaN (scipy's Rotation gives NaN for an angle whose norm overflows),
+    # which SampledCurve refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1, p2 = _gauss_values(psi.values).T
+        mean = 0.5 * h * (p1 + p2)
+        omega = np.column_stack([(math.sqrt(3.0) / 12.0) * h**2 * (np.conj(p2) * p1).imag,
+                                 mean.imag, -mean.real])
     from scipy.spatial.transform import Rotation
     rotations = Rotation.from_rotvec(omega).as_matrix()
     rows = np.empty((n, 3, 3))
@@ -258,14 +267,15 @@ def reconstruct_frame(psi: FilamentFunction, seed: FrameState | None = None):
     for j in range(n - 1):
         np.matmul(rotations[j], rows[j], out=rows[j + 1])
     tangents = rows[:, 0]
-    # T' = Re(conj(psi) (N + iB)) = a N + b B, for the end correction
-    bend = psi.values.real[:, None] * rows[:, 1] + psi.values.imag[:, None] * rows[:, 2]
 
     positions = np.empty((n, 3))
     positions[0] = seed.position
-    positions[1:] = seed.position + np.cumsum(
-        0.5 * h * (tangents[:-1] + tangents[1:]) + (h * h / 12.0) * (bend[:-1] - bend[1:]),
-        axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # T' = Re(conj(psi) (N + iB)) = a N + b B, for the end correction
+        bend = psi.values.real[:, None] * rows[:, 1] + psi.values.imag[:, None] * rows[:, 2]
+        positions[1:] = seed.position + np.cumsum(
+            0.5 * h * (tangents[:-1] + tangents[1:]) + (h * h / 12.0) * (bend[:-1] - bend[1:]),
+            axis=0)
     curve = SampledCurve(3, False, positions)
     return curve, FrameState(tangents, rows[:, 1] + 1j * rows[:, 2], positions)
 

@@ -376,8 +376,12 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
     reach = h.sum() / 2 if curve.closed else min(h[:i].sum(), h[i:].sum())
     if opts.outer > reach:
         raise ValueError("outer cutoff passes the nearer end (half the length if closed)")
-    d1, d2 = _lagrange_d1_d2(pts, h, curve.closed)
-    d3 = _lagrange_d1_d2(d2, h, curve.closed)[0]
+    # a derivative, Taylor term or distance past the largest double, or an offset
+    # that rounds onto sample i, makes the integral inf or NaN, which the check
+    # below refuses; a distance whose cube overflows adds 0 to it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d1, d2 = _lagrange_d1_d2(pts, h, curve.closed)
+        d3 = _lagrange_d1_d2(d2, h, curve.closed)[0]
 
     def eval_curve(zeta):
         # nearest-sample index along arc, then a local Taylor step
@@ -393,15 +397,16 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
 
     u = np.linspace(np.log(opts.epsilon), np.log(opts.outer), opts.quadrature_n)
     total = np.zeros(3)
-    for sign in (1.0, -1.0):
-        zeta = sign * np.exp(u)
-        pos, tan = eval_curve(zeta)
-        rel = pts[i] - pos
-        dist = np.linalg.norm(rel, axis=1)
-        integrand = np.cross(tan, rel) / dist[:, None] ** 3
-        # d zeta = zeta du on each branch; the branch orientation cancels the sign
-        weights = np.exp(u)
-        total += np.trapezoid(integrand * weights[:, None], u, axis=0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for sign in (1.0, -1.0):
+            zeta = sign * np.exp(u)
+            pos, tan = eval_curve(zeta)
+            rel = pts[i] - pos
+            dist = np.linalg.norm(rel, axis=1)
+            integrand = np.cross(tan, rel) / dist[:, None] ** 3
+            # d zeta = zeta du on each branch; the branch orientation cancels the sign
+            weights = np.exp(u)
+            total += np.trapezoid(integrand * weights[:, None], u, axis=0)
     if not np.isfinite(total).all():
         raise ValueError("the cutoff integral is not finite")
     return total

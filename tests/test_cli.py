@@ -1132,6 +1132,27 @@ def test_hasimoto_evolve_rejects_bad_input(tmp_path, capsys, field, flags, token
     assert last_stderr_token(capsys) == token
 
 
+# a step whose square overflows, and one whose square is 0; the clamped
+# scheme divides by the square, the reconstruction multiplies by it
+@pytest.mark.parametrize("grid_step", [1e300, 1e-200], ids=["huge", "tiny"])
+@pytest.mark.parametrize("command", [("evolve", "--dt=1e-3", "--steps=3"),
+                                     ("evolve", "--dt=1e-3", "--steps=3", "--periodic"),
+                                     ("reconstruct",)],
+                         ids=["evolve-clamped", "evolve-periodic", "reconstruct"])
+def test_a_filament_grid_step_outside_the_chord_bounds_is_refused(tmp_path, capsys,
+                                                                  grid_step, command):
+    payload = {"grid_start": 0.0, "grid_step": grid_step, "gauge_A": 0.0, "time": 0.0,
+               "values": [[1.0, 0.0]] * 16}
+    path = tmp_path / "filament.json"
+    path.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("hasimoto", *command, "--input", path, "--out", tmp_path / "o")
+    assert code == 2
+    assert last_stderr_token(capsys) == "invalid-input"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("dt", ["0", "nan"])
 def test_hasimoto_evolve_rejects_a_bad_step(tmp_path, capsys, dt):
     fil = hasimoto.FilamentFunction(0.0, 0.1, np.ones(16, dtype=complex), periodic=True)
@@ -1190,9 +1211,8 @@ def test_dilating_residual_check(tmp_path, capsys):
 
 
 # the 5-point stencil holds no sample of a 4-point grid, t +- 1e-4 rounds to
-# t = 1e154, 12 ds^2 is subnormal, and the older snapshot lies past the
-# singularity at t = 5e-5; none of them leaves a file
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# t = 1e154, the step 2.5e-161 lies below the chord bound 2^-511, and the older
+# snapshot lies past the singularity at t = 5e-5; none of them leaves a file
 @pytest.mark.parametrize("flags, code, token", [
     (["--a=-1", "--t=2.3780588041886466", "--x=-1:1:4"], 2, "invalid-parameter"),
     (["--a=0", "--t=1e154", "--x=0:1:5"], 2, "invalid-parameter"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -114,13 +115,23 @@ def test_one_escaping_half_leaves_the_other_to_continue(y0, s_range, ends):
     np.testing.assert_allclose(profile.y, y0 + 1e9 * profile.s, rtol=1e-9, atol=1e-3)
 
 
-@pytest.mark.parametrize("args, s_range, solves", [
-    ((0.8, -0.5, 0.9, 0.1), (-5.0, 5.0), 1),    # symmetric: both halves at once
-    ((0.0, -1e9, 0.0, 5e7), (-1.0, 1.0), 2),    # then the backward half alone
-    ((0.3, -0.6, 0.9, 0.1), (-10.0, 3.0), 2),   # then the longer half alone
-    ((0.3, -0.6, 0.9, 0.1), (0.5, 5.0), 1),     # one-sided
-], ids=["symmetric", "one-escapes", "asymmetric", "one-sided"])
-def test_profile_solves_per_member(monkeypatch, args, s_range, solves):
+# the digest pins the bits of the assembled profile, boundary samples
+# included: the first 16 hex digits of the SHA-256 of s, x, y and theta
+# (numpy 2.4, scipy 1.17)
+@pytest.mark.parametrize("args, s_range, n, solves, digest", [
+    # symmetric: both halves at once
+    ((0.8, -0.5, 0.9, 0.1), (-5.0, 5.0), 1024, 1, "61c7e1120975fe5b"),
+    # then the backward half alone
+    ((0.0, -1e9, 0.0, 5e7), (-1.0, 1.0), 1024, 2, "947a778e2289cee1"),
+    # then the longer half alone
+    ((0.3, -0.6, 0.9, 0.1), (-10.0, 3.0), 1024, 2, "01b30a6b5ea92e1e"),
+    # one-sided
+    ((0.3, -0.6, 0.9, 0.1), (0.5, 5.0), 1024, 1, "cf2b36c9bd5f9330"),
+    # samples at s = -1 and s = 1, both ends of the joint solve; the forward
+    # half's continuation gives s = 1
+    ((0.3, -0.6, 0.9, 0.1), (-1.0, 3.0), 17, 2, "cd102db3e31cf830"),
+], ids=["symmetric", "one-escapes", "asymmetric", "one-sided", "sample-at-the-joint-end"])
+def test_profile_solves_per_member(monkeypatch, args, s_range, n, solves, digest):
     calls = []
     solve = csf_solitons._solve_from_origin
 
@@ -129,8 +140,10 @@ def test_profile_solves_per_member(monkeypatch, args, s_range, solves):
         return solve(*a, **kwargs)
 
     monkeypatch.setattr(csf_solitons, "_solve_from_origin", counted)
-    integrate_profile(CsfSolitonSpec(*args, s_range=s_range))
+    profile = integrate_profile(CsfSolitonSpec(*args, s_range=s_range, n=n))
     assert len(calls) == solves
+    values = np.stack([profile.s, profile.x, profile.y, profile.theta])
+    assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest
 
 
 def test_scaling_functions():

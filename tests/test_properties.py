@@ -551,6 +551,82 @@ def test_diagnose_commands_exit_cleanly(case):
 
 
 # ---------------------------------------------------------------------------
+# the commands that read a curve or filament file
+
+# either side of the chord bounds 2^-511 and about 1.34e154, and a step
+# whose square is subnormal
+GRID_STEP_EDGES = (2.0**-511, 2.0**-512, 1e-200, 1e-160, 1e154, 1.3407807929942596e154,
+                   1.35e154, 1e300)
+PSI_SCALES = (1e300, 1e200, 1e154, 1e-160, 1e-300)
+
+
+@st.composite
+def file_command_case(draw):
+    """``vfe biot-savart`` or ``hasimoto transform`` on a wobbled ring or arc of
+    32 to 128 samples, in space or (now and then) in the plane, scaled near
+    2^-500 or 2^500 or by a factor in [0.1, 10], with cutoffs near the curve's
+    scale or at edge values; or ``hasimoto evolve`` or
+    ``hasimoto reconstruct`` on a filament of 4 to 64 samples, |psi| up to
+    1e300, with a grid step across the chord bounds or in [1e-3, 1].  Returns
+    the argv without ``--input``, the file's name and its JSON payload."""
+    def value(edges=EDGE_VALUES):
+        return draw(st.one_of(st.sampled_from(edges), st.floats(-3.0, 3.0)))
+
+    command = draw(st.sampled_from(("biot-savart", "transform", "evolve", "reconstruct")))
+    if command in ("biot-savart", "transform"):
+        dim = 3 if command == "biot-savart" else draw(st.sampled_from((2, 3)))
+        n, closed = draw(st.integers(32, 128)), draw(st.booleans())
+        t = np.linspace(0.0, 2.0 * np.pi if closed else draw(st.floats(0.5, 5.0)), n,
+                        endpoint=not closed)
+        coef = draw(arrays(float, (2, dim), elements=st.floats(-0.1, 0.1)))
+        pts = np.zeros((n, dim))
+        pts[:, 0], pts[:, 1] = np.cos(t), np.sin(t)
+        pts += np.cos(2.0 * t)[:, None] * coef[0] + np.sin(3.0 * t)[:, None] * coef[1]
+        scale = draw(st.one_of(st.sampled_from((2.0**-500, 2.0**500, 1e-150, 1e150)),
+                               st.floats(0.1, 10.0)))
+        payload = {"dimension": dim, "closed": closed, "points": (scale * pts).tolist()}
+        if command == "transform":
+            return ["hasimoto", "transform", f"--gauge-A={value()!r}"], "in.curve", payload
+        # cutoffs a fraction of the scale, now and then with an edge value
+        eps = [f * scale for f in draw(st.lists(st.sampled_from((1e-2, 1e-3, 1e-4, 1e-8)),
+                                                min_size=2, max_size=3, unique=True))]
+        eps += draw(st.sampled_from(([], [], [], [1e-300], [1e-301], [5e-324], [1e300])))
+        index = draw(st.sampled_from((n // 3, n // 2, 0, -1, n)))
+        argv = ["vfe", "biot-savart", "--eps=" + ",".join(map(repr, eps)), f"--index={index}",
+                f"--quadrature-n={draw(st.integers(8, 64))}"]
+        # the default outer cutoff, a quarter of the length, passes an open
+        # curve's nearer end from any sample but the middle
+        if not closed or draw(st.booleans()):
+            argv.append(f"--outer={draw(st.floats(0.05, 0.15)) * scale!r}")
+        return argv, "in.curve", payload
+    m = draw(st.integers(4, 64))
+    phase = np.linspace(0.0, draw(st.floats(0.0, 10.0)), m)
+    shape = draw(arrays(float, m, elements=st.floats(0.1, 1.0)))
+    psi = value(PSI_SCALES) * shape * np.exp(1j * phase)
+    step = draw(st.one_of(st.sampled_from(GRID_STEP_EDGES), st.floats(1e-3, 1.0)))
+    payload = {"grid_start": value(), "grid_step": step, "gauge_A": value(),
+               "time": value(), "values": np.column_stack([psi.real, psi.imag]).tolist()}
+    if command == "reconstruct":
+        return ["hasimoto", "reconstruct"], "in.json", payload
+    # the clamped scheme warns above dt = 10 ds^2, by design
+    periodic = draw(st.booleans())
+    dt = draw(st.one_of(st.sampled_from((5e-324, 1e-300, 1e300) if periodic else (5e-324,)),
+                        st.floats(1e-4, 10.0).map(lambda f: f * step * step)))
+    argv = ["hasimoto", "evolve", f"--dt={dt!r}", f"--steps={draw(st.integers(0, 5))}"]
+    return argv + (["--periodic"] if periodic else []), "in.json", payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(file_command_case())
+def test_file_commands_exit_cleanly(case):
+    argv, name, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(json.dumps(payload))
+        assert_exits_cleanly(argv + ["--input", str(path)])
+
+
+# ---------------------------------------------------------------------------
 # the 3-D path writes its cross products and norms by hand; these pin it to
 # np.cross, np.linalg.norm and einsum bit for bit
 
