@@ -26,7 +26,10 @@ Stop reasons, checked in this order before every step:
 * ``max-steps``: ``max_steps`` steps have been taken;
 * ``blow-up-detected``: a step produced a non-finite point.  The last
   finite state is the last frame: the run records it before it stops,
-  unless the record cadence already has.
+  unless the record cadence already has.  A step whose chords leave the
+  chord bounds of ``SampledCurve`` (``geometry.MIN_CHORD`` and the longest
+  chord whose square is finite) stops the same way, as
+  ``approaching-singularity``: chords shrink that far only near it.
 
 The step is sized at the start and every ``resample_every`` steps.  At
 each of these spacing checks after the start, the driver also resamples
@@ -52,8 +55,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, CurveFlowError
-from .geometry import (SampledCurve, _unit_scale, frenet, integrate_along, resample_points,
-                       total_length)
+from .geometry import (MIN_CHORD, SampledCurve, _unit_scale, frenet, integrate_along,
+                       resample_points, total_length)
 
 # relative chord-length spread, max h / min h - 1, above which a check
 # resamples the curve
@@ -265,17 +268,24 @@ def evolve(curve: SampledCurve, opts: StepOptions, spec: FlowSpec) -> FlowTrajec
 
         dt = min(dt_base, opts.stop_time - t)
         new_pts = spec.step(pts, h, vel, closed, dt, last)
+        # a step to a state that no SampledCurve holds ends the run on the
+        # last state that one does
         if not np.isfinite(new_pts).all():
+            stop = "blow-up-detected"
+        else:
+            new = spec.velocity(new_pts, closed)
+            if not (MIN_CHORD <= new[0].min() and new[0].max() < np.inf):
+                stop = "approaching-singularity"
+        if stop:
             # a step on the record cadence has its frame from the top of the loop
             if steps % opts.record_every:
                 traj.append(t, curve.with_points(pts))
-            stop = "blow-up-detected"
             break
         last = (pts, h, dt)
         pts = new_pts
         t += dt
         steps += 1
-        h, vel, kappa = spec.velocity(pts, closed)
+        h, vel, kappa = new
 
     traj.stop_reason = stop
     traj.steps_taken = steps

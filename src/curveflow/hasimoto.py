@@ -132,6 +132,11 @@ def nlcse_evolve(psi: FilamentFunction, dt: float, n_steps: int) -> FilamentFunc
         raise ValueError("n_steps must be non-negative")
     if n_steps == 0:
         return psi
+    # the Crank-Nicolson bands hold i dt/(2 ds^2), which LAPACK cannot factor
+    # when it is infinite
+    if not psi.periodic and not math.isfinite(dt / psi.grid_step**2):
+        raise ValueError(f"the clamped step dt = {dt!r} on the grid step {psi.grid_step!r} "
+                         "makes dt/ds^2 pass the largest double")
     if not psi.periodic and dt > 10.0 * psi.grid_step**2:
         warnings.warn("accuracy-degraded: dt above 10*ds^2 in clamped mode",
                       RuntimeWarning, stacklevel=2)

@@ -37,6 +37,7 @@ from .flow import FlowTrajectory, ScalarSeries, StepOptions, interior_frames
 from .geometry import (
     SampledCurve,
     _lagrange_d1_d2,
+    _unit_scale,
     frenet,
     segment_lengths,
 )
@@ -371,14 +372,21 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
     if not 0 <= i < n:
         raise ValueError(f"sample index {i} outside [0, {n})")
     h = segment_lengths(curve)
-    ds = float(h.mean())
     # past the ends of an open curve the Taylor step extrapolates a phantom arc
     reach = h.sum() / 2 if curve.closed else min(h[:i].sum(), h[i:].sum())
     if opts.outer > reach:
         raise ValueError("outer cutoff passes the nearer end (half the length if closed)")
-    # a derivative, Taylor term or distance past the largest double, or an offset
-    # that rounds onto sample i, makes the integral inf or NaN, which the check
-    # below refuses; a distance whose cube overflows adds 0 to it
+    # the quadrature runs on the curve scaled by the exact power of 4 that
+    # brings its longest chord near 1, where the cubes of its distances and
+    # Taylor steps stay normal, and the velocity, which scales as 1/length,
+    # is scaled back (a factor of 1.0 inside 2**+-128 changes no bit)
+    scale = _unit_scale(float(h.max()))
+    pts, h = scale * pts, scale * h
+    ds = float(h.mean())
+    # a derivative, Taylor term or distance past the largest double, an offset
+    # that rounds onto sample i, or a cutoff that underflows to 0 makes the
+    # integral inf or NaN, which the check below refuses; a distance whose cube
+    # overflows adds 0 to it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d1, d2 = _lagrange_d1_d2(pts, h, curve.closed)
         d3 = _lagrange_d1_d2(d2, h, curve.closed)[0]
@@ -395,9 +403,10 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
         tan = d1[j] + delta * d2[j] + 0.5 * delta**2 * d3[j]
         return pos, tan
 
-    u = np.linspace(np.log(opts.epsilon), np.log(opts.outer), opts.quadrature_n)
     total = np.zeros(3)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = np.linspace(np.log(scale * opts.epsilon), np.log(scale * opts.outer),
+                        opts.quadrature_n)
         for sign in (1.0, -1.0):
             zeta = sign * np.exp(u)
             pos, tan = eval_curve(zeta)
@@ -409,4 +418,4 @@ def biot_savart_velocity(curve: SampledCurve, i: int, opts: BiotSavartOptions) -
             total += np.trapezoid(integrand * weights[:, None], u, axis=0)
     if not np.isfinite(total).all():
         raise ValueError("the cutoff integral is not finite")
-    return total
+    return scale * total

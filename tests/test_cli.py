@@ -376,6 +376,25 @@ def test_chord_squares_outside_the_normal_doubles_exit_two(tmp_path, capsys, flo
     assert not out.exists()
 
 
+def test_a_run_whose_chords_shrink_past_the_chord_bound_stops(tmp_path, capsys):
+    # the ellipse's chords pass below 2^-511 before the singularity guard
+    # fires; the frame record then refused them, blaming the input file
+    t = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    path = tmp_path / "in.curve"
+    path.write_text(json.dumps({"dimension": 2, "closed": True, "points": (
+        2.0**-500 * np.column_stack([2.0 * np.cos(t), np.sin(t)])).tolist()}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("csf", "evolve", "--input", path, "--stop-time", repr(2.0**-999),
+                   "--out", out)
+    assert code == 0, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stop_reason"] == "approaching-singularity"
+    assert 0.99 < summary["final_time"] / summary["singular_time_estimate"] <= 1.0
+
+
 def test_a_resampling_whose_chords_overflow_names_n(tmp_path, capsys):
     # the 64-gon is valid; its 32-sample resampling has chord squares past the
     # largest double, which the refusal blamed on the file
@@ -1160,6 +1179,22 @@ def test_hasimoto_evolve_rejects_a_bad_step(tmp_path, capsys, dt):
     assert run("hasimoto", "evolve", "--input", path, f"--dt={dt}", "--steps", "3",
                "--out", tmp_path / "o") == 2
     assert last_stderr_token(capsys) == "invalid-parameter"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_clamped_step_whose_band_overflows_is_refused_by_name(tmp_path, capsys):
+    # i dt/(2 ds^2) is infinite, and LAPACK's ?gttrf reported a singular matrix
+    # after the accuracy-degraded warning
+    fil = hasimoto.FilamentFunction(0.0, 2.0**-511, np.ones(64, dtype=complex))
+    path = write_filament(tmp_path / "filament.json", fil)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("hasimoto", "evolve", "--input", path, "--dt=10", "--steps", "1",
+                   "--out", tmp_path / "o")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1] == "invalid-parameter"
+    assert "dt = 10.0" in err and "grid step" in err and "accuracy-degraded" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -130,7 +130,16 @@ def test_one_escaping_half_leaves_the_other_to_continue(y0, s_range, ends):
     # samples at s = -1 and s = 1, both ends of the joint solve; the forward
     # half's continuation gives s = 1
     ((0.3, -0.6, 0.9, 0.1), (-1.0, 3.0), 17, 2, "cd102db3e31cf830"),
-], ids=["symmetric", "one-escapes", "asymmetric", "one-sided", "sample-at-the-joint-end"])
+    # both halves reach the limit at one r, where scipy records only the
+    # forward root; the backward half, a rounding short of the limit there,
+    # escapes at once in a solve of its own
+    ((0.0, -1e9, 0.0, 0.0), (-1.0, 1.0), 1024, 2, "73430d3613f7df2a"),
+    # a tie where scipy records only the backward root, and the forward half
+    # stands past the limit there: it ends there too, since no solve can
+    # start past the limit
+    ((0.0, -439954064.00135213, 0.0, 0.0), (-1.0, 1.0), 1024, 1, "f98ce7e9ecc6704a"),
+], ids=["symmetric", "one-escapes", "asymmetric", "one-sided", "sample-at-the-joint-end",
+        "both-escape", "tie-past-the-limit"])
 def test_profile_solves_per_member(monkeypatch, args, s_range, n, solves, digest):
     calls = []
     solve = csf_solitons._solve_from_origin
@@ -320,13 +329,17 @@ def test_profile_accuracy_on_asymmetric_and_one_sided_ranges(s_range):
 @st.composite
 def ranged_specs(draw):
     """A spec and its range kind: across s = 0, evenly or not, wholly above
-    or below it, or a member of the B = -1e9 escape family, whose y runs
-    past the escape limit within |s| < 0.2 on one side or both."""
+    or below it, or a member of the escape family A = x0 = 0 with B in
+    -10^[8.5, 12], whose y = y0 - B s runs past the escape limit within
+    |s| < 0.61 on one side or both; at y0 = 0, drawn half the time, both
+    halves reach it at one |s|."""
     kind = draw(st.sampled_from(("symmetric", "straddling", "above", "below", "escape")))
     n = draw(st.integers(16, 1200))
     if kind == "escape":
         s_range = (-draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0)))
-        return kind, CsfSolitonSpec(0.0, -1e9, 0.0, draw(st.floats(-9e7, 9e7)), s_range, n)
+        B = -10.0 ** draw(st.floats(8.5, 12.0))
+        y0 = draw(st.one_of(st.just(0.0), st.floats(-9e7, 9e7)))
+        return kind, CsfSolitonSpec(0.0, B, 0.0, y0, s_range, n)
     A, B, x0 = (draw(st.floats(-1.5, 1.5)) for _ in range(3))
     length = draw(st.floats(0.5, 10.0))
     start = draw(st.floats(0.0, 5.0))

@@ -222,6 +222,23 @@ def test_biot_savart_option_validation():
         biot_savart_velocity(helix, 100, BiotSavartOptions(1e-320, 1.0))
 
 
+@pytest.mark.parametrize("k", [500, -500, 300, -300, 40, -60])
+def test_biot_savart_scales_as_one_over_the_length(k):
+    # the velocity of the curve scaled by 2^k, with its cutoffs, is 2^-k times
+    # the unscaled one; at 2^+-500 the distances' cubes underflow and the
+    # Taylor cubes overflow unless the quadrature runs at unit size
+    t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    ring = SampledCurve(3, True, np.column_stack([np.cos(t), np.sin(t), 0.05 * np.sin(3 * t)]))
+    outer = float(np.linalg.norm(np.roll(ring.points, -1, axis=0) - ring.points,
+                                 axis=1).sum()) / 4.0
+    scaled = ring.with_points(2.0**k * ring.points)
+    for eps in (1e-8, 1e-4):
+        want = biot_savart_velocity(ring, 10, BiotSavartOptions(eps, outer))
+        got = 2.0**k * biot_savart_velocity(
+            scaled, 10, BiotSavartOptions(2.0**k * eps, 2.0**k * outer))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # the stage plan: one set of buffers per run, none of them ever handed out
 
