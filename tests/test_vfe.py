@@ -8,7 +8,7 @@ from curveflow import flow, vfe
 from curveflow.csf import curvature_evolution_residual
 from curveflow.errors import ConfigError, CurveFlowError
 from curveflow.flow import FlowTrajectory, StepOptions, frame_measures
-from curveflow.geometry import SampledCurve, hausdorff_distance
+from curveflow.geometry import SampledCurve, hausdorff_distance, total_length
 from curveflow.vfe import (
     STABILITY_FACTOR,
     BiotSavartOptions,
@@ -229,8 +229,7 @@ def test_biot_savart_scales_as_one_over_the_length(k):
     # Taylor cubes overflow unless the quadrature runs at unit size
     t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     ring = SampledCurve(3, True, np.column_stack([np.cos(t), np.sin(t), 0.05 * np.sin(3 * t)]))
-    outer = float(np.linalg.norm(np.roll(ring.points, -1, axis=0) - ring.points,
-                                 axis=1).sum()) / 4.0
+    outer = total_length(ring) / 4.0
     scaled = ring.with_points(2.0**k * ring.points)
     for eps in (1e-8, 1e-4):
         want = biot_savart_velocity(ring, 10, BiotSavartOptions(eps, outer))
