@@ -39,10 +39,10 @@ CSF_COLUMNS = ("time", "length", "bending", "huisken",
                "distance_ratio", "max_curvature")
 VFE_COLUMNS = ("time", "length", "max_curvature", "max_torsion")
 
-# the largest grid, sample, quadrature or sweep-member count a run may ask
-# for, checked before anything of that size is allocated: a grid this long
-# takes 32 MiB, and 2**22 is 1,024 times the largest count the tests and
-# examples use (4,096)
+# the largest grid, sample or quadrature count a run may ask for, and the
+# most samples a sweep holds over all its members, checked before anything
+# of that size is allocated: a grid this long takes 32 MiB, and 2**22 is
+# 1,024 times the largest count the tests and examples use (4,096)
 MAX_COUNT = 2**22
 
 
@@ -168,7 +168,8 @@ def _soliton_member(A, B, x0, y0, s_range, n):
     record = {"A": A, "B": B, "x0": x0, "y0": y0,
               "class": csf_solitons.classify(A, B),
               "s_range": list(s_range), "escaped": bool(profile.escaped),
-              "closed": bool(closure.closed), "p": closure.p, "q": closure.q}
+              "closed": bool(closure.closed), "p": closure.p, "q": closure.q,
+              "profile_steps": list(profile.steps), "closure_steps": closure.steps}
     if np.isfinite(closure.delta_phi):
         record["delta_phi"] = float(closure.delta_phi)
     return record, curve
@@ -198,8 +199,9 @@ def cmd_csf_soliton(args, out: Path) -> list[Path]:
         b_vals = parse_range(args.B_range) if args.B_range else [args.B]
         x_vals = parse_range(args.x0_range) if args.x0_range else [args.x0]
         y_vals = parse_range(args.y0_range) if args.y0_range else [args.y0]
-        _check_count("the sweep's member count",
-                     math.prod(map(len, (a_vals, b_vals, x_vals, y_vals))))
+        # every member's curve is held until the sweep writes them
+        _check_count("the sweep's member count times its sample count",
+                     math.prod(map(len, (a_vals, b_vals, x_vals, y_vals))) * n)
         # every member is computed before any file is written, so a member
         # that raises leaves no partial sweep behind; a member that fails at
         # run time is listed with its error token and no curve

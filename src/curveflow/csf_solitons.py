@@ -8,17 +8,19 @@ profile governed by the autonomous system
 where x is the curvature, y the tangential support component, and theta
 the tangent angle.  The plane curve is recovered from a profile as
 X = e^{i theta} (x + i y) / (A - i B), which is arclength-parametrized.
-Profiles are integrated with the 8th-order Dormand-Prince pair (DOP853)
-at rtol = atol = 1e-11; the two halves of a range about the data at s = 0
-are integrated together, as one six-component system in r = |s|.
+Profiles are integrated by Taylor series of order ORDER, whose
+coefficients follow from the system by Cauchy products, at the local
+tolerance TOL; each half of a range about the data at s = 0 is its own solve.
 The module also carries the two classical special cases: the translating
 grim reaper graph and the closed shrinkers confined to an annulus.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -31,11 +33,13 @@ ESCAPE_LIMIT = 1e8
 # arclength over which detect_closure looks for two radius minima
 CLOSURE_MAX_S = 400.0
 
-# right-hand-side calls past which a profile solve is refused: about 6,700
-# DOP853 steps of 15 calls (12 stages and 3 for the dense output), 76 times
-# the 1,301 calls of the largest solve in the tests, README examples and
-# benchmark workloads
-MAX_RHS_CALLS = 100_000
+# the local tolerance of the Taylor steps, and their order, ceil(-ln(TOL)/2 + 1),
+# near which the work per unit of s is least (Jorba and Zou)
+TOL = 1e-11
+ORDER = 14
+
+# Taylor steps past which a profile solve is refused
+MAX_STEPS = 10_000
 
 
 def classify(A: float, B: float) -> str:
@@ -51,7 +55,7 @@ def classify(A: float, B: float) -> str:
 
 
 def _check_finite(A, B, x0, y0):
-    # DOP853 keeps shrinking its step on a non-finite right-hand side
+    # refused as input: the solve would fail on its first Taylor coefficients
     if not all(map(np.isfinite, (A, B, x0, y0))):
         raise ValueError("A, B, x0 and y0 must be finite")
 
@@ -77,151 +81,129 @@ class SolitonProfile:
     y: np.ndarray
     theta: np.ndarray
     escaped: bool = False
+    steps: tuple[int, int] = (0, 0)    # Taylor steps of the forward and backward halves
 
 
-def _escape(_s, u):
-    return max(abs(u[0]), abs(u[1])) - ESCAPE_LIMIT
+def _horner(c, t: float) -> float:
+    """The polynomial with coefficients c (lowest order first) at t."""
+    v = c[-1]
+    for a in c[-2::-1]:
+        v = v * t + a
+    return v
 
 
-def _escape_back(_s, u):
-    # the backward half of a joint state
-    return max(abs(u[3]), abs(u[4])) - ESCAPE_LIMIT
+def _bisect(inside, h: float) -> float:
+    """Where ``inside`` turns true on [0, h], to h / 2^60: it holds at h and
+    not at 0."""
+    lo, hi = 0.0, h
+    for _ in range(60):
+        mid = lo + 0.5 * (hi - lo)
+        lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+    return hi
 
 
-_escape.terminal = _escape_back.terminal = True
+def _taylor_steps(A: float, B: float, u0, r_end: float, sign: float = 1.0):
+    """Taylor steps of the profile from the state u0 at r = 0 toward r_end.
 
-
-def _solve_from_origin(A: float, B: float, u0, s_end: float, s0: float = 0.0,
-                       events=_escape):
-    """The profile from the state u0 at ``s0`` (the origin by default) to ``s_end``.
-
-    u0 is (x, y, theta), or six components for both halves at once: u(r),
-    then v(r) = u(-r), which obeys v' = -f(v), over r in [0, s_end].  A solve
-    that fails raises, since its dense output and events need not reach s_end,
-    and so does one that passes MAX_RHS_CALLS: a stiff member (|B| of 1e9
-    makes y' = -x^2 - B a fast oscillator) would take ever shorter steps and
-    keep a dense output per step.
+    r is s for sign = 1 and -s for sign = -1, where v(r) = u(-r) obeys
+    v' = -f(v).  Each step is (r0, r1, c), c holding the ORDER + 1 Taylor
+    coefficients at r0 of x, y and theta from the Cauchy-product recurrence.
+    Its length is the least of (TOL s_i/|c_{i,p-1}|)^(1/(p-1)) and
+    (TOL s_i/|c_{i,p}|)^(1/p) over the components i of scale s_i (Jorba and
+    Zou, *Experimental Mathematics* 14, 2005).  The steps stop where |x| or
+    |y| reaches ESCAPE_LIMIT, found by bisection on the last step.  A start
+    past that limit, a vanishing step, a non-finite value and a solve past
+    MAX_STEPS (|B| of 1e9 makes a fast oscillator) are refused.
     """
-    from scipy.integrate import solve_ivp
-    # no event stops a solve that starts past the escape limit
-    if not _escape(s0, u0) < 0.0:
-        raise CurveFlowError("profile-solve-failed", f"the state at s = {s0!r} lies "
+    x, y, theta = u0
+    if not max(abs(x), abs(y)) < ESCAPE_LIMIT:
+        raise CurveFlowError("profile-solve-failed", "the state at s = 0 lies "
                              f"past the escape limit {ESCAPE_LIMIT:g}")
-    calls = 0
-
-    # the state is read once as Python floats: the same IEEE operations as on
-    # numpy scalars, without a scalar object per operation; a starred unpack
-    # in place of the two explicit ones costs about 0.3 us a call
-    def rhs(_s, u):
-        nonlocal calls
-        calls += 1
-        if calls > MAX_RHS_CALLS:
+    div = [sign * k for k in range(1, ORDER + 1)]
+    r, steps = 0.0, 0
+    while r < r_end:
+        steps += 1
+        if steps > MAX_STEPS:
             raise CurveFlowError("profile-solve-failed", f"the profile solve passed "
-                                 f"{MAX_RHS_CALLS} right-hand-side calls before s = {s_end!r}")
-        if len(u) == 3:
-            x, y, _ = u.tolist()
-            return x * y + A, -x * x - B, x
-        x, y, _, X, Y, _ = u.tolist()
-        return x * y + A, -x * x - B, x, -X * Y - A, X * X + B, -X
+                                 f"{MAX_STEPS} steps before s = {sign * r_end!r}")
+        X, Y = [x, (x * y + A) / div[0]], [y, (-x * x - B) / div[0]]
+        T = [theta, x / div[0]]
+        for k in range(1, ORDER):
+            xy = sum(map(mul, X, reversed(Y)))
+            Y.append(-sum(map(mul, X, reversed(X))) / div[k])
+            T.append(X[k] / div[k])
+            X.append(xy / div[k])
+        # x and y are measured relative to their own size, down to 1e-290:
+        # x' = x y + A carries a relative error of a small x into a large
+        # one; theta, an angle, is measured relative to max(1, |theta|).
+        # Each root is taken apart, since TOL * 1e-290 / |c| may underflow
+        scales = (max(abs(x), 1e-290), max(abs(y), 1e-290), max(1.0, abs(theta)))
+        top = (X[-2], Y[-2], T[-2], X[-1], Y[-1], T[-1])
+        h = min((TOL * sc) ** (1.0 / q) / abs(m) ** (1.0 / q) if m else math.inf
+                for q, ms in ((ORDER - 1, top[:3]), (ORDER, top[3:]))
+                for sc, m in zip(scales, ms))
+        r1 = min(r + h, r_end)
+        if not (r1 > r and all(map(math.isfinite, top))):
+            raise CurveFlowError("profile-solve-failed", "the profile's Taylor coefficients "
+                                 f"at s = {sign * r!r} pass the largest double or give "
+                                 f"a vanishing step {h!r}")
+        c = (X, Y, T)
+        x, y, theta = (_horner(ci, r1 - r) for ci in c)
+        if not (abs(x) < ESCAPE_LIMIT and abs(y) < ESCAPE_LIMIT):
+            def escaped(t):
+                return not (abs(_horner(X, t)) < ESCAPE_LIMIT and
+                            abs(_horner(Y, t)) < ESCAPE_LIMIT)
+            yield r, r + _bisect(escaped, r1 - r), c
+            return
+        if not math.isfinite(theta):
+            raise CurveFlowError("profile-solve-failed", "the profile's tangent angle "
+                                 f"passes the largest double at s = {sign * r1!r}")
+        yield r, r1, c
+        r = r1
 
-    # a step past the largest double fails the solve, and an event's root
-    # search on a dense output past it raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            sol = solve_ivp(
-                rhs,
-                (s0, s_end),
-                u0,
-                method="DOP853",
-                rtol=1e-11,
-                atol=1e-11,
-                dense_output=True,
-                events=events,
-            )
-        except ValueError as exc:
-            raise CurveFlowError("profile-solve-failed", str(exc)) from exc
-    if sol.status == -1:
-        raise CurveFlowError("profile-solve-failed", sol.message)
-    return sol
 
-
-def _dense_values(sol, t: np.ndarray) -> np.ndarray:
-    """``sol.sol(t)`` for a DOP853 solve, evaluated at all of t in one pass.
-
-    Each point takes the step that scipy's ``OdeSolution`` assigns it, and
-    its value comes from scipy's own recurrence over that step's ``F`` rows,
-    so it has the bits of ``sol.sol(t)``.  ``F``, ``h``, ``t_old`` and
-    ``y_old`` are attributes that scipy sets on each ``Dop853DenseOutput``
-    without documenting them; a test pins the bits.
-    """
-    ts, steps = sol.sol.ts, sol.sol.interpolants
-    last = len(steps) - 1
-    if ts[-1] >= ts[0]:
-        k = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, last)
-    else:
-        k = last - np.clip(np.searchsorted(ts[::-1], t, side="right") - 1, 0, last)
-    t_old = np.array([step.t_old for step in steps])
-    h = np.array([step.h for step in steps])
-    x = ((t - t_old[k]) / h[k])[:, None]
-    # F[j] holds row j of every step's coefficients
-    F = np.stack([step.F for step in steps], axis=1)
-    y = np.zeros((t.size, F.shape[2]))
-    for j, f in enumerate(F[::-1]):
-        y += f[k]
-        y *= x if j % 2 == 0 else 1 - x
-    y += np.array([step.y_old for step in steps])[k]
-    return y.T
+def _evaluate(steps, r: np.ndarray) -> np.ndarray:
+    """The (x, y, theta) rows of Taylor steps at the points r, in one pass:
+    each point takes the last step that starts at or before it, with the
+    bits of ``_horner`` there."""
+    starts = np.array([step[0] for step in steps])
+    k = np.searchsorted(starts, r, side="right") - 1
+    c = np.array([step[2] for step in steps])[k]
+    t = (r - starts[k])[:, None]
+    v = c[:, :, -1]
+    for j in range(ORDER - 1, -1, -1):
+        v = v * t + c[:, :, j]
+    return v.T
 
 
 def integrate_profile(spec: CsfSolitonSpec) -> SolitonProfile:
     """Integrate the profile system over s_range (initial data sits at s=0).
 
-    When s_range straddles 0, both halves are one joint solve over
-    |s| <= min(b, -a); the longer half then continues alone to its end,
-    and if one half escapes, the other continues alone from there.  A
-    one-sided range takes one solve from s = 0.  The range is truncated
-    where the state escapes ESCAPE_LIMIT, with the escaped flag set.
+    Each half of s_range about s = 0 is its own Taylor solve from s = 0,
+    the backward one in r = -s; a one-sided range takes one solve.  The
+    range is truncated where the state escapes ESCAPE_LIMIT, with the
+    escaped flag set.
     """
     a, b = spec.s_range
-    start = [spec.x0, spec.y0, 0.0]
-    ends = [b, a]                      # of the forward and backward halves
-    joint, joint_end, states = None, 0.0, [start, start]  # both halves at |s| = joint_end
-    continuations = []                 # (sign, solve) of a half beyond joint_end
-    escaped = False
-    if a < 0 < b:
-        joint = _solve_from_origin(spec.A, spec.B, start * 2, min(b, -a),
-                                   events=(_escape, _escape_back))
-        joint_end = float(joint.t[-1])
-        states = np.split(joint.y[:, -1], 2)
-    for k, sign in enumerate((1.0, -1.0)):
-        # a half whose event fired escaped; on a tie scipy records only the
-        # first terminal root, so a half that stands at the limit escaped too
-        if joint is not None and (joint.t_events[k].size or not _escape(0.0, states[k]) < 0.0):
-            ends[k] = sign * joint_end
-            escaped = True
-        elif sign * ends[k] > joint_end:
-            sol = _solve_from_origin(spec.A, spec.B, states[k], ends[k], sign * joint_end)
-            if sol.status == 1:
-                ends[k] = float(sol.t[-1])
-                escaped = True
-            continuations.append((sign, sol))
-    hi, lo = ends
+    ends = {1.0: b, -1.0: a}
+    halves = {}
+    for sign, end in ends.items():
+        if sign * end > 0.0:
+            halves[sign] = list(_taylor_steps(spec.A, spec.B, (spec.x0, spec.y0, 0.0),
+                                              sign * end, sign))
+            ends[sign] = sign * halves[sign][-1][1]
+    hi, lo = ends.values()
     if not lo < hi:
         raise CurveFlowError("profile-escape", "profile escapes before s_range")
     s = np.linspace(lo, hi, spec.n)
+    # s = 0 belongs to the forward half when there is one
+    forward = (s >= 0.0) & (b > 0.0)
     vals = np.empty((3, spec.n))
-    # each solve reaches an end of s, which is exactly lo or hi, so none is
-    # evaluated at no sample
-    if joint is not None:
-        inside = np.abs(s) <= joint_end
-        # one dense evaluation at |s| serves both halves
-        halves = np.split(_dense_values(joint, np.abs(s[inside])), 2)
-        vals[:, inside] = np.where(s[inside] >= 0, *halves)
-    # a continuation, evaluated last, keeps its own value at +-joint_end
-    for sign, sol in continuations:
-        beyond = sign * s >= joint_end
-        vals[:, beyond] = _dense_values(sol, s[beyond])
-    return SolitonProfile(s, vals[0], vals[1], vals[2], escaped)
+    for sign, steps in halves.items():
+        mask = forward if sign > 0.0 else ~forward
+        vals[:, mask] = _evaluate(steps, sign * s[mask])
+    return SolitonProfile(s, vals[0], vals[1], vals[2], (lo, hi) != (a, b),
+                          tuple(len(halves.get(sign, ())) for sign in (1.0, -1.0)))
 
 
 def reconstruct_curve(profile: SolitonProfile, A: float, B: float) -> SampledCurve:
@@ -313,6 +295,7 @@ class ClosureData:
     q: int | None
     delta_phi: float
     period: float
+    steps: int = 0                 # Taylor steps of the solve, 0 unintegrated
 
 
 def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureData:
@@ -339,23 +322,24 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
            for a, b in ((x0 * y0, A), (x0 * x0, B))):
         return ClosureData(True, 1, 1, 2.0 * np.pi, 2.0 * np.pi / abs(x0))
 
-    def minimum(_s, u):
-        return A * u[0] - B * u[1]
-
-    minimum.direction = 1.0
-    minimum.terminal = 2           # the solve stops at the second minimum
-    sol = _solve_from_origin(A, B, [x0, y0, 0.0], CLOSURE_MAX_S, events=(minimum, _escape))
-    hits = sol.t_events[0]
+    steps, hits = [], []
+    for r0, r1, c in _taylor_steps(A, B, (x0, y0, 0.0), CLOSURE_MAX_S):
+        steps.append((r0, r1, c))
+        rate = [A * x - B * y for x, y in zip(c[0], c[1])]
+        # the solve stops at the second minimum
+        if rate[0] <= 0.0 < _horner(rate, r1 - r0):
+            hits.append(r0 + _bisect(lambda t: _horner(rate, t) > 0.0, r1 - r0))
+            if len(hits) == 2:
+                break
     if len(hits) < 2:
-        return ClosureData(False, None, None, float("nan"), float("nan"))
-    s1, s2 = float(hits[0]), float(hits[1])
+        return ClosureData(False, None, None, float("nan"), float("nan"), len(steps))
+    s1, s2 = hits
     fine = np.linspace(s1, s2, 4096)
-    xs, ys, thetas = _dense_values(sol, fine)
+    xs, ys, thetas = _evaluate(steps, fine)
     args = np.unwrap(np.arctan2(ys, xs))
     delta_phi = (thetas[-1] - thetas[0]) + (args[-1] - args[0])
     ratio = delta_phi / (2.0 * np.pi)
     frac = Fraction(ratio).limit_denominator(40)
     closed = frac.numerator != 0 and abs(ratio - float(frac)) < 1e-6
-    if closed:
-        return ClosureData(True, frac.numerator, frac.denominator, delta_phi, s2 - s1)
-    return ClosureData(False, None, None, delta_phi, s2 - s1)
+    p, q = (frac.numerator, frac.denominator) if closed else (None, None)
+    return ClosureData(closed, p, q, delta_phi, s2 - s1, len(steps))

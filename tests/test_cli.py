@@ -82,6 +82,20 @@ def test_a_run_loads_only_the_scipy_modules_its_command_calls(tmp_path):
     assert _scipy_loaded_by(argv) == ["[]", "[]"]
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["--A=0.3", "--B=-0.6", "--x0=0.9", "--y0=0.1", "--s=-5:5:256"], "[]"),
+    (["--A-range=0:0.4:2", "--B=-1", "--s=-5:5:64"], "[]"),
+    (["--abresch-langer", "--B=-1", "--r-min=0.5"],
+     "['scipy.optimize', 'scipy.spatial', 'scipy.linalg', 'scipy.sparse', 'scipy.special']"),
+], ids=["one-member", "sweep", "abresch-langer"])
+def test_a_planar_soliton_run_loads_no_ode_solver(tmp_path, argv, loaded):
+    # the profiles and their closures are Taylor steps on Python floats;
+    # only the Abresch-Langer partner radius takes a root from scipy.optimize,
+    # which loads the other three itself.  A single member prints its class
+    lines = _scipy_loaded_by(["csf", "soliton", *argv, "--out", tmp_path / "o"])
+    assert (lines[0], lines[-1]) == ("[]", loaded)
+
+
 @pytest.mark.parametrize("case", ["x-axis", "planar"])
 def test_a_rotating_profile_run_loads_no_ode_solver(tmp_path, case):
     # the band profile is in closed form: elliptic integrals, no scipy.integrate
@@ -521,7 +535,7 @@ def test_csf_soliton_non_finite_parameter_exits_two(tmp_path, capsys, monkeypatc
     def fail(*args, **kwargs):
         raise AssertionError("integrated a non-finite profile")
 
-    monkeypatch.setattr(csf_solitons, "_solve_from_origin", fail)
+    monkeypatch.setattr(csf_solitons, "_taylor_steps", fail)
     for a in ("nan", "inf"):
         assert run("csf", "soliton", "--A", a, "--B=-1", "--out", tmp_path / a) == 2
         assert last_stderr_token(capsys) == "invalid-parameter"
@@ -780,9 +794,9 @@ def test_csf_soliton_refuses_a_reconstruction_doubles_cannot_hold(tmp_path, caps
     assert atlas[1]["file"] == "soliton_0001.curve"
 
 
-# the profile step collapses at s = 0, so DOP853 fails before it starts; at
-# A = 1e306 the escape event's root search meets a NaN dense output; neither
-# warns, since the solve runs under np.errstate
+# the first Taylor coefficients pass the largest double at s = 0, or the
+# start lies past the escape limit, so the solve fails before it starts; none
+# warns, since the steps run on Python floats
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flags", [["--A=1e308", "--B=3"], ["--A=0.5", "--B=1e308"],
                                    ["--A=0.5", "--B=0.5", "--x0=1e308"],
@@ -806,8 +820,8 @@ def test_a_sweep_lists_a_failed_profile_solve(tmp_path):
 
 
 # a stiff expander over a long range, and a stiff oscillator (|B| = 1e9)
-# over a short one: DOP853 would take ever more steps, keeping a dense output
-# for each, until the solve is refused at its right-hand-side call budget
+# over a short one: the Taylor steps would go on, keeping each step's
+# coefficients, until the solve is refused at its step budget
 RUNAWAYS = {"long-expander": ["--A=0.5", "--B=2", "--x0=0.9", "--y0=0.1", "--s=0:300:64"],
             "stiff-oscillator": ["--A=0.5", "--B=-1e9", "--x0=0.3", "--y0=0", "--s=-1:1:64"]}
 
@@ -817,10 +831,48 @@ def test_a_runaway_profile_solve_is_refused_at_its_budget(tmp_path, capsys, flag
     out = tmp_path / "o"
     start = time.perf_counter()
     assert run("csf", "soliton", *flags, "--out", out) == 3
-    # about 1.5 s on a 2-core host; unbounded, the oscillator ran for minutes
+    # about 0.5 s on a 2-core host; unbounded, the oscillator ran for minutes
     assert time.perf_counter() - start < 15.0
-    assert last_stderr_token(capsys) == "profile-solve-failed"
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "profile-solve-failed"
+    assert f"passed {csf_solitons.MAX_STEPS} steps" in err[-2]
     assert not out.exists()
+
+
+def test_a_sweep_past_the_sample_ceiling_is_refused_before_solving(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the sweep holds every member's curve until it writes them: 4 members
+    # of 2**20 + 1 samples pass 2**22 samples, though each count is below it
+    def fail(*args, **kwargs):
+        raise AssertionError("solved a member of a sweep past the ceiling")
+
+    monkeypatch.setattr(csf_solitons, "_taylor_steps", fail)
+    out = tmp_path / "o"
+    assert run("csf", "soliton", "--A-range=0:0.4:2", "--B-range=-1:-0.6:2",
+               f"--s=-5:5:{2**20 + 1}", "--out", out) == 2
+    assert last_stderr_token(capsys) == "invalid-parameter"
+    assert not out.exists()
+
+
+def test_a_soliton_run_reports_its_steps_the_same_on_a_rerun(tmp_path):
+    # the step counts are deterministic, so they sit in hashed files
+    argv = [("csf", "soliton", "--A=0", "--B=-1", "--x0=0.31318043363295145",
+             "--s=-6:6:256"),
+            ("csf", "soliton", "--A-range=0:0.4:2", "--B=-1", "--x0=0.5", "--s=0:6:64")]
+    for k, args in enumerate(argv):
+        outs = [tmp_path / f"{k}{name}" for name in "ab"]
+        for out in outs:
+            assert run(*args, "--out", out) == 0
+        name = "soliton.json" if k == 0 else "atlas.json"
+        records = [json.loads((out / name).read_text()) for out in outs]
+        assert records[0] == records[1]
+        for record in records[0] if k else [records[0]]:
+            forward, backward = record["profile_steps"]
+            assert forward > 0 and (backward > 0) == (k == 0)
+            assert record["closure_steps"] > 0
+        first, second = (json.loads((o / "manifest.jsonl").read_text())["artifacts"]
+                         for o in outs)
+        assert first == second
 
 
 def test_a_sweep_lists_a_runaway_profile_solve(tmp_path):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import bisect
 import hashlib
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad, solve_ivp
 
 from conftest import circle2
@@ -117,40 +120,34 @@ def test_one_escaping_half_leaves_the_other_to_continue(y0, s_range, ends):
 
 # the digest pins the bits of the assembled profile, boundary samples
 # included: the first 16 hex digits of the SHA-256 of s, x, y and theta
-# (numpy 2.4, scipy 1.17)
+# (numpy 2.4); solves counts the Taylor solves of the forward and the
+# backward half, each from s = 0
 @pytest.mark.parametrize("args, s_range, n, solves, digest", [
-    # symmetric: both halves at once
-    ((0.8, -0.5, 0.9, 0.1), (-5.0, 5.0), 1024, 1, "61c7e1120975fe5b"),
-    # then the backward half alone
-    ((0.0, -1e9, 0.0, 5e7), (-1.0, 1.0), 1024, 2, "947a778e2289cee1"),
-    # then the longer half alone
-    ((0.3, -0.6, 0.9, 0.1), (-10.0, 3.0), 1024, 2, "01b30a6b5ea92e1e"),
-    # one-sided
-    ((0.3, -0.6, 0.9, 0.1), (0.5, 5.0), 1024, 1, "cf2b36c9bd5f9330"),
-    # samples at s = -1 and s = 1, both ends of the joint solve; the forward
-    # half's continuation gives s = 1
-    ((0.3, -0.6, 0.9, 0.1), (-1.0, 3.0), 17, 2, "cd102db3e31cf830"),
-    # both halves reach the limit at one r, where scipy records only the
-    # forward root; the backward half, a rounding short of the limit there,
-    # escapes at once in a solve of its own
-    ((0.0, -1e9, 0.0, 0.0), (-1.0, 1.0), 1024, 2, "73430d3613f7df2a"),
-    # a tie where scipy records only the backward root, and the forward half
-    # stands past the limit there: it ends there too, since no solve can
-    # start past the limit
-    ((0.0, -439954064.00135213, 0.0, 0.0), (-1.0, 1.0), 1024, 1, "f98ce7e9ecc6704a"),
+    ((0.8, -0.5, 0.9, 0.1), (-5.0, 5.0), 1024, (1, 1), "61c7e1120975fe5b"),
+    # the forward half escapes at s = 0.05, the backward one at s = -0.15
+    ((0.0, -1e9, 0.0, 5e7), (-1.0, 1.0), 1024, (1, 1), "947a778e2289cee1"),
+    ((0.3, -0.6, 0.9, 0.1), (-10.0, 3.0), 1024, (1, 1), "01b30a6b5ea92e1e"),
+    # one-sided: the forward half alone, evaluated from s = 0.5
+    ((0.3, -0.6, 0.9, 0.1), (0.5, 5.0), 1024, (1, 0), "cf2b36c9bd5f9330"),
+    # samples at s = -1, 0 and 1; s = 0 belongs to the forward half
+    ((0.3, -0.6, 0.9, 0.1), (-1.0, 3.0), 17, (1, 1), "cd102db3e31cf830"),
+    # both halves escape at |s| = 0.1, where y = 1e9 s is one polynomial step
+    ((0.0, -1e9, 0.0, 0.0), (-1.0, 1.0), 1024, (1, 1), "73430d3613f7df2a"),
+    ((0.0, -439954064.00135213, 0.0, 0.0), (-1.0, 1.0), 1024, (1, 1), "f98ce7e9ecc6704a"),
 ], ids=["symmetric", "one-escapes", "asymmetric", "one-sided", "sample-at-the-joint-end",
         "both-escape", "tie-past-the-limit"])
 def test_profile_solves_per_member(monkeypatch, args, s_range, n, solves, digest):
-    calls = []
-    solve = csf_solitons._solve_from_origin
+    signs = []
+    steps = csf_solitons._taylor_steps
 
-    def counted(*a, **kwargs):
-        calls.append(a)
-        return solve(*a, **kwargs)
+    def counted(*a):
+        signs.append(a[-1])
+        return steps(*a)
 
-    monkeypatch.setattr(csf_solitons, "_solve_from_origin", counted)
+    monkeypatch.setattr(csf_solitons, "_taylor_steps", counted)
     profile = integrate_profile(CsfSolitonSpec(*args, s_range=s_range, n=n))
-    assert len(calls) == solves
+    assert (signs.count(1.0), signs.count(-1.0)) == solves
+    assert len(signs) == sum(solves)
     values = np.stack([profile.s, profile.x, profile.y, profile.theta])
     assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest
 
@@ -225,7 +222,7 @@ def test_non_negative_dilation_returns_open_without_integrating(monkeypatch, A, 
     def fail(*args, **kwargs):
         raise AssertionError("integrated a profile that cannot close")
 
-    monkeypatch.setattr(csf_solitons, "_solve_from_origin", fail)
+    monkeypatch.setattr(csf_solitons, "_taylor_steps", fail)
     c = detect_closure(A, B, 1.0)
     assert (c.closed, c.p, c.q) == (False, None, None)
     assert np.isnan(c.delta_phi) and np.isnan(c.period)
@@ -252,20 +249,16 @@ def test_closure_of_a_profile_without_two_radius_minima(A, B, x0, y0, closed):
 
 
 def test_detect_closure_refuses_a_failed_solve(monkeypatch):
-    # a solve that fails stops early, so its events need not hold the two
-    # radius minima of a profile that closes
-    import scipy.integrate
-    solve_ivp = scipy.integrate.solve_ivp
-
-    def failed(fun, t_span, y0, **kwargs):
-        sol = solve_ivp(fun, (t_span[0], t_span[0] + 1.0), y0, **kwargs)
-        sol.status, sol.message = -1, "Required step size is less than spacing between numbers."
-        return sol
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
-    with pytest.raises(CurveFlowError) as exc:
-        detect_closure(0.0, -1.0, AL_23_X0)
-    assert exc.value.token == "profile-solve-failed"
+    # a solve that fails stops early, so its steps need not hold the two
+    # radius minima of a profile that closes: here the Taylor steps stop at
+    # their budget, one step short of the second minimum, or meet a
+    # coefficient past the largest double
+    steps = detect_closure(0.0, -1.0, AL_23_X0).steps
+    monkeypatch.setattr(csf_solitons, "MAX_STEPS", steps - 1)
+    for args in ((0.0, -1.0, AL_23_X0), (1e306, -0.5, 0.9, 0.1)):
+        with pytest.raises(CurveFlowError) as exc:
+            detect_closure(*args)
+        assert exc.value.token == "profile-solve-failed"
 
 
 @pytest.mark.parametrize("A, B, x0, y0", [
@@ -276,24 +269,30 @@ def test_detect_closure_refuses_a_failed_solve(monkeypatch):
     (0.5, -1.0, 1.0, -float("inf")),
 ], ids=["nan-A", "inf-A", "nan-B", "nan-x0", "inf-y0"])
 def test_non_finite_parameters_are_rejected_before_integrating(monkeypatch, A, B, x0, y0):
-    # DOP853 shrinks its step without end on a NaN right-hand side, so an
-    # unchecked parameter would hang instead of failing this test
+    # a NaN parameter makes every Taylor coefficient NaN, so an unchecked
+    # parameter would be refused only inside the solve
     def fail(*args, **kwargs):
         raise AssertionError("integrated a non-finite profile")
 
-    monkeypatch.setattr(csf_solitons, "_solve_from_origin", fail)
+    monkeypatch.setattr(csf_solitons, "_taylor_steps", fail)
     with pytest.raises(ValueError):
         CsfSolitonSpec(A, B, x0, y0)
     with pytest.raises(ValueError):
         detect_closure(A, B, x0, y0)
 
 
-def _reference_profile(spec: CsfSolitonSpec, s: np.ndarray) -> np.ndarray:
+def _reference_profile(spec: CsfSolitonSpec, s: np.ndarray, atol: float = 1e-13,
+                       max_step: float = np.inf) -> np.ndarray:
     rhs = lambda _s, u: (u[0] * u[1] + spec.A, -u[0] ** 2 - spec.B, u[0])
     out = np.empty((3, s.size))
     for side, end in ((s >= 0, s.max()), (s < 0, s.min())):
-        sol = solve_ivp(rhs, (0.0, end), [spec.x0, spec.y0, 0.0], method="DOP853",
-                        rtol=1e-13, atol=1e-13, dense_output=True)
+        # DOP853 divides 0 by 0 where its error estimates vanish, as on a
+        # profile that is a polynomial of low degree, and then fails
+        with np.errstate(invalid="ignore"):
+            sol = solve_ivp(rhs, (0.0, end), [spec.x0, spec.y0, 0.0], method="DOP853",
+                            rtol=1e-13, atol=atol, dense_output=True, max_step=max_step)
+        if not sol.success:
+            raise RuntimeError(sol.message)
         out[:, side] = sol.sol(s[side])
     return out
 
@@ -314,8 +313,8 @@ def test_profile_accuracy_against_a_tight_reference(A, B, bound):
     assert np.abs(np.vstack([prof.x, prof.y, prof.theta]) - want).max() < bound
 
 
-# the asymmetric range runs the joint solve and then the longer half alone;
-# the one-sided ranges take one solve from s = 0
+# the asymmetric range takes a longer backward half; the one-sided ranges
+# take one solve from s = 0
 @pytest.mark.parametrize("s_range", [(-10.0, 3.0), (0.5, 5.0), (-5.0, -0.5)])
 def test_profile_accuracy_on_asymmetric_and_one_sided_ranges(s_range):
     spec = CsfSolitonSpec(0.3, -0.6, 0.9, 0.1, s_range=s_range, n=256)
@@ -350,80 +349,166 @@ def ranged_specs(draw):
     return kind, CsfSolitonSpec(A, B, x0, draw(st.floats(-1.0, 1.0)), s_range, n)
 
 
-def _checked_dense_values(ascending: list):
-    """``_dense_values`` that also asserts the bits of scipy's dense output
-    and records whether each solve it evaluates runs up in s."""
-    dense_values = csf_solitons._dense_values
+# the largest error of a drawn non-escaping profile against the reference,
+# relative where the reference passes 1; the DOP853 solve that integrated
+# the profiles before the Taylor steps exceeded it on 21 of 300 draws
+ACCURACY_BOUND = 3.6e-10
 
-    def checked(sol, t):
-        got = dense_values(sol, t)
-        assert np.array_equal(got, sol.sol(t))
-        ascending.append(bool(sol.sol.ts[-1] > sol.sol.ts[0]))
+
+# the reference's dense output is off by up to 5e-10 between steps of more
+# than 0.2, so its steps are capped at 0.1; and where x grows from 1e-11 to
+# 0.3 an absolute tolerance of 1e-13 leaves it 7e-4 off, so its tolerance is
+# relative alone.  So set, it is within 2e-12 of DOP853 at rtol 3e-14 and
+# steps of 0.01 on the draws below and on hypothesis's findings
+@settings(max_examples=50, deadline=None)
+@given(ranged_specs().filter(lambda case: case[0] != "escape"))
+@example(("straddling", CsfSolitonSpec(1.1547127013020493, 0.1639941333394226,
+                                       0.7092241274477913, -0.5414233717294814,
+                                       (-7.024419523904317, 2.8602758688582854), 1028)))
+# x grows from a small start by up to 2.6e10: an absolute tolerance of 1e-11
+# or 1e-12 in the steps leaves it 5e-9 off
+@example(("symmetric", CsfSolitonSpec(1e-6, -1.0, 0.0, 1.0, (-4.0, 4.0), 16)))
+@example(("symmetric", CsfSolitonSpec(2.0**-9, -1.0, 0.0, 0.0, (-4.0, 4.0), 16)))
+@example(("symmetric", CsfSolitonSpec(0.0, -1.0, 1e-11, 1.0, (-6.0, 6.0), 16)))
+# a subnormal start still takes steps, and so does a start at y = 0 whose
+# Taylor coefficients reach 1e60, where TOL * 1e-290 / |c| underflows
+@example(("symmetric", CsfSolitonSpec(1.0, 0.0, 5e-324, 0.0, (-1.0, 1.0), 16)))
+@example(("symmetric", CsfSolitonSpec(0.5, -1e4, 0.3, 0.0, (-0.01, 0.01), 16)))
+def test_drawn_profiles_are_accurate_against_a_tight_reference(case):
+    _, spec = case
+    try:
+        prof = integrate_profile(spec)
+    except CurveFlowError as exc:
+        assert exc.token == "profile-escape"
+        return
+    assume(not prof.escaped)
+    try:
+        want = _reference_profile(spec, np.append(prof.s, -prof.s), atol=1e-30,
+                                  max_step=0.1)[:, :prof.s.size]
+    except RuntimeError:
+        reject()
+    error = np.abs(np.vstack([prof.x, prof.y, prof.theta]) - want)
+    assert (error <= ACCURACY_BOUND * np.maximum(1.0, np.abs(want))).all()
+
+
+def _pointwise(steps, r: np.ndarray) -> np.ndarray:
+    """Each point's step polynomial, evaluated one point at a time."""
+    starts = [step[0] for step in steps]
+    out = []
+    for t in r.tolist():
+        r0, r1, c = steps[bisect.bisect_right(starts, t) - 1]
+        assert r0 <= t <= r1
+        out.append([polyval(t - r0, ci) for ci in c])
+    return np.array(out).T
+
+
+def _checked_evaluate(sizes: list):
+    """``_evaluate`` that also asserts the bits of evaluating each point on
+    its own and records how many points each call evaluates."""
+    evaluate = csf_solitons._evaluate
+
+    def checked(steps, r):
+        got = evaluate(steps, r)
+        assert np.array_equal(got, _pointwise(steps, r))
+        sizes.append(r.size)
         return got
 
-    return mock.patch.object(csf_solitons, "_dense_values", checked)
+    return mock.patch.object(csf_solitons, "_evaluate", checked)
 
 
-# DOP853's F, h, t_old and y_old are scipy attributes without documentation:
-# a scipy that renames or reshapes them fails here, not in the numbers
 @settings(max_examples=80, deadline=None)
 @given(ranged_specs())
 @example(("escape", CsfSolitonSpec(0.0, -1e9, 0.0, 5e7, (-1.0, 1.0), 64)))
 @example(("escape", CsfSolitonSpec(0.0, -1e9, 0.0, -5e7, (-1.0, 1.0), 64)))
 def test_one_pass_evaluation_has_the_bits_of_the_dense_output(case):
     kind, spec = case
-    ascending = []
-    with _checked_dense_values(ascending):
+    sizes = []
+    with _checked_evaluate(sizes):
         try:
             profile = integrate_profile(spec)
         except CurveFlowError as exc:
             # an escape before the range starts
             assert exc.token == "profile-escape" and kind == "escape"
             return
-    # a range below s = 0 is one descending solve, one above it or evenly
-    # across it one ascending solve, and a longer backward half continues
-    # by a descending solve
+    # a range on one side of s = 0 is one half, one across it two; each
+    # sample is evaluated once
+    assert len(sizes) == (1 if kind in ("above", "below") else 2)
+    assert sum(sizes) == profile.s.size == spec.n
     a, b = spec.s_range
-    if kind == "below":
-        assert ascending == [False]
-    elif kind in ("above", "symmetric"):
-        assert ascending == [True]
-    elif kind == "straddling" and not profile.escaped:
-        assert ascending == [True] + [b > -a] * (-a != b)
+    assert profile.steps[0] > 0 if b > 0.0 else profile.steps[0] == 0
+    assert profile.steps[1] > 0 if a < 0.0 else profile.steps[1] == 0
 
 
+def _reference_closure(A, B, x0, y0):
+    """The angle advance between the first two radius minima of a tight
+    DOP853 solve, as ``detect_closure`` found it before the Taylor steps,
+    and the least rate at which A x - B y rises through zero at those two."""
+    def minimum(_s, u):
+        return A * u[0] - B * u[1]
+
+    def escape(_s, u):
+        return max(abs(u[0]), abs(u[1])) - csf_solitons.ESCAPE_LIMIT
+
+    minimum.direction, minimum.terminal, escape.terminal = 1.0, 2, True
+    rhs = lambda _s, u: (u[0] * u[1] + A, -u[0] ** 2 - B, u[0])
+    sol = solve_ivp(rhs, (0.0, csf_solitons.CLOSURE_MAX_S), [x0, y0, 0.0],
+                    method="DOP853", rtol=1e-13, atol=1e-13, dense_output=True,
+                    events=(minimum, escape))
+    hits = sol.t_events[0]
+    if len(hits) < 2:
+        return float("nan"), 0.0
+    xs, ys, thetas = sol.sol(np.linspace(hits[0], hits[1], 4096))
+    args = np.unwrap(np.arctan2(ys, xs))
+    x, y = sol.y_events[0][:, :2].T
+    rise = A * x * y + A * A + B * x * x + B * B
+    return (thetas[-1] - thetas[0]) + (args[-1] - args[0]), rise.min()
+
+
+# a profile that spirals into the circle's fixed point meets sign changes of
+# A x - B y at rounding level, where (A x - B y)' vanishes too, and each
+# solver places them differently; only an excursion between minima where
+# A x - B y rises faster than 1e-4 is compared by its advance
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-1.0, 1.0), st.floats(-1.5, -0.2), st.floats(0.2, 1.5),
        st.floats(-0.5, 0.5))
 @example(0.0, -1.0, AL_23_X0, 0.0)
+@example(-0.9709274392723735, -0.2868089297069363, 0.311573528412879, 0.34492680147361)
 def test_closure_grid_has_the_bits_of_the_dense_output(A, B, x0, y0):
-    ascending = []
-    with _checked_dense_values(ascending):
+    sizes = []
+    with _checked_evaluate(sizes):
         closure = detect_closure(A, B, x0, y0)
-    # the fine grid between two radius minima is evaluated once, up in s
-    assert ascending == ([True] if np.isfinite(closure.delta_phi) else [])
+    # the fine grid between two radius minima is evaluated once
+    assert sizes == ([4096] if np.isfinite(closure.delta_phi) else [])
+    delta_phi, rise = _reference_closure(A, B, x0, y0)
+    ratio = delta_phi / (2.0 * np.pi)
+    frac = Fraction(ratio).limit_denominator(40) if np.isfinite(ratio) else Fraction(0)
+    closed = frac.numerator != 0 and abs(ratio - float(frac)) < 1e-6
+    want = (True, frac.numerator, frac.denominator) if closed else (False, None, None)
+    assert (closure.closed, closure.p, closure.q) == want
+    if rise > 1e-4:
+        assert closure.delta_phi == pytest.approx(delta_phi, rel=1e-8)
 
 
 def test_a_profile_solve_is_refused_past_its_call_budget(monkeypatch):
-    # a budget of the calls a solve takes keeps its bits; one call fewer fails it
+    # a budget of the steps each half takes keeps the profile's bits; one
+    # step fewer fails the longer half
     spec = CsfSolitonSpec(0.8, -0.5, 0.9, 0.1, s_range=(-5.0, 5.0), n=256)
-    calls = csf_solitons._solve_from_origin(0.8, -0.5, [0.9, 0.1, 0.0] * 2, 5.0).nfev
     want = integrate_profile(spec)
-    monkeypatch.setattr(csf_solitons, "MAX_RHS_CALLS", calls)
+    steps = max(want.steps)
+    monkeypatch.setattr(csf_solitons, "MAX_STEPS", steps)
     got = integrate_profile(spec)
     for name in ("s", "x", "y", "theta"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    monkeypatch.setattr(csf_solitons, "MAX_RHS_CALLS", calls - 1)
+    monkeypatch.setattr(csf_solitons, "MAX_STEPS", steps - 1)
     with pytest.raises(CurveFlowError) as exc:
         integrate_profile(spec)
     assert exc.value.token == "profile-solve-failed"
-    assert f"{calls - 1} right-hand-side calls" in str(exc.value)
+    assert f"{steps - 1} steps" in str(exc.value)
 
 
 @pytest.mark.parametrize("x0, y0", [(2e8, 0.0), (0.9, -1e100)])
 def test_a_start_past_the_escape_limit_is_refused_before_solving(x0, y0):
-    # the escape event never crosses zero there, so the solve would run to
-    # its budget
+    # no escape can be found from there
     for compute in (lambda: integrate_profile(CsfSolitonSpec(0.5, -0.5, x0, y0)),
                     lambda: detect_closure(0.5, -0.5, x0, y0)):
         with pytest.raises(CurveFlowError) as exc:

@@ -345,15 +345,18 @@ def planar_soliton_argv(draw):
     """``csf soliton`` flags of a planar profile: A, B, x0 and y0 each an edge
     value or in [-3, 3], an arclength range of length up to 5 on either side
     of s = 0 or across it, 16 to 256 samples, and now and then a 2 x 2 sweep
-    over two of the four values."""
+    over two of the four values, a quarter of whose draws take 2**20 + 1
+    samples, past the sweep's ceiling of 2**22 over its members."""
     def value():
         return draw(st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-3.0, 3.0)))
 
     values = {name: value() for name in ("A", "B", "x0", "y0")}
     start = draw(st.floats(-5.0, 5.0))
     end = start + draw(st.floats(1e-3, 5.0))
-    argv = ["csf", "soliton", f"--s={start!r}:{end!r}:{draw(st.integers(16, 256))}"]
     swept = draw(st.sampled_from(((), (), (), ("A", "B"), ("x0", "y0"), ("B", "y0"))))
+    count = (2**20 + 1 if swept and draw(st.integers(0, 3)) == 0
+             else draw(st.integers(16, 256)))
+    argv = ["csf", "soliton", f"--s={start!r}:{end!r}:{count}"]
     for name, v in values.items():
         if name in swept:
             argv.append(f"--{name}-range={v!r}:{value()!r}:2")
@@ -362,14 +365,16 @@ def planar_soliton_argv(draw):
     return argv
 
 
-# a stiff oscillator: |B| = 1e9 makes DOP853 take ever shorter steps over
-# |s| <= 1, until the solve is refused at its call budget; a start past the
-# escape limit, where scipy's first step norm overflows; a subnormal A - iB,
+# a stiff oscillator: |B| = 1e9 makes the Taylor steps ever shorter over
+# |s| <= 1, until the solve is refused at its step budget; a sweep of more
+# samples than its ceiling; a start past the escape limit; a subnormal A - iB,
 # whose reciprocal numpy's complex division overflows; and a tiny one, which
 # puts the curve out where doubles round its samples onto each other
 @settings(max_examples=60, deadline=None)
 @given(planar_soliton_argv())
 @example(["csf", "soliton", "--A=0.5", "--B=-1e9", "--x0=0.3", "--y0=0.0", "--s=-1:1:64"])
+@example(["csf", "soliton", "--A-range=0.0:1.0:2", "--B-range=-1.0:-0.5:2", "--x0=1.0",
+          "--y0=0.0", f"--s=0.0:1.0:{2**20 + 1}"])
 @example(["csf", "soliton", "--A=0.0", "--B=0.0", "--x0=1e-160", "--y0=1e154",
           "--s=0.0:1.0:16"])
 @example(["csf", "soliton", "--A=0.0", "--B=5e-324", "--x0=0.0", "--y0=0.0",
