@@ -316,8 +316,8 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
     _check_finite(A, B, x0, y0)
     if B >= 0.0:
         return ClosureData(False, None, None, float("nan"), float("nan"))
-    # there A x - B y vanishes all along, and every step would be a crossing;
-    # a start within a few ulps of one is that circle up to rounding
+    # there A x - B y vanishes all along, so the steps would find no radius
+    # minimum; a start within a few ulps of one is that circle up to rounding
     if all(abs(a + b) <= 4.0 * np.spacing(max(abs(a), abs(b)))
            for a, b in ((x0 * y0, A), (x0 * x0, B))):
         return ClosureData(True, 1, 1, 2.0 * np.pi, 2.0 * np.pi / abs(x0))
@@ -340,6 +340,6 @@ def detect_closure(A: float, B: float, x0: float, y0: float = 0.0) -> ClosureDat
     delta_phi = (thetas[-1] - thetas[0]) + (args[-1] - args[0])
     ratio = delta_phi / (2.0 * np.pi)
     frac = Fraction(ratio).limit_denominator(40)
-    closed = frac.numerator != 0 and abs(ratio - float(frac)) < 1e-6
+    closed = bool(frac.numerator != 0 and abs(ratio - float(frac)) < 1e-6)
     p, q = (frac.numerator, frac.denominator) if closed else (None, None)
     return ClosureData(closed, p, q, delta_phi, s2 - s1, len(steps))

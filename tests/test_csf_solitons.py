@@ -121,7 +121,8 @@ def test_one_escaping_half_leaves_the_other_to_continue(y0, s_range, ends):
 # the digest pins the bits of the assembled profile, boundary samples
 # included: the first 16 hex digits of the SHA-256 of s, x, y and theta
 # (numpy 2.4); solves counts the Taylor solves of the forward and the
-# backward half, each from s = 0
+# backward half, each from s = 0.  The ids keep the names the rows had when
+# both halves were one joint DOP853 solve, whose ties two rows pinned
 @pytest.mark.parametrize("args, s_range, n, solves, digest", [
     ((0.8, -0.5, 0.9, 0.1), (-5.0, 5.0), 1024, (1, 1), "75a5b2e04b889b97"),
     # the forward half escapes at s = 0.05, the backward one at s = -0.15
@@ -133,6 +134,7 @@ def test_one_escaping_half_leaves_the_other_to_continue(y0, s_range, ends):
     ((0.3, -0.6, 0.9, 0.1), (-1.0, 3.0), 17, (1, 1), "416ee3298ef97c8d"),
     # both halves escape at |s| = 0.1, where y = 1e9 s is one polynomial step
     ((0.0, -1e9, 0.0, 0.0), (-1.0, 1.0), 1024, (1, 1), "342640d0dd047556"),
+    # and at |s| = 0.2273
     ((0.0, -439954064.00135213, 0.0, 0.0), (-1.0, 1.0), 1024, (1, 1), "02608dcbd0ba8b4d"),
 ], ids=["symmetric", "one-escapes", "asymmetric", "one-sided", "sample-at-the-joint-end",
         "both-escape", "tie-past-the-limit"])
@@ -365,8 +367,8 @@ ACCURACY_BOUND = 3.6e-10
 @example(("straddling", CsfSolitonSpec(1.1547127013020493, 0.1639941333394226,
                                        0.7092241274477913, -0.5414233717294814,
                                        (-7.024419523904317, 2.8602758688582854), 1028)))
-# x grows from a small start by up to 2.6e10: an absolute tolerance of 1e-11
-# or 1e-12 in the steps leaves it 5e-9 off
+# x grows from a small start by up to 2.6e10: an absolute tolerance in the
+# steps, even of 1e-12, leaves it 5e-9 off or more
 @example(("symmetric", CsfSolitonSpec(1e-6, -1.0, 0.0, 1.0, (-4.0, 4.0), 16)))
 @example(("symmetric", CsfSolitonSpec(2.0**-9, -1.0, 0.0, 0.0, (-4.0, 4.0), 16)))
 @example(("symmetric", CsfSolitonSpec(0.0, -1.0, 1e-11, 1.0, (-6.0, 6.0), 16)))
